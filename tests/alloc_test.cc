@@ -22,6 +22,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/gpu_spec.h"
@@ -461,6 +464,237 @@ TEST(DigestPin, ClusterRunMatchesPreRefactorGolden) {
   EXPECT_EQ(static_cast<int64_t>(r.completed.size()), 32);
   EXPECT_EQ(r.shed, 0);
   EXPECT_EQ(r.dispatched, 32);
+}
+
+// The chaos golden: one fleet with every cluster mechanism live at once --
+// 3 replicas behind p2c, drifting synthetic skew with the adaptation loop
+// closed, fail -> recover on one replica and corrupt -> recover on another,
+// backoff retries with seeded jitter, hedging, the dispatch log and
+// telemetry. Every report field, the f64 bits of all four latency
+// summaries, the dispatch log and the three telemetry exports are pinned.
+ClusterOptions ChaosClusterOptions(int num_threads, double span_us) {
+  ClusterOptions co;
+  co.server = BaseServeOptions(2, DType::kF32, num_threads);
+  co.server.routing = ServeRoutingMode::kSynthetic;
+  co.server.synthetic_load_std = 0.1;
+  co.server.drift_period_us = span_us / 4.0;
+  co.server.adaptation.enabled = true;
+  co.server.adaptation.hot_factor = 1.4;
+  co.server.adaptation.cool_factor = 1.1;
+  co.server.adaptation.cooldown_iterations = 4;
+  co.server.telemetry.enabled = true;
+  co.server.slo.ttft_us = 400.0;
+  co.server.slo.itl_us = 120.0;
+  co.replicas = 3;
+  co.placement = PlacementPolicy::kPowerOfTwo;
+  co.placement_seed = 9;
+  co.in_flight = InFlightPolicy::kRetryBackoff;
+  co.retry_budget = 2;
+  co.retry_backoff_us = 60.0;
+  co.retry_jitter_frac = 0.5;
+  co.hedge_queue_wait_us = 80.0;
+  co.health.probe_backoff_us = 200.0;
+  co.recovery_warmup_us = 100.0;
+  co.record_dispatch_log = true;
+  co.faults.events = {{0.3 * span_us, 1, FaultKind::kFail},
+                      {0.45 * span_us, 2, FaultKind::kCorrupt},
+                      {0.6 * span_us, 1, FaultKind::kRecover},
+                      {0.8 * span_us, 2, FaultKind::kRecover}};
+  return co;
+}
+
+using Pins = std::vector<std::pair<std::string, uint64_t>>;
+
+uint64_t Fnv1aString(const std::string& s) {
+  return Fnv1aAdd(Fnv1aInit(), s.data(), s.size());
+}
+
+Pins ChaosPins(const MoeCluster& cluster, const ClusterReport& r) {
+  const auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
+  Pins pins = {
+      {"completed", r.completed.size()},
+      {"offered", u(r.offered)},
+      {"dispatched", u(r.dispatched)},
+      {"shed", u(r.shed)},
+      {"failed_in_flight", u(r.failed_in_flight)},
+      {"retries_exhausted", u(r.retries_exhausted)},
+      {"redispatched", u(r.redispatched)},
+      {"retries", u(r.retries)},
+      {"hedged", u(r.hedged)},
+      {"hedge_wins", u(r.hedge_wins)},
+      {"wasted_tokens", u(r.wasted_tokens)},
+      {"iterations", u(r.iterations)},
+      {"batched_tokens", u(r.batched_tokens)},
+      {"padding_tokens", u(r.padding_tokens)},
+      {"promotions", u(r.promotions)},
+      {"retirements", u(r.retirements)},
+      {"replicated_rows", u(r.replicated_rows)},
+      {"replica_failures", u(r.replica_failures)},
+      {"replicas_drained", u(r.replicas_drained)},
+      {"replicas_recovered", u(r.replicas_recovered)},
+      {"corruptions_detected", u(r.corruptions_detected)},
+      {"breaker_opens", u(r.breaker_opens)},
+      {"probes", u(r.probes)},
+      {"sim_duration_us", Bits(r.sim_duration_us)},
+      {"throughput_tokens_per_s", Bits(r.throughput_tokens_per_s)},
+      {"slo_attainment", Bits(r.slo_attainment)},
+      {"slo_violations", u(r.slo_violations)},
+      {"combined_digest", r.combined_digest},
+  };
+  for (size_t i = 0; i < r.per_replica_completed.size(); ++i) {
+    pins.emplace_back("per_replica_completed." + std::to_string(i),
+                      u(r.per_replica_completed[i]));
+  }
+  for (size_t i = 0; i < r.per_replica_iterations.size(); ++i) {
+    pins.emplace_back("per_replica_iterations." + std::to_string(i),
+                      u(r.per_replica_iterations[i]));
+  }
+  const std::pair<const char*, const LatencySummary*> summaries[] = {
+      {"queue_wait", &r.queue_wait_us},
+      {"ttft", &r.ttft_us},
+      {"itl", &r.itl_us},
+      {"e2e", &r.e2e_us}};
+  for (const auto& [name, s] : summaries) {
+    const std::string p = name;
+    pins.emplace_back(p + ".count", s->count);
+    pins.emplace_back(p + ".mean", Bits(s->mean));
+    pins.emplace_back(p + ".min", Bits(s->min));
+    pins.emplace_back(p + ".max", Bits(s->max));
+    pins.emplace_back(p + ".p50", Bits(s->p50));
+    pins.emplace_back(p + ".p95", Bits(s->p95));
+    pins.emplace_back(p + ".p99", Bits(s->p99));
+  }
+  uint64_t req = RequestDigest(r.completed);
+  for (const RequestRecord& c : r.completed) {
+    req = Fnv1aAdd(req, &c.retries, sizeof(c.retries));
+    req = Fnv1aAdd(req, &c.hedged, sizeof(c.hedged));
+  }
+  pins.emplace_back("request_digest", req);
+  uint64_t log = Fnv1aInit();
+  for (const DispatchDecision& d : r.dispatch_log) {
+    const int64_t ints[] = {d.request_id,
+                            static_cast<int64_t>(d.session),
+                            d.replica,
+                            static_cast<int64_t>(d.accepting_mask),
+                            d.candidate_a,
+                            d.candidate_b,
+                            d.load_a,
+                            d.load_b,
+                            d.sticky_hit,
+                            d.redispatch,
+                            d.retry,
+                            d.hedge,
+                            d.probe};
+    log = Fnv1aAdd(log, ints, sizeof(ints));
+    log = Fnv1aAdd(log, &d.time_us, sizeof(d.time_us));
+  }
+  pins.emplace_back("dispatch_log.size", r.dispatch_log.size());
+  pins.emplace_back("dispatch_log", log);
+  pins.emplace_back("chrome_trace", Fnv1aString(cluster.ExportChromeTrace()));
+  pins.emplace_back("prometheus", Fnv1aString(cluster.ExportPrometheusText()));
+  pins.emplace_back("jsonl", Fnv1aString(cluster.ExportTelemetryJsonl()));
+  return pins;
+}
+
+const Pins kChaosGolden = {
+    {"completed", 0x0000000000000040ULL},
+    {"offered", 0x0000000000000040ULL},
+    {"dispatched", 0x0000000000000044ULL},
+    {"shed", 0x0000000000000000ULL},
+    {"failed_in_flight", 0x0000000000000000ULL},
+    {"retries_exhausted", 0x0000000000000000ULL},
+    {"redispatched", 0x0000000000000002ULL},
+    {"retries", 0x0000000000000002ULL},
+    {"hedged", 0x0000000000000002ULL},
+    {"hedge_wins", 0x0000000000000001ULL},
+    {"wasted_tokens", 0x0000000000000006ULL},
+    {"iterations", 0x0000000000000051ULL},
+    {"batched_tokens", 0x0000000000000194ULL},
+    {"padding_tokens", 0x0000000000000030ULL},
+    {"promotions", 0x0000000000000008ULL},
+    {"retirements", 0x0000000000000005ULL},
+    {"replicated_rows", 0x000000000000003bULL},
+    {"replica_failures", 0x0000000000000002ULL},
+    {"replicas_drained", 0x0000000000000000ULL},
+    {"replicas_recovered", 0x0000000000000002ULL},
+    {"corruptions_detected", 0x0000000000000001ULL},
+    {"breaker_opens", 0x0000000000000002ULL},
+    {"probes", 0x0000000000000002ULL},
+    {"sim_duration_us", 0x40a45e9803d2c90fULL},
+    {"throughput_tokens_per_s", 0x4102ea2dfd44d7aaULL},
+    {"slo_attainment", 0x3fef800000000000ULL},
+    {"slo_violations", 0x0000000000000001ULL},
+    {"combined_digest", 0xd6d240772e51dd7aULL},
+    {"per_replica_completed.0", 0x0000000000000021ULL},
+    {"per_replica_completed.1", 0x000000000000000fULL},
+    {"per_replica_completed.2", 0x0000000000000010ULL},
+    {"per_replica_iterations.0", 0x0000000000000020ULL},
+    {"per_replica_iterations.1", 0x0000000000000017ULL},
+    {"per_replica_iterations.2", 0x000000000000001aULL},
+    {"queue_wait.count", 0x0000000000000040ULL},
+    {"queue_wait.mean", 0x404bc83504646e0eULL},
+    {"queue_wait.min", 0x0000000000000000ULL},
+    {"queue_wait.max", 0x407879cfd702b2f0ULL},
+    {"queue_wait.p50", 0x40288b4b26241b00ULL},
+    {"queue_wait.p95", 0x4071395ca09d84c0ULL},
+    {"queue_wait.p99", 0x407879cfd702b2f0ULL},
+    {"ttft.count", 0x0000000000000040ULL},
+    {"ttft.mean", 0x405d49691b9c1a9eULL},
+    {"ttft.min", 0x404d68eb0c8b13f2ULL},
+    {"ttft.max", 0x407c26f889c73dfcULL},
+    {"ttft.p50", 0x405254cba7b79650ULL},
+    {"ttft.p95", 0x4074e696265eae54ULL},
+    {"ttft.p99", 0x407c26f889c73dfcULL},
+    {"itl.count", 0x000000000000007eULL},
+    {"itl.mean", 0x404d663967b63eb7ULL},
+    {"itl.min", 0x404bcf34bb0458a0ULL},
+    {"itl.max", 0x404d73bd098a1f40ULL},
+    {"itl.p50", 0x404d6928de3736c0ULL},
+    {"itl.p95", 0x404d6a031cd95980ULL},
+    {"itl.p99", 0x404d6e46ef992400ULL},
+    {"e2e.count", 0x0000000000000040ULL},
+    {"e2e.mean", 0x406d1d04ced9c02dULL},
+    {"e2e.min", 0x404d692ed0af784cULL},
+    {"e2e.max", 0x40856dba26d21df4ULL},
+    {"e2e.p50", 0x406d693b73ef03b0ULL},
+    {"e2e.p95", 0x407c40e090014848ULL},
+    {"e2e.p99", 0x40856dba26d21df4ULL},
+    {"request_digest", 0x9cc2f99d44798194ULL},
+    {"dispatch_log.size", 0x0000000000000044ULL},
+    {"dispatch_log", 0x31529e7b202cd549ULL},
+    {"chrome_trace", 0xce32d9f156d994a9ULL},
+    {"prometheus", 0x9c0d1fabb2b9f861ULL},
+    {"jsonl", 0x06c624cf92c08296ULL},
+};
+
+TEST(DigestPin, ChaosClusterMatchesPreRefactorGolden) {
+  LoadGenOptions load = BaseLoadOptions(64);
+  load.offered_rps = 20000.0;
+  load.arrival = ArrivalProcess::kBursty;
+  load.num_sessions = 8;
+  const auto arrivals = LoadGenerator(load).GenerateAll();
+  for (int num_threads : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
+    MoeCluster cluster(
+        ChaosClusterOptions(num_threads, arrivals.back().arrival_us),
+        H800Cluster(2));
+    const ClusterReport r = cluster.Run(arrivals);
+    const Pins pins = ChaosPins(cluster, r);
+    // On a mismatch, print every pin in the table's own syntax.
+    std::string actual;
+    for (const auto& [name, value] : pins) {
+      char line[96];
+      std::snprintf(line, sizeof(line), "    {\"%s\", 0x%016llxULL},\n",
+                    name.c_str(), static_cast<unsigned long long>(value));
+      actual += line;
+    }
+    ASSERT_EQ(pins.size(), kChaosGolden.size()) << actual;
+    for (size_t i = 0; i < pins.size(); ++i) {
+      EXPECT_EQ(pins[i].first, kChaosGolden[i].first);
+      EXPECT_EQ(pins[i].second, kChaosGolden[i].second)
+          << pins[i].first << "; actual pins:\n" << actual;
+    }
+  }
 }
 
 }  // namespace
