@@ -57,9 +57,10 @@ int AdaptiveAssigner::SelectCommBlocks(MoePipelineStage stage,
                                        const OpCostModel& costs,
                                        const FusedKernelConfig& base,
                                        MetadataStore* store) const {
-  const std::string key =
-      ProfileKey(costs.cluster(), plan.placement(), stage);
+  // The key is a formatted string: build it only when there is a store.
+  std::string key;
   if (store != nullptr) {
+    key = ProfileKey(costs.cluster(), plan.placement(), stage);
     if (auto cached = store->GetInt(key)) {
       return static_cast<int>(*cached);
     }

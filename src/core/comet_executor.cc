@@ -18,6 +18,19 @@ namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+// Sanity-checks the dependency analysis: layer0 decomposes along M, layer1
+// along N (paper §3.1.1). The schedules rely on it, so a future operator
+// change must trip loudly.
+void CheckDecomposition(const Placement& placement) {
+  const int64_t shared_rows =
+      placement.total_tokens() * placement.model().topk;
+  const int64_t n_embed = placement.model().embedding;
+  COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
+                  shared_rows, n_embed)) == DecomposeDim::kM);
+  COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
+                  shared_rows, n_embed)) == DecomposeDim::kN);
+}
+
 // Thread-local combine row buffer (the f32 staging row the canonical
 // combine reduction reads contributions into). File-scope accessor so
 // PrepareServing can warm it on every pool worker and rank thread before a
@@ -135,44 +148,18 @@ bool CometExecutor::Supports(const ParallelConfig&) const { return true; }
 
 LayerExecution CometExecutor::Run(const MoeWorkload& workload,
                                   const ClusterSpec& cluster, ExecMode mode) {
-  return RunWithCache(workload, cluster, mode, options_.profile_cache);
-}
-
-LayerExecution CometExecutor::RunBatch(const MoeWorkload& workload,
-                                       const ClusterSpec& cluster,
-                                       ExecMode mode) {
-  return RunWithCache(workload, cluster, mode,
-                      options_.profile_cache != nullptr
-                          ? options_.profile_cache
-                          : &batch_profile_cache_);
-}
-
-LayerExecution CometExecutor::RunWithCache(const MoeWorkload& workload,
-                                           const ClusterSpec& cluster,
-                                           ExecMode mode,
-                                           MetadataStore* cache) {
   COMET_CHECK_EQ(cluster.world_size, workload.world())
       << "cluster and workload world sizes disagree";
   // Caps every ParallelFor this run issues -- including the whole-matrix
   // Gemm/activation wrappers called indirectly -- so num_threads = 1 really
   // is the old serial behavior end to end.
   ScopedThreadLimit thread_limit(options_.num_threads);
-  // Sanity-check the dependency analysis: layer0 decomposes along M,
-  // layer1 along N (paper §3.1.1). This is the analysis the schedules below
-  // rely on; run it so a future operator change trips loudly.
-  const int64_t shared_rows =
-      workload.placement.total_tokens() * workload.model().topk;
-  COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
-                  shared_rows, workload.model().embedding)) ==
-              DecomposeDim::kM);
-  COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
-                  shared_rows, workload.model().embedding)) ==
-              DecomposeDim::kN);
+  CheckDecomposition(workload.placement);
 
   LayerExecution out;
   out.executor = name();
   TimedScratch timed;
-  RunTimedInto(workload, cluster, out, cache, timed, nullptr);
+  RunTimedInto(workload, cluster, out, timed, nullptr);
   if (mode == ExecMode::kFunctional) {
     FunctionalScratch fn;
     RunFunctionalInto(workload, out, fn);
@@ -295,12 +282,8 @@ void CometExecutor::RunBatchInto(const MoeWorkload& workload,
   COMET_CHECK_EQ(cluster.world_size, workload.world())
       << "cluster and workload world sizes disagree";
   ScopedThreadLimit thread_limit(options_.num_threads);
-  MetadataStore* cache = options_.profile_cache != nullptr
-                             ? options_.profile_cache
-                             : &batch_profile_cache_;
   out->executor = name();
-  RunTimedInto(workload, cluster, *out, cache, serving_->timed,
-               &serving_->nc_memo);
+  RunTimedInto(workload, cluster, *out, serving_->timed, &serving_->nc_memo);
   if (mode == ExecMode::kFunctional) {
     RunFunctionalInto(workload, *out, serving_->fn);
   }
@@ -308,8 +291,7 @@ void CometExecutor::RunBatchInto(const MoeWorkload& workload,
 
 void CometExecutor::RunTimedInto(const MoeWorkload& workload,
                                  const ClusterSpec& cluster,
-                                 LayerExecution& out, MetadataStore* cache,
-                                 TimedScratch& scratch,
+                                 LayerExecution& out, TimedScratch& scratch,
                                  std::vector<NcMemoEntry>* nc_memo) {
   const OpCostModel costs(cluster);
   const Placement& placement = workload.placement;
@@ -323,9 +305,9 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
   base.reschedule = options_.reschedule;
   base.vertical_fusion = !options_.specialized;
 
-  // Division points. The serving memo short-circuits the MetadataStore
-  // round-trip (whose key is cluster | model | M | TP | EP | stage -- all
-  // fixed for one serving executor except M) with a flat lookup on M.
+  // Division points. The serving memo is a flat lookup on M: every other
+  // field of the profile key (cluster | model | TP | EP | stage) is fixed for
+  // one serving executor.
   const NcMemoEntry* memo_hit = nullptr;
   if (nc_memo != nullptr) {
     for (const NcMemoEntry& e : *nc_memo) {
@@ -344,16 +326,8 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
     last_nc1_ = memo_hit->nc1;
   } else {
     if (nc_memo != nullptr) {
-      // First sight of this batch size: re-run the decomposition sanity
-      // check RunWithCache performs on every call (warm-up only here).
-      const int64_t shared_rows =
-          placement.total_tokens() * placement.model().topk;
-      COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
-                      shared_rows, placement.model().embedding)) ==
-                  DecomposeDim::kM);
-      COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
-                      shared_rows, placement.model().embedding)) ==
-                  DecomposeDim::kN);
+      // First sight of this batch size: the check Run makes on every call.
+      CheckDecomposition(placement);
     }
     // Profile on the most loaded rank (the one that sets the makespan) and
     // use one division point everywhere, as the paper's pre-compiled kernel
@@ -372,7 +346,7 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
         return std::min(options_.fixed_comm_blocks, base.total_blocks - 1);
       }
       return assigner_.SelectCommBlocks(stage, plan, busiest, costs, base,
-                                        cache);
+                                        options_.profile_cache);
     };
     last_nc0_ = pick_nc(MoePipelineStage::kLayer0);
     last_nc1_ = pick_nc(MoePipelineStage::kLayer1);
@@ -830,7 +804,6 @@ void CometExecutor::RetireReplica(int slot) {
 }
 
 void CometExecutor::InvalidateBatchProfiles() {
-  batch_profile_cache_.Clear();
   if (serving_ != nullptr) {
     serving_->nc_memo.clear();
   }

@@ -86,19 +86,6 @@ class CometExecutor : public MoeLayerExecutor {
   LayerExecution Run(const MoeWorkload& workload, const ClusterSpec& cluster,
                      ExecMode mode) override;
 
-  // Batch-reuse entry point for the serving plane: identical semantics (and
-  // bit-identical results) to Run, but adaptive division-point profiles are
-  // cached in an executor-owned MetadataStore keyed by
-  // AdaptiveAssigner::ProfileKey (cluster | model | M | TP | EP | stage).
-  // A continuous batcher re-runs the same few batch shapes thousands of
-  // times; with Run each iteration would re-sweep the candidate grid -- the
-  // host-side overhead the paper's §5.3 decode regime is dominated by --
-  // while RunBatch profiles each shape once. When options.profile_cache is
-  // set it is used instead (shared across executors / persisted runs). Not
-  // thread-safe: one serving loop per executor.
-  LayerExecution RunBatch(const MoeWorkload& workload,
-                          const ClusterSpec& cluster, ExecMode mode);
-
   // ---- zero-allocation serving fast path ------------------------------------
   //
   // A serving loop re-executes the same layer shape thousands of times. The
@@ -108,7 +95,8 @@ class CometExecutor : public MoeLayerExecutor {
   // per-expert tensor slabs, parked rank threads) and warms the thread-local
   // scratch of every pool worker and rank thread; RunBatchInto then executes
   // one batch into a caller-persistent LayerExecution, reusing all of it.
-  // Results are bit-identical to RunBatch for the same inputs.
+  // Results are bit-identical to Run for the same inputs. Not thread-safe:
+  // one serving loop per executor.
 
   // Preallocates serving workspaces for batches up to `max_placement`'s
   // token count (its model/parallel shape must match the batches served).
@@ -117,8 +105,11 @@ class CometExecutor : public MoeLayerExecutor {
   void PrepareServing(const Placement& max_placement,
                       const ClusterSpec& cluster);
 
-  // RunBatch semantics (including the adaptive-profile cache) built into
-  // `*out` in place. After PrepareServing and one warm-up call per distinct
+  // Run semantics built into `*out` in place. Adaptive division points are
+  // memoized per batch token count -- a continuous batcher re-runs the same
+  // few batch shapes thousands of times, and each re-sweep is the host-side
+  // overhead the paper's decode regime is dominated by -- so each shape is
+  // profiled once. After PrepareServing and one warm-up call per distinct
   // batch token count, performs zero heap allocations per call. In
   // kTimedOnly mode `out->outputs` is left untouched.
   void RunBatchInto(const MoeWorkload& workload, const ClusterSpec& cluster,
@@ -147,17 +138,17 @@ class CometExecutor : public MoeLayerExecutor {
   // Frees replica slot `slot`. Slab bits stay (inactive slices have no rows,
   // so they are never read) until the next promote overwrites them.
   void RetireReplica(int slot);
-  // Drops every cached division-point profile (the per-M serving memo and
-  // the executor-owned RunBatch store). The adaptation loop calls this when
-  // the replica layout changes: ProfileKey does not encode replicas, so
-  // cached division points no longer describe the plan being priced. The
-  // next iteration per batch size re-profiles against the current layout.
+  // Drops every memoized division point (the per-M serving memo). The
+  // adaptation loop calls this when the replica layout changes: ProfileKey
+  // does not encode replicas, so memoized division points no longer describe
+  // the plan being priced. The next iteration per batch size re-profiles
+  // against the current layout.
   void InvalidateBatchProfiles();
 
   // Re-arms the transport-integrity knobs between iterations (the serving
   // plane uses this to inject a one-iteration corruption fault without
-  // rebuilding the executor). Takes effect at the next Run/RunBatch, which
-  // constructs its symmetric heap from these options.
+  // rebuilding the executor). Takes effect at the next Run/RunBatchInto,
+  // which constructs its symmetric heap from these options.
   void SetTransportIntegrity(bool verify, double corrupt_rate,
                              uint64_t corrupt_seed) {
     options_.verify_transport = verify;
@@ -168,13 +159,9 @@ class CometExecutor : public MoeLayerExecutor {
   // Division points chosen for the last Run (diagnostics / tests).
   int last_layer0_comm_blocks() const { return last_nc0_; }
   int last_layer1_comm_blocks() const { return last_nc1_; }
-  // Entries in the executor-owned RunBatch profile cache (diagnostics).
-  size_t batch_profile_entries() const { return batch_profile_cache_.size(); }
-
-  // Serving profile-memo traffic: how often RunBatch found its division
+  // Serving profile-memo traffic: how often RunBatchInto found its division
   // points already tuned for the batch's token count vs. ran the candidate
-  // sweep. Counted only when the serving memo is consulted (RunBatch), so
-  // plain Run calls never move these.
+  // sweep. Plain Run calls never consult the memo, so they never move these.
   uint64_t profile_memo_hits() const { return profile_memo_hits_; }
   uint64_t profile_memo_misses() const { return profile_memo_misses_; }
 
@@ -189,8 +176,7 @@ class CometExecutor : public MoeLayerExecutor {
   ServingHeapStats serving_heap_stats() const;
 
  private:
-  // Cached division points for one batch token count (serving fast path;
-  // bit-identical to re-consulting the MetadataStore, minus the string key).
+  // Memoized division points for one batch token count (serving fast path).
   struct NcMemoEntry {
     int64_t total_tokens = 0;
     int nc0 = 0;
@@ -200,12 +186,9 @@ class CometExecutor : public MoeLayerExecutor {
   struct FunctionalScratch;  // persistent heap + per-rank tensor slabs (.cc)
   struct ServingState;       // everything PrepareServing owns (.cc)
 
-  LayerExecution RunWithCache(const MoeWorkload& workload,
-                              const ClusterSpec& cluster, ExecMode mode,
-                              MetadataStore* cache);
   void RunTimedInto(const MoeWorkload& workload, const ClusterSpec& cluster,
-                    LayerExecution& out, MetadataStore* cache,
-                    TimedScratch& scratch, std::vector<NcMemoEntry>* nc_memo);
+                    LayerExecution& out, TimedScratch& scratch,
+                    std::vector<NcMemoEntry>* nc_memo);
   void RunFunctionalInto(const MoeWorkload& workload, LayerExecution& out,
                          FunctionalScratch& scratch);
   void EnsureFunctionalCapacity(FunctionalScratch& scratch,
@@ -213,7 +196,6 @@ class CometExecutor : public MoeLayerExecutor {
 
   CometOptions options_;
   AdaptiveAssigner assigner_;
-  MetadataStore batch_profile_cache_;
   int last_nc0_ = 0;
   int last_nc1_ = 0;
   uint64_t profile_memo_hits_ = 0;

@@ -149,6 +149,9 @@ struct MoeServer::RunState {
       }
       for (LiveRequest* lr : all) {
         lr->prompt.Reserve(bounds.max_prompt_tokens * n_embed);
+        // Formatting once sizes the shape's dims too; the first Reset would
+        // otherwise allocate them.
+        lr->prompt.ResetFormat2D(0, n_embed, options.dtype);
         lr->decode_input.reserve(static_cast<size_t>(n_embed));
         lr->itl_samples.reserve(static_cast<size_t>(bounds.max_decode_tokens));
         pool.Release(lr);
@@ -196,11 +199,11 @@ struct MoeServer::RunState {
     }
 
     completed.reserve(static_cast<size_t>(bounds.expected_requests));
-    queue_waits.reserve(static_cast<size_t>(bounds.expected_requests));
-    ttfts.reserve(static_cast<size_t>(bounds.expected_requests));
-    e2es.reserve(static_cast<size_t>(bounds.expected_requests));
+    samples.queue_waits.reserve(static_cast<size_t>(bounds.expected_requests));
+    samples.ttfts.reserve(static_cast<size_t>(bounds.expected_requests));
+    samples.e2es.reserve(static_cast<size_t>(bounds.expected_requests));
     itl_counts.reserve(static_cast<size_t>(bounds.expected_requests));
-    itls.reserve(static_cast<size_t>(bounds.expected_tokens));
+    samples.itls.reserve(static_cast<size_t>(bounds.expected_tokens));
   }
 
   AdmissionQueue queue;
@@ -230,10 +233,10 @@ struct MoeServer::RunState {
   int64_t replicated_rows = 0;
 
   std::vector<RequestRecord> completed;  // retirement order
-  std::vector<double> queue_waits, ttfts, itls, e2es;
+  LatencySamples samples;
   // itl_counts[i] = number of itl samples request completed[i] contributed
-  // (aligned with `completed`), so CancelRequest of a completed-but-
-  // unobserved hedging loser can excise exactly its slice of `itls`.
+  // (aligned with `completed`), so the cluster can slice each record's
+  // samples out of `samples.itls`.
   std::vector<int64_t> itl_counts;
   int64_t offered = 0;
   int64_t shed = 0;
@@ -401,6 +404,22 @@ void MoeServer::BuildBatchWorkloadInto(const BatchPlan& plan,
 }
 
 void MoeServer::BeginRun(RunBounds bounds) {
+  if (run_ != nullptr) {
+    // Start from the empty replica layout a fresh server has: free the slots
+    // the previous run left promoted, and drop the division points profiled
+    // against them. A run that ended unreplicated keeps its profiles.
+    bool retired = false;
+    const auto replicas = run_->tracker.replicas();
+    for (size_t slot = 0; slot < replicas.size(); ++slot) {
+      if (replicas[slot].expert >= 0) {
+        executor_.RetireReplica(static_cast<int>(slot));
+        retired = true;
+      }
+    }
+    if (retired) {
+      executor_.InvalidateBatchProfiles();
+    }
+  }
   run_ = std::make_unique<RunState>(options_, weights_, sharded_weights_,
                                     bounds);
   telemetry_.BeginRun();
@@ -491,32 +510,16 @@ MoeServer::CancelResult MoeServer::CancelRequest(int64_t id) {
   }
   // Completed but not yet observed by the cluster: the race a real hedging
   // layer has to handle -- both copies finished, the cluster picked the
-  // other as winner. Discard this copy's record AND its latency samples so
-  // the loser leaves no trace in any percentile.
-  for (size_t i = 0; i < run.completed.size(); ++i) {
-    if (run.completed[i].id != id) {
-      continue;
+  // other as winner. The record stays; the cluster skips it at harvest. It
+  // completed after everything the cluster observed, so scan newest first.
+  for (size_t i = run.completed.size(); i-- > 0;) {
+    const RequestRecord& rec = run.completed[i];
+    if (rec.id == id) {
+      result.found = true;
+      result.was_completed = true;
+      result.executed_tokens = rec.prompt_tokens + rec.decode_tokens;
+      return result;
     }
-    result.found = true;
-    result.was_completed = true;
-    result.executed_tokens =
-        run.completed[i].prompt_tokens + run.completed[i].decode_tokens;
-    int64_t itl_begin = 0;
-    for (size_t j = 0; j < i; ++j) {
-      itl_begin += run.itl_counts[j];
-    }
-    run.itls.erase(
-        run.itls.begin() + static_cast<std::ptrdiff_t>(itl_begin),
-        run.itls.begin() +
-            static_cast<std::ptrdiff_t>(itl_begin + run.itl_counts[i]));
-    run.completed.erase(run.completed.begin() + static_cast<std::ptrdiff_t>(i));
-    run.queue_waits.erase(run.queue_waits.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-    run.ttfts.erase(run.ttfts.begin() + static_cast<std::ptrdiff_t>(i));
-    run.e2es.erase(run.e2es.begin() + static_cast<std::ptrdiff_t>(i));
-    run.itl_counts.erase(run.itl_counts.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    return result;
   }
   return result;
 }
@@ -529,8 +532,9 @@ bool MoeServer::RequestStarted(int64_t id) const {
       return lr->first_scheduled_us >= 0.0;
     }
   }
-  for (const RequestRecord& rec : run.completed) {
-    if (rec.id == id) {
+  // A completion the cluster has not observed yet is among the newest.
+  for (size_t i = run.completed.size(); i-- > 0;) {
+    if (run.completed[i].id == id) {
       return true;
     }
   }
@@ -560,12 +564,8 @@ RunView MoeServer::View() const {
   COMET_CHECK(run_ != nullptr) << "View before BeginRun";
   RunView view;
   view.completed = run_->completed;
-  view.queue_waits = run_->queue_waits;
-  view.ttfts = run_->ttfts;
-  view.itls = run_->itls;
-  view.e2es = run_->e2es;
-  view.offered = run_->offered;
-  view.shed = run_->shed;
+  view.itls = run_->samples.itls;
+  view.itl_counts = run_->itl_counts;
   view.iterations = run_->iterations;
   view.batched_tokens = run_->batched_tokens;
   view.padding_tokens = run_->padding_tokens;
@@ -715,11 +715,11 @@ bool MoeServer::StepIteration(double now, double* end_us) {
     }
     rec.output_digest = lr.digest;
 
-    run.queue_waits.push_back(rec.queue_wait_us);
-    run.ttfts.push_back(rec.ttft_us);
-    run.e2es.push_back(rec.e2e_us);
-    run.itls.insert(run.itls.end(), lr.itl_samples.begin(),
-                    lr.itl_samples.end());
+    run.samples.queue_waits.push_back(rec.queue_wait_us);
+    run.samples.ttfts.push_back(rec.ttft_us);
+    run.samples.e2es.push_back(rec.e2e_us);
+    run.samples.itls.insert(run.samples.itls.end(), lr.itl_samples.begin(),
+                            lr.itl_samples.end());
     run.itl_counts.push_back(static_cast<int64_t>(lr.itl_samples.size()));
     run.completed.push_back(rec);
     if (tel) {
@@ -886,40 +886,8 @@ ServeReport MoeServer::BuildReport(double sim_duration_us) const {
         static_cast<double>(run.batched_tokens) / (sim_duration_us / 1e6);
   }
 
-  std::vector<RequestRecord> completed = run.completed;
-  std::sort(completed.begin(), completed.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
-  report.queue_wait_us = SummarizeLatency(run.queue_waits);
-  report.ttft_us = SummarizeLatency(run.ttfts);
-  report.itl_us = SummarizeLatency(run.itls);
-  report.e2e_us = SummarizeLatency(run.e2es);
-
-  uint64_t combined = Fnv1aInit();
-  int64_t met = 0;
-  for (const RequestRecord& rec : completed) {
-    combined = Fnv1aAdd(combined, &rec.output_digest,
-                        sizeof(rec.output_digest));
-    const bool ttft_ok =
-        options_.slo.ttft_us <= 0.0 || rec.ttft_us <= options_.slo.ttft_us;
-    const bool itl_ok =
-        options_.slo.itl_us <= 0.0 || rec.mean_itl_us <= options_.slo.itl_us;
-    if (ttft_ok && itl_ok) {
-      ++met;
-    }
-  }
-  report.combined_digest = combined;
-  report.completed = std::move(completed);
-
-  if (options_.slo.Configured()) {
-    const int64_t denom =
-        static_cast<int64_t>(report.completed.size()) + report.shed;
-    report.slo_violations = denom - met;
-    report.slo_attainment =
-        denom > 0 ? static_cast<double>(met) / static_cast<double>(denom)
-                  : 1.0;
-  }
+  report.completed = run.completed;
+  FinishReport(run.samples, options_.slo, run.shed, &report);
   return report;
 }
 

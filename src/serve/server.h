@@ -12,7 +12,7 @@
 //  4. the packed tokens become one MoeWorkload -- rows gathered from the
 //     per-request prompt tensors / decode feedback rows, padded to a
 //     multiple of EP, routed content-based through a softmax top-k gate --
-//     and run through CometExecutor::RunBatch (functional plane: real
+//     and run through CometExecutor::RunBatchInto (functional plane: real
 //     numerics at compute_dtype across the EP ranks; timing plane: the
 //     simulated iteration duration);
 //  5. the clock advances by host_overhead_us + the simulated duration;
@@ -35,6 +35,7 @@
 // docs/ARCHITECTURE.md, "The allocation plane").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -176,17 +177,59 @@ struct ServeReport {
   int64_t replicated_rows = 0;
 };
 
+// The latency samples of one run. Order is free: SummarizeLatency sorts
+// before it sums, so sample order never reaches a summary's bits.
+struct LatencySamples {
+  std::vector<double> queue_waits, ttfts, itls, e2es;
+};
+
+// The report tail MoeServer::BuildReport and MoeCluster::Run share: sorts
+// report->completed by id, summarizes `samples`, digests the outputs in id
+// order and scores the SLO over the completed requests plus `lost` ones
+// (shed or failed: violations by definition).
+template <typename Report>
+void FinishReport(const LatencySamples& samples, const SloTargets& slo,
+                  int64_t lost, Report* report) {
+  std::vector<RequestRecord>& completed = report->completed;
+  std::sort(completed.begin(), completed.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.id < b.id;
+            });
+  report->queue_wait_us = SummarizeLatency(samples.queue_waits);
+  report->ttft_us = SummarizeLatency(samples.ttfts);
+  report->itl_us = SummarizeLatency(samples.itls);
+  report->e2e_us = SummarizeLatency(samples.e2es);
+  uint64_t combined = Fnv1aInit();
+  int64_t met = 0;
+  for (const RequestRecord& rec : completed) {
+    combined =
+        Fnv1aAdd(combined, &rec.output_digest, sizeof(rec.output_digest));
+    const bool ttft_ok = slo.ttft_us <= 0.0 || rec.ttft_us <= slo.ttft_us;
+    const bool itl_ok = slo.itl_us <= 0.0 || rec.mean_itl_us <= slo.itl_us;
+    if (ttft_ok && itl_ok) {
+      ++met;
+    }
+  }
+  report->combined_digest = combined;
+  if (slo.Configured()) {
+    const int64_t denom = static_cast<int64_t>(completed.size()) + lost;
+    report->slo_violations = denom - met;
+    report->slo_attainment =
+        denom > 0 ? static_cast<double>(met) / static_cast<double>(denom)
+                  : 1.0;
+  }
+}
+
 // Read-only view of the accumulated state of the current run, for the
 // cluster dispatcher's aggregation (the single-server Serve wraps the same
 // state into a ServeReport via BuildReport).
 struct RunView {
-  std::span<const RequestRecord> completed;  // retirement order
-  std::span<const double> queue_waits;
-  std::span<const double> ttfts;
+  // Retirement order. Under hedging this includes completed losers the
+  // cluster cancelled; it skips them at harvest.
+  std::span<const RequestRecord> completed;
   std::span<const double> itls;  // every inter-token gap of every request
-  std::span<const double> e2es;
-  int64_t offered = 0;
-  int64_t shed = 0;
+  // itl_counts[i] = the samples completed[i] contributed to itls, in order.
+  std::span<const int64_t> itl_counts;
   int64_t iterations = 0;
   int64_t batched_tokens = 0;
   int64_t padding_tokens = 0;
@@ -262,18 +305,19 @@ class MoeServer {
 
   // Outcome of CancelRequest: whether the request was found on this replica,
   // how many of its tokens had already been executed here (wasted work), and
-  // whether it had already completed (record discarded -- the cluster
-  // decided another copy won).
+  // whether it had already completed (the cluster decided another copy
+  // won).
   struct CancelResult {
     bool found = false;
     int64_t executed_tokens = 0;
     bool was_completed = false;
   };
   // Withdraws request `id` from this replica, wherever it is: still queued,
-  // live in the batcher (possibly mid-prefill/decode), or completed but not
-  // yet observed by the cluster (its record and latency samples are
-  // discarded). Hedged-dispatch loser cancellation. Safe no-op (found ==
-  // false) when the replica never saw the request.
+  // or live in the batcher (possibly mid-prefill/decode). A request that
+  // already completed here but was not yet observed by the cluster keeps
+  // its record; the cluster skips it at harvest. Hedged-dispatch loser
+  // cancellation. Safe no-op (found == false) when the replica never saw
+  // the request.
   CancelResult CancelRequest(int64_t id);
   // True when request `id` has entered at least one batch here (or already
   // completed). The cluster's hedging uses this: a request that started
@@ -292,7 +336,7 @@ class MoeServer {
 
   const ServeOptions& options() const { return options_; }
   const ClusterSpec& cluster() const { return cluster_; }
-  // Executor diagnostics (e.g. batch_profile_entries after a run).
+  // Executor diagnostics (e.g. profile_memo_misses after a run).
   const CometExecutor& executor() const { return executor_; }
 
   // ---- telemetry plane (obs/) ----------------------------------------------

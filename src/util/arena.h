@@ -1,27 +1,19 @@
-// Preallocated allocators for the serving hot path.
+// Preallocated object pool for the serving hot path.
 //
 // The zero-allocation contract (docs/ARCHITECTURE.md, "The allocation
 // plane") splits every serving-plane container into two phases: a warm-up
-// phase where capacity is established (BeginRun / ReserveRun / first
-// iterations at a new shape) and a steady state where capacity is only
-// reused. Two primitives make that split explicit:
+// phase where capacity is established (BeginRun / first iterations at a new
+// shape) and a steady state where capacity is only reused. FixedPool<T>
+// makes that split explicit for pooled objects: a free-list over `capacity`
+// default-constructed objects. Acquire/Release never touch the heap;
+// objects keep their internal buffers (a released LiveRequest keeps its
+// reserved prompt tensor), which is exactly what makes admission
+// allocation-free after warm-up. Exhaustion throws CheckError loudly rather
+// than falling back to the heap -- a silent fallback would turn the
+// zero-allocation guarantee into a probabilistic one.
 //
-//  * MonotonicArena -- one upfront block, bump-pointer Allocate, O(1)
-//    Reset. For per-run scratch whose total footprint is known at
-//    ReserveRun time. Exhaustion is a programming error (the reservation
-//    bound was wrong) and throws CheckError loudly rather than falling
-//    back to the heap -- a silent fallback would turn the zero-allocation
-//    guarantee into a probabilistic one.
-//
-//  * FixedPool<T> -- a free-list over `capacity` default-constructed
-//    objects. Acquire/Release never touch the heap; objects keep their
-//    internal buffers (a released LiveRequest keeps its reserved prompt
-//    tensor), which is exactly what makes admission allocation-free after
-//    warm-up. Exhaustion throws CheckError.
-//
-// Neither type is thread-safe: both are owned by single-threaded control
-// planes (the server's run state, the executor). The data plane below them
-// never allocates at all.
+// Not thread-safe: the single-threaded control plane (the server's run
+// state) owns it. The data plane below never allocates at all.
 #pragma once
 
 #include <cstddef>
@@ -32,58 +24,6 @@
 #include "util/check.h"
 
 namespace comet::util {
-
-class MonotonicArena {
- public:
-  MonotonicArena() = default;
-  explicit MonotonicArena(size_t capacity_bytes) { Reserve(capacity_bytes); }
-
-  // Replaces the block (allocates; warm-up only). Resets the bump pointer.
-  void Reserve(size_t capacity_bytes) {
-    block_ = std::make_unique<std::byte[]>(capacity_bytes);
-    capacity_ = capacity_bytes;
-    used_ = 0;
-  }
-
-  // Bump-allocates `bytes` aligned to `align`. Throws CheckError on
-  // exhaustion: the caller's reservation bound was wrong.
-  void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
-    COMET_CHECK(align != 0 && (align & (align - 1)) == 0)
-        << "alignment must be a power of two, got " << align;
-    const size_t aligned = (used_ + align - 1) & ~(align - 1);
-    COMET_CHECK_LE(aligned + bytes, capacity_)
-        << "MonotonicArena exhausted: need " << bytes << " bytes at offset "
-        << aligned << ", capacity " << capacity_
-        << " -- the ReserveRun bound is wrong";
-    void* p = block_.get() + aligned;
-    used_ = aligned + bytes;
-    return p;
-  }
-
-  // Typed array of default-constructible, trivially-destructible T (the
-  // arena never runs destructors).
-  template <typename T>
-  T* AllocateArray(size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "MonotonicArena never runs destructors");
-    T* p = static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
-    for (size_t i = 0; i < n; ++i) {
-      new (p + i) T();
-    }
-    return p;
-  }
-
-  // O(1): forgets every allocation, keeps the block.
-  void Reset() { used_ = 0; }
-
-  size_t used() const { return used_; }
-  size_t capacity() const { return capacity_; }
-
- private:
-  std::unique_ptr<std::byte[]> block_;
-  size_t capacity_ = 0;
-  size_t used_ = 0;
-};
 
 template <typename T>
 class FixedPool {

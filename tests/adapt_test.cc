@@ -591,6 +591,40 @@ TEST(ClusterAdaptation, CountersAggregateAndStayDeterministic) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+// An adapted cluster is reusable: a second Run starts from the same empty
+// replica layout as a fresh cluster, so both of its reports equal a fresh
+// cluster's, field for field.
+TEST(ClusterAdaptation, ReusedClusterMatchesFreshCluster) {
+  ClusterOptions co;
+  co.server = AdaptServeOptions(4, DType::kBF16, 1);
+  co.replicas = 2;
+  co.placement = PlacementPolicy::kLeastLoaded;
+  const auto arrivals = LoadGenerator(BaseLoadOptions(32)).GenerateAll();
+  const ClusterReport fresh = MoeCluster(co, H800Cluster(4)).Run(arrivals);
+  ASSERT_GT(fresh.promotions, fresh.retirements)
+      << "the first run must end with a replica slot still busy";
+
+  MoeCluster reused(co, H800Cluster(4));
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(testing::Message() << "run=" << run);
+    const ClusterReport r = reused.Run(arrivals);
+    EXPECT_EQ(r.combined_digest, fresh.combined_digest);
+    EXPECT_EQ(RequestDigest(r.completed), RequestDigest(fresh.completed));
+    EXPECT_EQ(r.iterations, fresh.iterations);
+    EXPECT_EQ(r.batched_tokens, fresh.batched_tokens);
+    EXPECT_EQ(r.promotions, fresh.promotions);
+    EXPECT_EQ(r.retirements, fresh.retirements);
+    EXPECT_EQ(r.replicated_rows, fresh.replicated_rows);
+    EXPECT_EQ(r.replica_failures, 0);
+    EXPECT_EQ(r.per_replica_completed, fresh.per_replica_completed);
+    EXPECT_EQ(r.per_replica_iterations, fresh.per_replica_iterations);
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.sim_duration_us),
+              std::bit_cast<uint64_t>(fresh.sim_duration_us));
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.e2e_us.p99),
+              std::bit_cast<uint64_t>(fresh.e2e_us.p99));
+  }
+}
+
 // ---- zero allocations survive adaptation -----------------------------------
 
 TEST(AdaptationZeroAlloc, SteadyStateWindowWithReplicationActive) {

@@ -3,8 +3,8 @@
 //
 // Three layers of pinning:
 //  1. The allocator primitives themselves (AllocCounter interposition,
-//     MonotonicArena, FixedPool, InlineVec): reset semantics, capacity
-//     retention, loud CheckError on exhaustion.
+//     FixedPool, InlineVec): capacity retention, loud CheckError on
+//     exhaustion.
 //  2. The tentpole contract: a steady-state MoeServer::StepIteration --
 //     admission, packing, routing, the full functional executor pass across
 //     every rank, harvesting and retirement -- performs ZERO heap
@@ -45,7 +45,6 @@ using util::AllocStats;
 using util::AllocWindow;
 using util::FixedPool;
 using util::InlineVec;
-using util::MonotonicArena;
 
 // ---- the counter itself ----------------------------------------------------
 
@@ -80,53 +79,6 @@ TEST(AllocCounter, AttributesToThread) {
   void* p = ::operator new(sizeof(double));  // not elidable (see above)
   ::operator delete(p);
   EXPECT_GE(AllocCounter::Thread().allocs, 1u);
-}
-
-// ---- MonotonicArena --------------------------------------------------------
-
-TEST(MonotonicArena, BumpAllocatesAndAligns) {
-  MonotonicArena arena(1024);
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_GE(arena.used(), 11u);
-  EXPECT_EQ(arena.capacity(), 1024u);
-}
-
-TEST(MonotonicArena, ResetForgetsButKeepsBlock) {
-  MonotonicArena arena(256);
-  void* first = arena.Allocate(64);
-  arena.Reset();
-  EXPECT_EQ(arena.used(), 0u);
-  // Same block, same first address: Reset is O(1) reuse, not reallocation.
-  EXPECT_EQ(arena.Allocate(64), first);
-}
-
-TEST(MonotonicArena, SteadyStateAllocationsAreFree) {
-  MonotonicArena arena(4096);
-  AllocWindow w;
-  for (int iter = 0; iter < 100; ++iter) {
-    arena.Reset();
-    (void)arena.AllocateArray<int64_t>(64);
-    (void)arena.Allocate(100, 16);
-  }
-  EXPECT_EQ(w.Snapshot().allocs, 0u);
-}
-
-TEST(MonotonicArena, ExhaustionThrowsLoudly) {
-  MonotonicArena arena(64);
-  (void)arena.Allocate(48);
-  EXPECT_THROW(arena.Allocate(32), CheckError)
-      << "a silent heap fallback would make the zero-allocation guarantee "
-         "probabilistic";
-  EXPECT_THROW(arena.Allocate(17, 64), CheckError) << "alignment counts too";
-}
-
-TEST(MonotonicArena, RejectsBadAlignment) {
-  MonotonicArena arena(64);
-  EXPECT_THROW(arena.Allocate(8, 3), CheckError);
-  EXPECT_THROW(arena.Allocate(8, 0), CheckError);
 }
 
 // ---- FixedPool -------------------------------------------------------------
@@ -358,6 +310,63 @@ TEST(ZeroAllocServing, SteadyStateWithTelemetryOn) {
                                  /*telemetry=*/true);
     }
   }
+}
+
+// A window that admits requests into pooled LiveRequests no earlier
+// iteration ever used: warm-up keeps at most a few requests live (long
+// prompts, one offered per iteration), then the window floods the batcher
+// with short requests up to max_active. Every batch packs exactly
+// token_budget tokens, so only the fresh pool objects are new.
+TEST(ZeroAllocServing, FirstUseOfPooledRequestsIsAllocationFree) {
+  constexpr int64_t kWarmRequests = 16;
+  constexpr int64_t kWindowRequests = 40;
+  constexpr int kWindowIters = 8;
+  ServeOptions options = BaseServeOptions(1, DType::kF32, 1);
+  options.max_active = 16;
+  std::vector<RequestSpec> arrivals;
+  for (int64_t i = 0; i < kWarmRequests + kWindowRequests; ++i) {
+    RequestSpec r;
+    r.id = i;
+    r.seed = static_cast<uint64_t>(i) * 1000003ULL + 5;
+    const bool warm = i < kWarmRequests;
+    r.prompt_tokens = warm ? options.token_budget : 1;
+    r.decode_tokens = warm ? 1 : 3;
+    arrivals.push_back(r);
+  }
+  MoeServer server(options, H800Cluster(1));
+  MoeServer::RunBounds bounds;
+  bounds.expected_requests = static_cast<int64_t>(arrivals.size());
+  bounds.expected_tokens = kWarmRequests * (options.token_budget + 1) +
+                           kWindowRequests * 4;
+  bounds.max_prompt_tokens = options.token_budget;
+  bounds.max_decode_tokens = 3;
+  server.BeginRun(bounds);
+
+  double now = 0.0, end = 0.0;
+  for (int64_t i = 0; i < kWarmRequests; ++i) {
+    server.Offer(arrivals[static_cast<size_t>(i)]);
+    ASSERT_TRUE(server.StepIteration(now, &end));
+    now = end;
+  }
+  for (int64_t i = kWarmRequests; i < kWarmRequests + kWindowRequests; ++i) {
+    server.Offer(arrivals[static_cast<size_t>(i)]);
+  }
+  const int64_t tokens_before = server.View().batched_tokens;
+  AllocStats stats;
+  {
+    AllocWindow w;
+    for (int i = 0; i < kWindowIters; ++i) {
+      ASSERT_TRUE(server.StepIteration(now, &end));
+      now = end;
+    }
+    stats = w.Snapshot();
+  }
+  ASSERT_EQ(server.View().batched_tokens - tokens_before,
+            kWindowIters * options.token_budget)
+      << "a partial batch is a new shape, which may allocate legitimately";
+  EXPECT_EQ(stats.allocs, 0u) << stats.allocs << " heap allocations ("
+                              << stats.bytes << " bytes)";
+  EXPECT_EQ(stats.frees, 0u);
 }
 
 // ---- digest pins: the refactor is bit-invisible ----------------------------

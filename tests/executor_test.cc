@@ -169,23 +169,27 @@ TEST(ExecutorTiming, CometHidesMostCommunication) {
 }
 
 TEST(CometBatch, RunBatchMatchesRunAndCachesProfiles) {
-  // The serving plane's batch-reuse entry point must be a pure optimization:
-  // bit-identical outputs and identical simulated duration vs Run, with the
-  // adaptive division-point profile cached after the first call so repeated
-  // same-shape batches skip the candidate sweep.
+  // The serving entry point (PrepareServing + RunBatchInto) must be a pure
+  // optimization: bit-identical outputs, identical simulated duration and
+  // division points vs Run, with the division points memoized after the
+  // first call so repeated same-shape batches skip the candidate sweep.
   const MoeWorkload w = TinyWorkload(/*tp=*/1, /*ep=*/4, /*tokens=*/64);
   const auto cluster = H800Cluster(4);
   CometExecutor plain{CometOptions{.tile_m = 8, .tile_n = 8}};
   CometExecutor batched{CometOptions{.tile_m = 8, .tile_n = 8}};
   const auto via_run = plain.Run(w, cluster, ExecMode::kFunctional);
-  EXPECT_EQ(batched.batch_profile_entries(), 0u);
-  const auto via_batch = batched.RunBatch(w, cluster, ExecMode::kFunctional);
+  batched.PrepareServing(w.placement, cluster);
+  LayerExecution via_batch;
+  batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &via_batch);
   ExpectBitExact(via_run.outputs, via_batch.outputs);
   EXPECT_EQ(via_run.duration_us, via_batch.duration_us);
-  EXPECT_GT(batched.batch_profile_entries(), 0u);
-  // Division points agree between the swept and the cached path.
-  const auto again = batched.RunBatch(w, cluster, ExecMode::kFunctional);
-  EXPECT_EQ(again.duration_us, via_run.duration_us);
+  EXPECT_EQ(batched.profile_memo_misses(), 1u);
+  EXPECT_EQ(batched.profile_memo_hits(), 0u);
+  // Division points agree between the swept and the memoized path.
+  batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &via_batch);
+  EXPECT_EQ(batched.profile_memo_hits(), 1u);
+  ExpectBitExact(via_run.outputs, via_batch.outputs);
+  EXPECT_EQ(via_batch.duration_us, via_run.duration_us);
   EXPECT_EQ(batched.last_layer0_comm_blocks(), plain.last_layer0_comm_blocks());
   EXPECT_EQ(batched.last_layer1_comm_blocks(), plain.last_layer1_comm_blocks());
 }

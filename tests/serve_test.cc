@@ -469,8 +469,8 @@ TEST(Server, ServesEveryRequestToCompletion) {
   EXPECT_GT(report.iterations, 0);
   EXPECT_GT(report.batched_tokens, 0);
   EXPECT_GT(report.throughput_tokens_per_s, 0.0);
-  EXPECT_GT(server.executor().batch_profile_entries(), 0u)
-      << "RunBatch should be filling the adaptive profile cache";
+  EXPECT_GT(server.executor().profile_memo_misses(), 0u)
+      << "RunBatchInto should be profiling each new batch shape once";
 
   for (const RequestRecord& r : report.completed) {
     EXPECT_GE(r.queue_wait_us, 0.0);

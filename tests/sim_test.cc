@@ -1,9 +1,8 @@
-// Unit tests for the simulator substrate: event queue, timeline, slot pools,
-// bandwidth queue, fluid network and the host/stream executor.
+// Unit tests for the simulator substrate: timeline, slot pools, bandwidth
+// queue, fluid network and the host/stream executor.
 #include <gtest/gtest.h>
 
 #include "sim/bandwidth_queue.h"
-#include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/slot_pool.h"
 #include "sim/stream_sim.h"
@@ -16,57 +15,6 @@
 
 namespace comet {
 namespace {
-
-// ---- event queue -----------------------------------------------------------
-
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.Schedule(3.0, [&] { order.push_back(3); });
-  q.Schedule(1.0, [&] { order.push_back(1); });
-  q.Schedule(2.0, [&] { order.push_back(2); });
-  EXPECT_EQ(q.RunAll(), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, EqualTimesFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.Schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbacksMayScheduleMore) {
-  EventQueue q;
-  int fired = 0;
-  q.Schedule(1.0, [&] {
-    ++fired;
-    q.ScheduleAfter(1.0, [&] { ++fired; });
-  });
-  EXPECT_EQ(q.RunAll(), 2.0);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RunUntilLeavesLaterEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.Schedule(1.0, [&] { ++fired; });
-  q.Schedule(5.0, [&] { ++fired; });
-  q.RunUntil(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueue, RejectsPastScheduling) {
-  EventQueue q;
-  q.Schedule(2.0, [] {});
-  q.RunAll();
-  EXPECT_THROW(q.Schedule(1.0, [] {}), CheckError);
-}
 
 // ---- timeline ---------------------------------------------------------------
 
