@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "comm/collectives.h"
-#include "moe/group_gemm.h"
-#include "runtime/rank_group.h"
 #include "util/check.h"
 
 namespace comet {
@@ -105,99 +103,6 @@ void FinalizeFromRanks(std::vector<double> per_rank_us,
   out.duration_us = per_rank_us[worst];
   out.timeline = std::move(per_rank_timelines[worst]);
   out.per_rank_us = std::move(per_rank_us);
-}
-
-std::vector<Tensor> CanonicalFunctionalMoe(const MoeWorkload& workload) {
-  const Placement& placement = workload.placement;
-  const RoutePlan& plan = workload.plan;
-  const ModelConfig& model = placement.model();
-  const int tp = placement.parallel().tp;
-  const int ep = placement.parallel().ep;
-  const int64_t n_embed = model.embedding;
-  const int64_t hidden = placement.HiddenPerTpRank();
-  const int64_t topk = model.topk;
-  const int64_t group_tokens = placement.tokens_per_group();
-  // The baselines share numerics with the reference at the workload's
-  // storage dtype (GEMM/activation round on store, combine rounds per row);
-  // only scheduling differs across systems.
-  const DType dtype = workload.dtype();
-
-  // Per-group unweighted contribution buffers, one per TP lane:
-  // contrib[g][lane] has (group_tokens * topk) rows.
-  std::vector<std::vector<Tensor>> contrib(static_cast<size_t>(ep));
-  for (auto& lanes : contrib) {
-    for (int l = 0; l < tp; ++l) {
-      lanes.emplace_back(Shape{group_tokens * topk, n_embed}, dtype);
-    }
-  }
-
-  // One RankGroup task per EP group. The baselines separate communication
-  // from computation with a full barrier (that is the point of the paper's
-  // comparison), so the producer phase ends at a barrier instead of
-  // per-row signals: contributions scatter into peer groups' buffers, the
-  // barrier stands in for the return all-to-all, then every group combines.
-  const auto produce = [&](int g) {
-    const RankPlan& rank_plan = plan.ForGroup(g);
-    for (size_t le = 0; le < rank_plan.experts.size(); ++le) {
-      const auto& slice = rank_plan.experts[le];
-      if (slice.rows.empty()) {
-        continue;
-      }
-      // Canonical-order shared tensor (token ascending): the layout a plain
-      // all-to-all dispatch produces.
-      Tensor a(Shape{static_cast<int64_t>(slice.rows.size()), n_embed}, dtype);
-      for (size_t i = 0; i < slice.rows.size(); ++i) {
-        a.SetRow(static_cast<int64_t>(i),
-                 workload.TokenRow(slice.rows[i].token));
-      }
-      for (int l = 0; l < tp; ++l) {
-        Tensor h(Shape{a.rows(), hidden}, dtype);
-        Gemm(a, workload.sharded_weights->W0Shard(slice.expert, l), h);
-        ApplyActivation(h, workload.activation);
-        Tensor y(Shape{a.rows(), n_embed}, dtype);
-        Gemm(h, workload.sharded_weights->W1Shard(slice.expert, l), y);
-        for (size_t i = 0; i < slice.rows.size(); ++i) {
-          const ExpertRow& row = slice.rows[i];
-          const int64_t dst_row =
-              (row.token - placement.FirstTokenOfGroup(row.source_group)) *
-                  topk +
-              row.slot;
-          contrib[static_cast<size_t>(row.source_group)][static_cast<size_t>(l)]
-              .SetRow(dst_row, y.row(static_cast<int64_t>(i)));
-        }
-      }
-    }
-  };
-
-  // Canonical combine: slot-major, TP-lane inner.
-  std::vector<Tensor> outputs(static_cast<size_t>(ep));
-  const auto consume = [&](int g) {
-    Tensor result(Shape{group_tokens, n_embed}, dtype);
-    const int64_t first = placement.FirstTokenOfGroup(g);
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const TokenRoute& route =
-          workload.routing.tokens[static_cast<size_t>(first + t)];
-      // Routes may carry fewer than topk entries (capacity-dropped pairs);
-      // only written slots are consumed.
-      const int64_t slots = static_cast<int64_t>(route.experts.size());
-      for (int64_t k = 0; k < slots; ++k) {
-        for (int l = 0; l < tp; ++l) {
-          result.AccumulateRow(
-              t,
-              contrib[static_cast<size_t>(g)][static_cast<size_t>(l)].row(
-                  t * topk + k),
-              route.weights[static_cast<size_t>(k)]);
-        }
-      }
-      // f32 accumulate, one rounding per output row (reference contract).
-      result.QuantizeRow(t);
-    }
-    outputs[static_cast<size_t>(g)] = std::move(result);
-  };
-
-  RankGroup group(ep, RankGroupOptions{.phase_barrier = true});
-  group.Run(produce, consume);
-  return outputs;
 }
 
 }  // namespace comet

@@ -1,7 +1,10 @@
-// Shared machinery for the four baseline MoE systems (paper §5.1):
+// Shared timing machinery for the four baseline MoE systems (paper §5.1):
 // Megatron-Cutlass, Megatron-TE, FasterMoE and Tutel. All of them launch
 // separate kernels per operator on CUDA streams; they differ in GEMM
-// implementation, collective algorithm and pipelining strategy.
+// implementation, collective algorithm and pipelining strategy -- never in
+// numerics. Their functional outputs are therefore the sharded reference
+// layer's (ShardedReferenceMoeLayer, moe/reference_layer.h); only the
+// timing plane is per-system.
 #pragma once
 
 #include "exec/execution.h"
@@ -52,10 +55,5 @@ BaselineQuantities ComputeQuantities(const MoeWorkload& workload,
 void FinalizeFromRanks(std::vector<double> per_rank_us,
                        std::vector<Timeline> per_rank_timelines,
                        LayerExecution& out);
-
-// Canonical-order functional execution used by all baselines (they share
-// numerics; only scheduling differs). Produces one output per EP group,
-// bit-identical to ShardedReferenceMoeLayer.
-std::vector<Tensor> CanonicalFunctionalMoe(const MoeWorkload& workload);
 
 }  // namespace comet

@@ -1,5 +1,6 @@
 #include "baselines/megatron.h"
 
+#include "moe/reference_layer.h"
 #include "sim/stream_sim.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -59,7 +60,7 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
   FinalizeFromRanks(std::move(per_rank), std::move(timelines), out);
 
   if (mode == ExecMode::kFunctional) {
-    out.outputs = CanonicalFunctionalMoe(workload);
+    out.outputs = ShardedReferenceMoeLayer(workload);
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "moe/reference_layer.h"
 #include "sim/stream_sim.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -105,7 +106,7 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
   FinalizeFromRanks(std::move(per_rank), std::move(timelines), out);
 
   if (mode == ExecMode::kFunctional) {
-    out.outputs = CanonicalFunctionalMoe(workload);
+    out.outputs = ShardedReferenceMoeLayer(workload);
   }
   return out;
 }

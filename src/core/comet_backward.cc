@@ -354,7 +354,8 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
         });
   };
 
-  RankGroup group(world, RankGroupOptions{.num_threads = options.num_threads});
+  RankGroup group;
+  group.Configure(world, options.num_threads);
   group.Run(produce, consume);
 
   // Rank-ascending dgate reduce (lane-ascending inside each owner group;
@@ -405,33 +406,10 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
   out.executor = options.name_override.empty() ? "Comet-bwd"
                                                : options.name_override;
 
-  FusedKernelConfig base;
-  base.total_blocks = cluster.gpu.num_sms;
-  base.tile_m = options.tile_m;
-  base.tile_n = options.tile_n;
-  base.reschedule = options.reschedule;
-  base.vertical_fusion = !options.specialized;
-
-  // Division points: profile on the most loaded rank like the forward does.
-  int busiest = 0;
-  for (int r = 1; r < world; ++r) {
-    if (plan.ForRank(r).TotalRows() > plan.ForRank(busiest).TotalRows()) {
-      busiest = r;
-    }
-  }
-  AdaptiveAssigner assigner;
-  auto pick_nc = [&](MoePipelineStage stage) {
-    if (base.vertical_fusion) {
-      return 0;
-    }
-    if (!options.adaptive) {
-      return std::min(options.fixed_comm_blocks, base.total_blocks - 1);
-    }
-    return assigner.SelectCommBlocks(stage, plan, busiest, costs, base,
-                                     options.profile_cache);
-  };
-  const int nc_a = pick_nc(MoePipelineStage::kLayer0);
-  const int nc_b = pick_nc(MoePipelineStage::kLayer1);
+  // Division points: kernel A mirrors forward layer0, kernel B layer1.
+  const FusedKernelConfig base = BaseFusedKernelConfig(options, cluster);
+  const DivisionPoints nc =
+      PickDivisionPoints(options, base, plan, costs, AdaptiveAssigner());
 
   const double ag_us = DoutAllGatherUs(workload, costs);
 
@@ -452,9 +430,9 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
         const int r = static_cast<int>(ri);
         RankSim& sim = sims[static_cast<size_t>(r)];
         FusedKernelConfig config_a = base;
-        config_a.comm_blocks = nc_a;
+        config_a.comm_blocks = nc.layer0;
         FusedKernelConfig config_b = base;
-        config_b.comm_blocks = nc_b;
+        config_b.comm_blocks = nc.layer1;
 
         // Kernel A mirrors forward layer0 (same row width N, same GEMM
         // output width K/TP); kernel B mirrors forward layer1.
@@ -462,7 +440,7 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
         sim.kb = SimulateLayer1Fused(plan, r, costs, config_b);
 
         const std::vector<int64_t> depths = RowDepths(plan.ForRank(r));
-        const int np_b = base.total_blocks - (base.vertical_fusion ? 0 : nc_b);
+        const int np_b = base.total_blocks - nc.layer1;
         sim.wgrad1 =
             WgradTimeUs(costs, hidden, n_embed, depths, base.total_blocks);
         sim.wgrad0 = WgradTimeUs(costs, n_embed, hidden, depths, np_b);

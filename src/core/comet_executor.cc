@@ -96,7 +96,7 @@ struct CometExecutor::FunctionalScratch {
     GroupGemmProblem problem1;
   };
   std::vector<RankScratch> ranks;
-  PersistentRankGroup group;
+  RankGroup group;
 };
 
 struct CometExecutor::ServingState {
@@ -104,6 +104,42 @@ struct CometExecutor::ServingState {
   FunctionalScratch fn;
   std::vector<NcMemoEntry> nc_memo;
 };
+
+FusedKernelConfig BaseFusedKernelConfig(const CometOptions& options,
+                                        const ClusterSpec& cluster) {
+  FusedKernelConfig base;
+  base.total_blocks = cluster.gpu.num_sms;
+  base.tile_m = options.tile_m;
+  base.tile_n = options.tile_n;
+  base.reschedule = options.reschedule;
+  base.vertical_fusion = !options.specialized;
+  return base;
+}
+
+DivisionPoints PickDivisionPoints(const CometOptions& options,
+                                  const FusedKernelConfig& base,
+                                  const RoutePlan& plan,
+                                  const OpCostModel& costs,
+                                  const AdaptiveAssigner& assigner) {
+  int busiest = 0;
+  for (int r = 1; r < plan.placement().world(); ++r) {
+    if (plan.ForRank(r).TotalRows() > plan.ForRank(busiest).TotalRows()) {
+      busiest = r;
+    }
+  }
+  const auto pick = [&](MoePipelineStage stage) {
+    if (base.vertical_fusion) {
+      return 0;
+    }
+    if (!options.adaptive) {
+      return std::min(options.fixed_comm_blocks, base.total_blocks - 1);
+    }
+    return assigner.SelectCommBlocks(stage, plan, busiest, costs, base,
+                                     options.profile_cache);
+  };
+  return DivisionPoints{pick(MoePipelineStage::kLayer0),
+                        pick(MoePipelineStage::kLayer1)};
+}
 
 CometExecutor::CometExecutor(CometOptions options)
     : options_(std::move(options)) {
@@ -268,8 +304,7 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   };
   GlobalThreadPool().ForEachWorker(warm);
   warm(0);  // the calling thread executes chunk 0 of every region
-  state.fn.group.Configure(
-      world, RankGroupOptions{.num_threads = options_.num_threads});
+  state.fn.group.Configure(world, options_.num_threads);
   state.fn.group.Run(warm);
 }
 
@@ -298,12 +333,7 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
   const RoutePlan& plan = workload.plan;
   const int world = placement.world();
 
-  FusedKernelConfig base;
-  base.total_blocks = cluster.gpu.num_sms;
-  base.tile_m = options_.tile_m;
-  base.tile_n = options_.tile_n;
-  base.reschedule = options_.reschedule;
-  base.vertical_fusion = !options_.specialized;
+  const FusedKernelConfig base = BaseFusedKernelConfig(options_, cluster);
 
   // Division points. The serving memo is a flat lookup on M: every other
   // field of the profile key (cluster | model | TP | EP | stage) is fixed for
@@ -329,27 +359,10 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
       // First sight of this batch size: the check Run makes on every call.
       CheckDecomposition(placement);
     }
-    // Profile on the most loaded rank (the one that sets the makespan) and
-    // use one division point everywhere, as the paper's pre-compiled kernel
-    // selection does.
-    int busiest = 0;
-    for (int r = 1; r < world; ++r) {
-      if (plan.ForRank(r).TotalRows() > plan.ForRank(busiest).TotalRows()) {
-        busiest = r;
-      }
-    }
-    const auto pick_nc = [&](MoePipelineStage stage) {
-      if (base.vertical_fusion) {
-        return 0;
-      }
-      if (!options_.adaptive) {
-        return std::min(options_.fixed_comm_blocks, base.total_blocks - 1);
-      }
-      return assigner_.SelectCommBlocks(stage, plan, busiest, costs, base,
-                                        options_.profile_cache);
-    };
-    last_nc0_ = pick_nc(MoePipelineStage::kLayer0);
-    last_nc1_ = pick_nc(MoePipelineStage::kLayer1);
+    const DivisionPoints nc =
+        PickDivisionPoints(options_, base, plan, costs, assigner_);
+    last_nc0_ = nc.layer0;
+    last_nc1_ = nc.layer1;
     if (nc_memo != nullptr) {
       nc_memo->push_back(
           NcMemoEntry{placement.total_tokens(), last_nc0_, last_nc1_});
@@ -733,12 +746,10 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
         });
   };
 
-  // Configure resolves concurrency against the ambient thread limit exactly
-  // like the one-shot RankGroup constructor did; with an unchanged shape it
-  // is an allocation-free no-op, so steady-state iterations reuse the parked
-  // rank threads.
-  scratch.group.Configure(
-      world, RankGroupOptions{.num_threads = options_.num_threads});
+  // Configure resolves concurrency against the ambient thread limit; with an
+  // unchanged shape it is an allocation-free no-op, so steady-state
+  // iterations reuse the parked rank threads.
+  scratch.group.Configure(world, options_.num_threads);
   scratch.group.Run(produce, consume);
 }
 

@@ -76,6 +76,30 @@ struct CometOptions {
   std::string name_override;
 };
 
+// Fused-kernel setup shared by the forward executor and CometBackward.
+//
+// The config every rank of one COMET layer runs with; comm_blocks is left
+// at 0 (see PickDivisionPoints).
+FusedKernelConfig BaseFusedKernelConfig(const CometOptions& options,
+                                        const ClusterSpec& cluster);
+
+// Communication-block counts of the two pipeline stages: layer0 and layer1
+// forward, or backward kernels A and B, which mirror them.
+struct DivisionPoints {
+  int layer0 = 0;
+  int layer1 = 0;
+};
+
+// 0 under vertical fusion (no specialized blocks), the fixed count when
+// adaptive assignment is off, else the adaptive choice profiled on the most
+// loaded rank (the one that sets the makespan) and used on every rank, as
+// the paper's pre-compiled kernel selection does.
+DivisionPoints PickDivisionPoints(const CometOptions& options,
+                                  const FusedKernelConfig& base,
+                                  const RoutePlan& plan,
+                                  const OpCostModel& costs,
+                                  const AdaptiveAssigner& assigner);
+
 class CometExecutor : public MoeLayerExecutor {
  public:
   explicit CometExecutor(CometOptions options = {});
@@ -148,7 +172,7 @@ class CometExecutor : public MoeLayerExecutor {
   // Re-arms the transport-integrity knobs between iterations (the serving
   // plane uses this to inject a one-iteration corruption fault without
   // rebuilding the executor). Takes effect at the next Run/RunBatchInto,
-  // which constructs its symmetric heap from these options.
+  // which re-arms its symmetric heap from these options.
   void SetTransportIntegrity(bool verify, double corrupt_rate,
                              uint64_t corrupt_seed) {
     options_.verify_transport = verify;

@@ -11,101 +11,9 @@
 
 namespace comet {
 
-RankGroup::RankGroup(int num_ranks, RankGroupOptions options)
-    : num_ranks_(num_ranks), options_(options) {
-  COMET_CHECK_GT(num_ranks_, 0);
-  int n = options_.num_threads;
-  if (n <= 0) {
-    n = CurrentThreadLimit();
-  }
-  if (n <= 0) {
-    n = GlobalThreadCount();
-  }
-  concurrent_ = num_ranks_ > 1 && n > 1;
-}
+RankGroup::~RankGroup() { Shutdown(); }
 
-void RankGroup::Run(const std::function<void(int)>& work) const {
-  Run(work, {});
-}
-
-void RankGroup::Run(const std::function<void(int)>& produce,
-                    const std::function<void(int)>& consume) const {
-  COMET_CHECK(produce != nullptr);
-
-  if (!concurrent_) {
-    // Serial phased execution: by the time any consume runs, every producer
-    // has signalled, so blocking waits return immediately.
-    for (int r = 0; r < num_ranks_; ++r) {
-      produce(r);
-    }
-    if (consume) {
-      for (int r = 0; r < num_ranks_; ++r) {
-        consume(r);
-      }
-    }
-    return;
-  }
-
-  // Rank threads do not inherit the launcher's thread-locals; re-install its
-  // ParallelFor cap so CometOptions::num_threads reaches the tile loops the
-  // ranks fan out (and so num_threads = 1 could never spawn pool chunks from
-  // here -- serial mode above already short-circuits that case).
-  const int inherited_limit = CurrentThreadLimit();
-
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable barrier_cv;
-    int arrived = 0;
-  } shared;
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(num_ranks_));
-
-  auto rank_body = [&](int r) {
-    ScopedThreadLimit limit(inherited_limit);
-    try {
-      produce(r);
-    } catch (...) {
-      errors[static_cast<size_t>(r)] = std::current_exception();
-    }
-    if (options_.phase_barrier) {
-      // A failed producer still arrives, so peers are never left waiting on
-      // the barrier (their data-level failure surfaces in consume instead).
-      std::unique_lock<std::mutex> lock(shared.mutex);
-      if (++shared.arrived == num_ranks_) {
-        shared.barrier_cv.notify_all();
-      } else {
-        shared.barrier_cv.wait(
-            lock, [&] { return shared.arrived == num_ranks_; });
-      }
-    }
-    if (consume && errors[static_cast<size_t>(r)] == nullptr) {
-      try {
-        consume(r);
-      } catch (...) {
-        errors[static_cast<size_t>(r)] = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_ranks_ - 1));
-  for (int r = 1; r < num_ranks_; ++r) {
-    threads.emplace_back(rank_body, r);
-  }
-  rank_body(0);
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  for (const std::exception_ptr& err : errors) {
-    if (err) {
-      std::rethrow_exception(err);
-    }
-  }
-}
-
-PersistentRankGroup::~PersistentRankGroup() { Shutdown(); }
-
-void PersistentRankGroup::Shutdown() {
+void RankGroup::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
@@ -118,9 +26,9 @@ void PersistentRankGroup::Shutdown() {
   shutdown_ = false;
 }
 
-void PersistentRankGroup::Configure(int num_ranks, RankGroupOptions options) {
+void RankGroup::Configure(int num_ranks, int num_threads) {
   COMET_CHECK_GT(num_ranks, 0);
-  int n = options.num_threads;
+  int n = num_threads;
   if (n <= 0) {
     n = CurrentThreadLimit();
   }
@@ -129,24 +37,26 @@ void PersistentRankGroup::Configure(int num_ranks, RankGroupOptions options) {
   }
   const bool concurrent = num_ranks > 1 && n > 1;
   if (num_ranks == num_ranks_ && concurrent == concurrent_) {
-    options_ = options;  // barrier flag may change without a thread reshape
     return;
   }
   Shutdown();
   num_ranks_ = num_ranks;
-  options_ = options;
   concurrent_ = concurrent;
   errors_.assign(static_cast<size_t>(num_ranks_), nullptr);
   if (concurrent_) {
+    // New threads start at the current generation: a group that already
+    // ran must not replay its last (possibly dangling) stages on them.
+    const uint64_t generation = generation_;
     threads_.reserve(static_cast<size_t>(num_ranks_ - 1));
     for (int r = 1; r < num_ranks_; ++r) {
-      threads_.emplace_back([this, r] { WorkerLoop(r); });
+      threads_.emplace_back(
+          [this, r, generation] { WorkerLoop(r, generation); });
     }
   }
 }
 
-void PersistentRankGroup::RankBody(int r, FunctionRef<void(int)> produce,
-                                   FunctionRef<void(int)> consume, int limit) {
+void RankGroup::RankBody(int r, FunctionRef<void(int)> produce,
+                         FunctionRef<void(int)> consume, int limit) {
   // Rank threads do not inherit the launcher's thread-locals; re-install its
   // ParallelFor cap so the tile loops each rank fans out see it (rank 0 runs
   // on the caller, where the limit is already active -- re-installing the
@@ -157,16 +67,6 @@ void PersistentRankGroup::RankBody(int r, FunctionRef<void(int)> produce,
   } catch (...) {
     errors_[static_cast<size_t>(r)] = std::current_exception();
   }
-  if (options_.phase_barrier) {
-    // A failed producer still arrives, so peers are never left waiting on
-    // the barrier (their data-level failure surfaces in consume instead).
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (++arrived_ == num_ranks_) {
-      barrier_cv_.notify_all();
-    } else {
-      barrier_cv_.wait(lock, [&] { return arrived_ == num_ranks_; });
-    }
-  }
   if (consume && errors_[static_cast<size_t>(r)] == nullptr) {
     try {
       consume(r);
@@ -176,8 +76,7 @@ void PersistentRankGroup::RankBody(int r, FunctionRef<void(int)> produce,
   }
 }
 
-void PersistentRankGroup::WorkerLoop(int r) {
-  uint64_t seen = 0;
+void RankGroup::WorkerLoop(int r, uint64_t seen) {
   for (;;) {
     FunctionRef<void(int)> produce;
     FunctionRef<void(int)> consume;
@@ -204,9 +103,9 @@ void PersistentRankGroup::WorkerLoop(int r) {
   }
 }
 
-void PersistentRankGroup::Run(FunctionRef<void(int)> produce,
-                              FunctionRef<void(int)> consume) {
-  COMET_CHECK_GT(num_ranks_, 0) << "PersistentRankGroup: Configure first";
+void RankGroup::Run(FunctionRef<void(int)> produce,
+                    FunctionRef<void(int)> consume) {
+  COMET_CHECK_GT(num_ranks_, 0) << "RankGroup: Configure first";
   COMET_CHECK(produce);
 
   if (!concurrent_) {
@@ -230,7 +129,6 @@ void PersistentRankGroup::Run(FunctionRef<void(int)> produce,
     consume_ = consume;
     run_limit_ = inherited_limit;
     done_ = 0;
-    arrived_ = 0;
     for (auto& err : errors_) {
       err = nullptr;
     }

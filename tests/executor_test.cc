@@ -8,7 +8,6 @@
 // reassociates the K reduction).
 #include <gtest/gtest.h>
 
-#include "baselines/common.h"
 #include "baselines/fastermoe.h"
 #include "baselines/megatron.h"
 #include "baselines/tutel.h"
@@ -98,13 +97,6 @@ TEST(CometFunctional, OddTileSizesStillExact) {
   CometExecutor comet{CometOptions{.tile_m = 5, .tile_n = 7}};
   const auto run = comet.Run(w, H800Cluster(4), ExecMode::kFunctional);
   ExpectBitExact(run.outputs, reference);
-}
-
-TEST(BaselineFunctional, CanonicalMatchesShardedReference) {
-  const MoeWorkload w = TinyWorkload(/*tp=*/2, /*ep=*/2, /*tokens=*/48);
-  const auto reference = ShardedReferenceMoeLayer(w);
-  const auto canonical = CanonicalFunctionalMoe(w);
-  ExpectBitExact(canonical, reference);
 }
 
 TEST(BaselineFunctional, AllBaselinesMatchReference) {

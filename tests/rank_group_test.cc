@@ -2,7 +2,7 @@
 //
 // Three layers of assurance:
 //  * RankGroup semantics -- serial/concurrent mode selection, phase order,
-//    barrier behavior, exception propagation, real concurrency.
+//    exception propagation and recovery, reshaping, real concurrency.
 //  * SymmetricHeap under genuine concurrency -- put-with-signal pipelines
 //    between live rank threads, blocking wait-until, exact traffic totals
 //    under contention, wait timeouts. (These are the suites the TSan CI job
@@ -20,7 +20,6 @@
 #include <tuple>
 #include <vector>
 
-#include "baselines/common.h"
 #include "comm/symmetric_heap.h"
 #include "core/comet_backward.h"
 #include "core/comet_executor.h"
@@ -37,7 +36,8 @@ namespace {
 // ---- RankGroup semantics ----------------------------------------------------
 
 TEST(RankGroup, SerialModeOrdersAllProduceBeforeAllConsume) {
-  RankGroup group(4, RankGroupOptions{.num_threads = 1});
+  RankGroup group;
+  group.Configure(4, 1);
   EXPECT_FALSE(group.concurrent());
   std::vector<int> order;
   group.Run([&](int r) { order.push_back(r); },
@@ -46,7 +46,8 @@ TEST(RankGroup, SerialModeOrdersAllProduceBeforeAllConsume) {
 }
 
 TEST(RankGroup, ConcurrentModeRunsEveryRankExactlyOnce) {
-  RankGroup group(6, RankGroupOptions{.num_threads = 6});
+  RankGroup group;
+  group.Configure(6, 6);
   EXPECT_TRUE(group.concurrent());
   std::vector<std::atomic<int>> produced(6), consumed(6);
   group.Run([&](int r) { produced[static_cast<size_t>(r)]++; },
@@ -62,7 +63,8 @@ TEST(RankGroup, ConcurrentModeOverlapsRanks) {
   // genuinely concurrent launch can finish. Bounded spin so a regression to
   // serial execution fails instead of hanging.
   constexpr int kRanks = 4;
-  RankGroup group(kRanks, RankGroupOptions{.num_threads = kRanks});
+  RankGroup group;
+  group.Configure(kRanks, kRanks);
   ASSERT_TRUE(group.concurrent());
   std::atomic<int> entered{0};
   std::atomic<bool> all_overlapped{true};
@@ -81,28 +83,9 @@ TEST(RankGroup, ConcurrentModeOverlapsRanks) {
   EXPECT_TRUE(all_overlapped.load());
 }
 
-TEST(RankGroup, PhaseBarrierSeparatesProduceFromConsume) {
-  constexpr int kRanks = 4;
-  RankGroup group(
-      kRanks, RankGroupOptions{.num_threads = kRanks, .phase_barrier = true});
-  std::atomic<int> produced{0};
-  std::atomic<bool> consume_saw_all{true};
-  group.Run(
-      [&](int r) {
-        // Stagger the producers so an unordered overlap would be caught.
-        std::this_thread::sleep_for(std::chrono::milliseconds(2 * r));
-        produced++;
-      },
-      [&](int) {
-        if (produced.load() != kRanks) {
-          consume_saw_all = false;
-        }
-      });
-  EXPECT_TRUE(consume_saw_all.load());
-}
-
 TEST(RankGroup, ProduceExceptionPropagatesAndSkipsItsConsume) {
-  RankGroup group(3, RankGroupOptions{.num_threads = 3});
+  RankGroup group;
+  group.Configure(3, 3);
   std::vector<std::atomic<int>> consumed(3);
   EXPECT_THROW(
       group.Run(
@@ -118,20 +101,69 @@ TEST(RankGroup, ProduceExceptionPropagatesAndSkipsItsConsume) {
   EXPECT_EQ(consumed[2].load(), 1);
 }
 
+// A Run that threw leaves no stale error or completion count behind: the
+// next Run on the same parked threads executes every rank once and returns
+// cleanly.
+TEST(RankGroup, RunsEveryRankAgainAfterARunThatThrew) {
+  constexpr int kRanks = 4;
+  RankGroup group;
+  group.Configure(kRanks, kRanks);
+  ASSERT_TRUE(group.concurrent());
+  const auto fail_peers = [](int r) {
+    if (r != 0) {
+      throw std::runtime_error("peer produce failed");
+    }
+  };
+  EXPECT_THROW(group.Run(fail_peers), std::runtime_error);
+  std::vector<std::atomic<int>> produced(kRanks), consumed(kRanks);
+  EXPECT_NO_THROW(
+      group.Run([&](int r) { produced[static_cast<size_t>(r)]++; },
+                [&](int r) { consumed[static_cast<size_t>(r)]++; }));
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(produced[static_cast<size_t>(r)].load(), 1) << "rank " << r;
+    EXPECT_EQ(consumed[static_cast<size_t>(r)].load(), 1) << "rank " << r;
+  }
+}
+
+// Reshaping a group that already ran restarts its rank threads; the new
+// threads must wait for the next Run instead of replaying the last one.
+TEST(RankGroup, ReshapedGroupDoesNotReplayThePreviousRun) {
+  constexpr int kRanks = 4;
+  std::vector<std::atomic<int>> ran_a(kRanks), ran_b(kRanks);
+  const auto run_a = [&](int r) { ran_a[static_cast<size_t>(r)]++; };
+  const auto run_b = [&](int r) { ran_b[static_cast<size_t>(r)]++; };
+  RankGroup group;
+  group.Configure(kRanks, kRanks);
+  group.Run(run_a);
+  group.Configure(kRanks, 1);  // serial: stops the rank threads
+  group.Configure(kRanks, kRanks);
+  ASSERT_TRUE(group.concurrent());
+  // Give a replaying thread time to act before the next Run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  group.Run(run_b);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(ran_a[static_cast<size_t>(r)].load(), 1) << "rank " << r;
+    EXPECT_EQ(ran_b[static_cast<size_t>(r)].load(), 1) << "rank " << r;
+  }
+}
+
 TEST(RankGroup, InheritsSerialityFromScopedThreadLimit) {
   ScopedThreadLimit serial(1);
-  RankGroup group(4);
+  RankGroup group;
+  group.Configure(4, 0);
   EXPECT_FALSE(group.concurrent());
 }
 
 TEST(RankGroup, ExplicitThreadCountOverridesScopedLimit) {
   ScopedThreadLimit serial(1);
-  RankGroup group(4, RankGroupOptions{.num_threads = 4});
+  RankGroup group;
+  group.Configure(4, 4);
   EXPECT_TRUE(group.concurrent());
 }
 
 TEST(RankGroup, SingleRankNeverGoesConcurrent) {
-  RankGroup group(1, RankGroupOptions{.num_threads = 8});
+  RankGroup group;
+  group.Configure(1, 8);
   EXPECT_FALSE(group.concurrent());
 }
 
@@ -149,7 +181,8 @@ TEST(RankGroupHeap, SignalPipelineDeliversEveryRowAcrossThreads) {
   const auto buf = heap.Allocate("ring-rows", Shape{kRows, kCols});
   const auto sig = heap.AllocateSignals("ring-ready", kRows);
 
-  RankGroup group(kRanks, RankGroupOptions{.num_threads = kRanks});
+  RankGroup group;
+  group.Configure(kRanks, kRanks);
   ASSERT_TRUE(group.concurrent());
   std::atomic<int64_t> bad_rows{0};
   group.Run(
@@ -192,7 +225,8 @@ TEST(RankGroupHeap, ConcurrentTrafficAccountingIsExact) {
   // atomic byte counters are the contended state under test.
   const auto buf = heap.Allocate("traffic", Shape{kRanks * kRows, kCols});
 
-  RankGroup group(kRanks, RankGroupOptions{.num_threads = kRanks});
+  RankGroup group;
+  group.Configure(kRanks, kRanks);
   group.Run([&](int r) {
     const std::vector<float> row(kCols, static_cast<float>(r));
     for (int dst = 0; dst < kRanks; ++dst) {
@@ -350,43 +384,6 @@ TEST(RankGroupDeterminismHybrid, Ep4ConcurrentBitIdenticalToEp1Reference) {
       const auto want = reference1[0].row(g * group_tokens + t);
       for (size_t c = 0; c < want.size(); ++c) {
         ASSERT_EQ(got[c], want[c]) << "group " << g << " token " << t;
-      }
-    }
-  }
-}
-
-// Capacity-dropped routes (fewer than topk entries) must flow through the
-// canonical RankGroup combine too: only written slots are consumed, never
-// weights past the route's end.
-TEST(RankGroupDeterminismHybrid, CanonicalHandlesCapacityDroppedRoutes) {
-  MoeWorkload w = RankGroupWorkload(1, 2, /*seed=*/41);
-  const DropStats stats =
-      ApplyCapacityFactor(w.routing, w.model().num_experts, 0.8);
-  ASSERT_GT(stats.dropped_pairs, 0);
-  w.plan = RoutePlan(w.placement, w.routing);
-  const auto canonical = CanonicalFunctionalMoe(w);
-  const auto reference = ShardedReferenceMoeLayer(w);
-  ASSERT_EQ(canonical.size(), reference.size());
-  for (size_t g = 0; g < reference.size(); ++g) {
-    EXPECT_EQ(Tensor::MaxAbsDiff(canonical[g], reference[g]), 0.0f);
-  }
-}
-
-// And the EP=4 canonical baseline path (RankGroup with a phase barrier)
-// agrees with the same EP=1 reference.
-TEST(RankGroupDeterminismHybrid, CanonicalEp4MatchesEp1Reference) {
-  const MoeWorkload w4 = RankGroupWorkload(1, 4, /*seed=*/78);
-  const MoeWorkload w1 = RankGroupWorkload(1, 1, /*seed=*/78);
-  const auto canonical4 = CanonicalFunctionalMoe(w4);
-  const auto reference1 = ShardedReferenceMoeLayer(w1);
-  ASSERT_EQ(canonical4.size(), 4u);
-  const int64_t group_tokens = w4.placement.tokens_per_group();
-  for (int g = 0; g < 4; ++g) {
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const auto got = canonical4[static_cast<size_t>(g)].row(t);
-      const auto want = reference1[0].row(g * group_tokens + t);
-      for (size_t c = 0; c < want.size(); ++c) {
-        ASSERT_EQ(got[c], want[c]);
       }
     }
   }
