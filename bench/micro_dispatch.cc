@@ -1,19 +1,23 @@
-// Microbenchmark: routing, plan construction and the schedule builders --
-// the host-side metadata work COMET performs per layer.
+// Microbenchmark: routing, gate scoring, checksummed heap row transport,
+// plan construction and the schedule builders -- the host-side work COMET
+// performs per layer outside the expert GEMMs.
 #include "bench/bench_common.h"
+#include "comm/symmetric_heap.h"
 #include "core/reschedule.h"
 #include "moe/route_plan.h"
 #include "moe/router.h"
 #include "moe/workload.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace comet;
 using namespace comet::bench;
 
-REGISTER_BENCH(micro_dispatch, "Micro: routing, route-plan and schedule construction") {
+REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, route-plan and schedule construction") {
   PrintHeader("Micro: dispatch metadata ops",
-              "host-side per-layer metadata work; mean ns per call");
-  AsciiTable table({"op", "tokens", "ns/op", "Mitems/s"});
+              "host-side per-layer work outside the expert GEMMs; mean ns per "
+              "call (heap_put_copy_row items = row elements)");
+  AsciiTable table({"op", "items", "ns/op", "Mitems/s"});
 
   auto record = [&](const std::string& op, int64_t tokens,
                     const TimedLoop& loop) {
@@ -34,6 +38,40 @@ REGISTER_BENCH(micro_dispatch, "Micro: routing, route-plan and schedule construc
              SyntheticRouter router(load, 42);
              RoutingTable routing = router.Route(tokens, 2);
              DoNotOptimize(routing.tokens.data());
+           }));
+  }
+
+  // The learned gate at the serving shapes (decode: 32 tokens at N 64;
+  // prefill: 512 tokens at N 256; E 8, topk 2), serial like a one-thread
+  // server, scratch and table reused across calls as the server does.
+  for (const auto& [tokens, embed] :
+       {std::pair<int64_t, int64_t>{32, 64}, {512, 256}}) {
+    ScopedThreadLimit serial(1);
+    Rng rng(3);
+    const GateNetwork gate(Tensor::Randn(Shape{embed, 8}, rng));
+    const Tensor x = Tensor::Randn(Shape{tokens, embed}, rng);
+    GateScratch scratch;
+    RoutingTable routing;
+    record("gate_route", tokens, TimeIt([&] {
+             gate.RouteInto(x, 2, scratch, &routing);
+             DoNotOptimize(routing.tokens.data());
+           }));
+  }
+
+  // One checksummed remote PutRow plus one verified CopyRow of the same row:
+  // the per-token transport cost of the serving plane's integrity checks.
+  for (int64_t cols : {int64_t{64}, int64_t{256}}) {
+    HeapIntegrityOptions integrity;
+    integrity.checksum_rows = true;
+    SymmetricHeap heap(2, integrity);
+    const SymmetricBufferId buf = heap.Allocate("rows", Shape{1, cols});
+    Rng rng(4);
+    const Tensor src = Tensor::Randn(Shape{1, cols}, rng);
+    std::vector<float> dst(static_cast<size_t>(cols));
+    record("heap_put_copy_row", cols, TimeIt([&] {
+             heap.PutRow(buf, 0, 1, 0, src.row(0));
+             heap.CopyRow(buf, 0, 1, 0, dst);
+             DoNotOptimize(dst.data());
            }));
   }
 

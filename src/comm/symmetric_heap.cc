@@ -11,19 +11,6 @@ namespace comet {
 
 namespace {
 
-// FNV-1a over the f32 bit patterns of a stored row -- the same family the
-// serving plane digests with, so a checksum pins exact bits, not values.
-uint64_t RowChecksum(std::span<const float> row) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  const auto* p = reinterpret_cast<const unsigned char*>(row.data());
-  const size_t n = row.size() * sizeof(float);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint64_t>(p[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // splitmix64 finalizer: the corruption injector's pure decision hash.
 uint64_t HashMix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -40,6 +27,29 @@ std::vector<float>& HeapWireScratch() {
 }
 
 }  // namespace
+
+uint64_t RowChecksum(std::span<const float> row) {
+  // G = multiply by an odd constant, then an xorshift: both bijective.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto step = [&h](uint64_t w) {
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  };
+  const size_t n = row.size();
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    uint64_t w;
+    std::memcpy(&w, row.data() + i, sizeof(w));
+    step(w);
+  }
+  if (i < n) {
+    uint32_t w;
+    std::memcpy(&w, row.data() + i, sizeof(w));
+    step(w);
+  }
+  return h;
+}
 
 void WarmHeapWireScratch(int64_t max_cols) {
   COMET_CHECK_GE(max_cols, 0);

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,21 @@ using SymmetricBufferId = int64_t;
 // during PrepareServing so steady-state row ops never allocate.
 void WarmHeapWireScratch(int64_t max_cols);
 
+// The heap's row checksum: a 64-bit hash of the row's f32 bit patterns,
+// folded one 8-byte word (two elements) at a time, an odd trailing element
+// as a 4-byte word. Every fold h' = G(h ^ w), with G a bijection of the
+// state, is one-to-one in h for a fixed word and in w for a fixed h. Two
+// equal-length rows that differ in exactly one word therefore reach the
+// differing fold with equal states, leave it with different ones, and stay
+// different through every later fold: every single-bit flip changes the
+// checksum.
+uint64_t RowChecksum(std::span<const float> row);
+
 // Transport-integrity options, off by default (training and bench paths
 // trust the in-process heap; the serving plane turns verification on).
 //
-// With checksum_rows, every put/accumulate records an FNV-1a checksum of the
-// row it stored (post-wire-quantization bits), and every get/copy/accumulate
+// With checksum_rows, every put/accumulate records a RowChecksum of the row
+// it stored (post-wire-quantization bits), and every get/copy/accumulate
 // re-hashes the stored row and compares before handing the data out. A
 // mismatch throws CheckError naming the buffer, rank and row -- a corrupted
 // payload is always detected at its first consumer, never silently served.

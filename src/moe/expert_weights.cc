@@ -71,9 +71,8 @@ ShardedExpertWeights::ShardedExpertWeights(const ExpertWeights& full, int tp)
       // values stay representable.
       Tensor s0(Shape{n, shard_k}, w0.dtype());
       for (int64_t r = 0; r < n; ++r) {
-        for (int64_t c = 0; c < shard_k; ++c) {
-          s0.at({r, c}) = w0.at({r, col0 + c});
-        }
+        s0.SetRow(r, w0.row(r).subspan(static_cast<size_t>(col0),
+                                       static_cast<size_t>(shard_k)));
       }
       w0_shards_.push_back(std::move(s0));
 

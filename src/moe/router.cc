@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
+#include "moe/group_gemm.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -130,6 +130,34 @@ DropStats ApplyCapacityFactor(RoutingTable& routing, int64_t num_experts,
   return stats;
 }
 
+namespace {
+
+// Gate probabilities of every token, one row per token: the (tokens x E)
+// logits come from one NN GEMM, then each row is softmaxed (max-subtracted)
+// in place. The microkernel accumulates every logit as a single n-ascending
+// f32 chain from zero with contraction off -- the scalar dot product's
+// order -- so the scores are bit-identical to a per-element loop.
+void GateProbabilities(const Tensor& tokens, const Tensor& gate_weight,
+                       Tensor* scores) {
+  COMET_CHECK_EQ(tokens.cols(), gate_weight.rows());
+  scores->ResetFormat2D(tokens.rows(), gate_weight.cols(), DType::kF32);
+  Gemm(tokens, gate_weight, *scores);
+  for (int64_t m = 0; m < tokens.rows(); ++m) {
+    const std::span<float> row = scores->row(m);
+    const float max_logit = *std::max_element(row.begin(), row.end());
+    float z = 0.0f;
+    for (float& p : row) {
+      p = std::exp(p - max_logit);
+      z += p;
+    }
+    for (float& p : row) {
+      p /= z;
+    }
+  }
+}
+
+}  // namespace
+
 GateNetwork::GateNetwork(Tensor gate_weight)
     : gate_weight_(std::move(gate_weight)) {
   COMET_CHECK_EQ(gate_weight_.shape().rank(), 2u);
@@ -147,36 +175,14 @@ RoutingTable GateNetwork::Route(const Tensor& tokens, int64_t topk) const {
 void GateNetwork::RouteInto(const Tensor& tokens, int64_t topk,
                             GateScratch& scratch, RoutingTable* table) const {
   COMET_CHECK(table != nullptr);
-  COMET_CHECK_EQ(tokens.cols(), gate_weight_.rows());
   const int64_t e_total = num_experts();
   COMET_CHECK_GT(topk, 0);
   COMET_CHECK_LE(topk, e_total);
 
+  GateProbabilities(tokens, gate_weight_, &scratch.scores);
   table->tokens.resize(static_cast<size_t>(tokens.rows()));
-  std::vector<float>& logits = scratch.logits;
-  std::vector<float>& probs = scratch.probs;
-  logits.resize(static_cast<size_t>(e_total));
-  probs.resize(static_cast<size_t>(e_total));
   for (int64_t m = 0; m < tokens.rows(); ++m) {
-    const auto x = tokens.row(m);
-    for (int64_t e = 0; e < e_total; ++e) {
-      float acc = 0.0f;
-      for (int64_t n = 0; n < tokens.cols(); ++n) {
-        acc += x[static_cast<size_t>(n)] *
-               gate_weight_.at({n, e});
-      }
-      logits[static_cast<size_t>(e)] = acc;
-    }
-    // Softmax (max-subtracted) over all experts.
-    const float max_logit = *std::max_element(logits.begin(), logits.end());
-    float z = 0.0f;
-    for (size_t e = 0; e < logits.size(); ++e) {
-      probs[e] = std::exp(logits[e] - max_logit);
-      z += probs[e];
-    }
-    for (auto& p : probs) {
-      p /= z;
-    }
+    const auto probs = scratch.scores.row(m);
     // Top-k by probability via iterative argmax, ties to the smaller expert
     // index. Identical selection (order included) to a stable descending
     // sort's k-prefix, without the sort's temporary buffer.
@@ -222,7 +228,6 @@ int64_t ExpertChoiceGate::num_experts() const { return gate_weight_.cols(); }
 
 RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
                                      int64_t avg_topk) const {
-  COMET_CHECK_EQ(tokens.cols(), gate_weight_.rows());
   const int64_t e_total = num_experts();
   const int64_t m = tokens.rows();
   COMET_CHECK_GT(avg_topk, 0);
@@ -231,29 +236,12 @@ RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
       1, m * avg_topk / e_total);  // tokens each expert admits
 
   // Token-major softmax probabilities over experts.
-  std::vector<std::vector<float>> probs(
-      static_cast<size_t>(m), std::vector<float>(static_cast<size_t>(e_total)));
-  for (int64_t t = 0; t < m; ++t) {
-    const auto x = tokens.row(t);
-    auto& row = probs[static_cast<size_t>(t)];
-    float max_logit = -std::numeric_limits<float>::infinity();
-    for (int64_t e = 0; e < e_total; ++e) {
-      float acc = 0.0f;
-      for (int64_t n = 0; n < tokens.cols(); ++n) {
-        acc += x[static_cast<size_t>(n)] * gate_weight_.at({n, e});
-      }
-      row[static_cast<size_t>(e)] = acc;
-      max_logit = std::max(max_logit, acc);
-    }
-    float z = 0.0f;
-    for (auto& p : row) {
-      p = std::exp(p - max_logit);
-      z += p;
-    }
-    for (auto& p : row) {
-      p /= z;
-    }
-  }
+  Tensor scores;
+  GateProbabilities(tokens, gate_weight_, &scores);
+  const float* probs = scores.data().data();
+  const auto prob = [&](int64_t t, int64_t e) {
+    return probs[t * e_total + e];
+  };
 
   // Each expert takes its top-`capacity` tokens by probability.
   RoutingTable table;
@@ -262,14 +250,12 @@ RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
     std::vector<int64_t> order(static_cast<size_t>(m));
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      return probs[static_cast<size_t>(a)][static_cast<size_t>(e)] >
-             probs[static_cast<size_t>(b)][static_cast<size_t>(e)];
+      return prob(a, e) > prob(b, e);
     });
     for (int64_t i = 0; i < std::min(capacity, m); ++i) {
       const int64_t t = order[static_cast<size_t>(i)];
       table.tokens[static_cast<size_t>(t)].experts.push_back(e);
-      table.tokens[static_cast<size_t>(t)].weights.push_back(
-          probs[static_cast<size_t>(t)][static_cast<size_t>(e)]);
+      table.tokens[static_cast<size_t>(t)].weights.push_back(prob(t, e));
     }
   }
 

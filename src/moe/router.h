@@ -87,12 +87,13 @@ struct DropStats {
 DropStats ApplyCapacityFactor(RoutingTable& routing, int64_t num_experts,
                               double capacity_factor);
 
-// Reusable scratch for GateNetwork::RouteInto: two E-sized float buffers
-// whose capacity survives across calls. Default-constructed is fine; the
-// first call sizes it (warm-up), later calls with the same gate reuse it.
+// Reusable scratch for GateNetwork::RouteInto: the (tokens x E) gate
+// probabilities, computed as one GEMM of the token matrix against the gate
+// weights and softmaxed row by row in place. Default-constructed is fine;
+// the first call sizes it. Reserve() it at the run's token bound (and give
+// it a rank-2 shape) to keep every later call allocation-free.
 struct GateScratch {
-  std::vector<float> logits;
-  std::vector<float> probs;
+  Tensor scores;
 };
 
 // Softmax top-k gate with weight matrix `gate_weight` of shape (N, E).

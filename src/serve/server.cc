@@ -183,9 +183,9 @@ struct MoeServer::RunState {
     workload.weights = std::move(weights);
     workload.sharded_weights = std::move(sharded);
     workload.activation = ActivationKind::kGelu;
-    gate_scratch.logits.reserve(
-        static_cast<size_t>(options.model.num_experts));
-    gate_scratch.probs.reserve(static_cast<size_t>(options.model.num_experts));
+    gate_scratch.scores.Reserve(padded_max * options.model.num_experts);
+    gate_scratch.scores.ResetFormat2D(0, options.model.num_experts,
+                                      DType::kF32);
     expert_loads.reserve(static_cast<size_t>(options.model.num_experts));
     if (options.routing == ServeRoutingMode::kSynthetic) {
       // The load vector and the router's sampling stream both derive from

@@ -2,6 +2,10 @@
 // collectives, collective cost models and the Table 3 memory planner.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "comm/collectives.h"
 #include "comm/memory_planner.h"
 #include "comm/symmetric_heap.h"
@@ -376,6 +380,37 @@ TEST(SymmetricHeapSignals, DataBufferIsNotASignalBuffer) {
   const auto buf = heap.Allocate("data", Shape{1, 4});
   EXPECT_THROW(heap.SignalValue(buf, 0, 0), CheckError);
   EXPECT_THROW(heap.AllocateSignals("bad", 0), CheckError);
+}
+
+TEST(RowChecksum, EverySingleBitFlipChangesTheHash) {
+  // Lengths 1 and 3 end on a 4-byte tail word; 2, 64 and 257 cover whole
+  // 8-byte words with and without a tail. A zero row and a random row per
+  // length: flipping any one bit of any element must change the checksum.
+  Rng rng(41);
+  for (size_t len : {size_t{1}, size_t{2}, size_t{3}, size_t{64},
+                     size_t{257}}) {
+    std::vector<float> random_row(len);
+    for (float& v : random_row) {
+      v = static_cast<float>(rng.Normal(0.0, 1.0));
+    }
+    for (const std::vector<float>& base :
+         {std::vector<float>(len, 0.0f), random_row}) {
+      const uint64_t want = RowChecksum(base);
+      EXPECT_EQ(RowChecksum(base), want) << "len " << len;
+      int64_t undetected = 0;
+      std::vector<float> row = base;
+      for (size_t i = 0; i < len; ++i) {
+        for (int bit = 0; bit < 32; ++bit) {
+          const uint32_t flipped =
+              std::bit_cast<uint32_t>(base[i]) ^ (uint32_t{1} << bit);
+          row[i] = std::bit_cast<float>(flipped);
+          undetected += RowChecksum(row) == want ? 1 : 0;
+        }
+        row[i] = base[i];
+      }
+      EXPECT_EQ(undetected, 0) << "len " << len;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 // GroupGEMM tiles, activations, sharded weights and the reference layers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "moe/activation.h"
 #include "moe/config.h"
@@ -14,6 +19,7 @@
 #include "moe/workload.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace comet {
 namespace {
@@ -569,6 +575,159 @@ TEST(ExpertChoice, SomeTokensMayGetNoExpert) {
   }
   EXPECT_EQ(pairs, 64);  // every expert filled its quota
   EXPECT_GT(unrouted, 0);
+}
+
+// ---- gate scoring: bit-exact against the scalar loop -----------------------------
+
+// Token t's gate probabilities as a per-element scalar loop computes them:
+// each logit one n-ascending f32 chain from zero, then a max-subtracted
+// softmax over the experts.
+std::vector<float> ScalarGateProbs(const Tensor& tokens, const Tensor& gate,
+                                   int64_t t) {
+  const int64_t e_total = gate.cols();
+  std::vector<float> probs(static_cast<size_t>(e_total));
+  const auto x = tokens.row(t);
+  for (int64_t e = 0; e < e_total; ++e) {
+    float acc = 0.0f;
+    for (int64_t n = 0; n < tokens.cols(); ++n) {
+      acc += x[static_cast<size_t>(n)] * gate.at({n, e});
+    }
+    probs[static_cast<size_t>(e)] = acc;
+  }
+  const float max_logit = *std::max_element(probs.begin(), probs.end());
+  float z = 0.0f;
+  for (float& p : probs) {
+    p = std::exp(p - max_logit);
+    z += p;
+  }
+  for (float& p : probs) {
+    p /= z;
+  }
+  return probs;
+}
+
+// Token-choice top-k over the scalar probabilities: iterative argmax, ties
+// to the smaller expert, selected probabilities renormalized.
+RoutingTable ScalarTopKRoute(const Tensor& tokens, const Tensor& gate,
+                             int64_t topk) {
+  RoutingTable table;
+  table.tokens.resize(static_cast<size_t>(tokens.rows()));
+  for (int64_t t = 0; t < tokens.rows(); ++t) {
+    const std::vector<float> probs = ScalarGateProbs(tokens, gate, t);
+    TokenRoute& route = table.tokens[static_cast<size_t>(t)];
+    float sum = 0.0f;
+    for (int64_t k = 0; k < topk; ++k) {
+      int64_t best = -1;
+      for (int64_t e = 0; e < gate.cols(); ++e) {
+        const bool taken = std::find(route.experts.begin(), route.experts.end(),
+                                     e) != route.experts.end();
+        if (!taken && (best < 0 || probs[static_cast<size_t>(e)] >
+                                       probs[static_cast<size_t>(best)])) {
+          best = e;
+        }
+      }
+      route.experts.push_back(best);
+      route.weights.push_back(probs[static_cast<size_t>(best)]);
+      sum += probs[static_cast<size_t>(best)];
+    }
+    for (float& w : route.weights) {
+      w /= sum;
+    }
+  }
+  return table;
+}
+
+// Expert choice over the scalar probabilities: each expert stably takes its
+// top-capacity tokens, then every token's weights are renormalized.
+RoutingTable ScalarExpertChoiceRoute(const Tensor& tokens, const Tensor& gate,
+                                     int64_t avg_topk) {
+  const int64_t m = tokens.rows();
+  const int64_t e_total = gate.cols();
+  const int64_t capacity = std::max<int64_t>(1, m * avg_topk / e_total);
+  std::vector<std::vector<float>> probs;
+  for (int64_t t = 0; t < m; ++t) {
+    probs.push_back(ScalarGateProbs(tokens, gate, t));
+  }
+  RoutingTable table;
+  table.tokens.resize(static_cast<size_t>(m));
+  for (int64_t e = 0; e < e_total; ++e) {
+    std::vector<int64_t> order(static_cast<size_t>(m));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      return probs[static_cast<size_t>(a)][static_cast<size_t>(e)] >
+             probs[static_cast<size_t>(b)][static_cast<size_t>(e)];
+    });
+    for (int64_t i = 0; i < std::min(capacity, m); ++i) {
+      const size_t t = static_cast<size_t>(order[static_cast<size_t>(i)]);
+      table.tokens[t].experts.push_back(e);
+      table.tokens[t].weights.push_back(probs[t][static_cast<size_t>(e)]);
+    }
+  }
+  for (TokenRoute& token : table.tokens) {
+    float sum = 0.0f;
+    for (float w : token.weights) {
+      sum += w;
+    }
+    if (sum > 0.0f) {
+      for (float& w : token.weights) {
+        w /= sum;
+      }
+    }
+  }
+  return table;
+}
+
+void ExpectSameBits(const RoutingTable& got, const RoutingTable& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.tokens.size(), want.tokens.size()) << where;
+  for (size_t t = 0; t < want.tokens.size(); ++t) {
+    const TokenRoute& g = got.tokens[t];
+    const TokenRoute& w = want.tokens[t];
+    ASSERT_EQ(g.experts.size(), w.experts.size()) << where << " token " << t;
+    for (size_t i = 0; i < w.experts.size(); ++i) {
+      EXPECT_EQ(g.experts[i], w.experts[i]) << where << " token " << t;
+      EXPECT_EQ(std::bit_cast<uint32_t>(g.weights[i]),
+                std::bit_cast<uint32_t>(w.weights[i]))
+          << where << " token " << t << " slot " << i;
+    }
+  }
+}
+
+TEST(GateScoring, BothGatesMatchTheScalarLoopBitForBit) {
+  const int previous_threads = GlobalThreadCount();
+  SetGlobalThreadCount(8);
+  Rng rng(2026);
+  // One scratch and one table across every shape: the reuse path the
+  // serving loop takes.
+  GateScratch scratch;
+  RoutingTable routed;
+  for (int threads : {1, 8}) {
+    ScopedThreadLimit limit(threads);
+    for (DType dtype : {DType::kF32, DType::kBF16}) {
+      for (int64_t n : {1, 15, 64, 257}) {
+        for (int64_t e : {1, 3, 8, 17}) {
+          const Tensor gate = Tensor::Randn(Shape{n, e}, rng, 0.5f);
+          const GateNetwork network(gate);
+          const ExpertChoiceGate choice(gate);
+          const int64_t topk = std::min<int64_t>(e, 2);
+          for (int64_t m : {0, 1, 5, 33}) {
+            const Tensor tokens = Tensor::Randn(Shape{m, n}, rng, 1.0f, dtype);
+            const std::string where =
+                "threads=" + std::to_string(threads) + " " +
+                DTypeName(dtype) + " N=" + std::to_string(n) +
+                " E=" + std::to_string(e) + " m=" + std::to_string(m);
+            network.RouteInto(tokens, topk, scratch, &routed);
+            ExpectSameBits(routed, ScalarTopKRoute(tokens, gate, topk),
+                           "RouteInto " + where);
+            ExpectSameBits(choice.Route(tokens, topk),
+                           ScalarExpertChoiceRoute(tokens, gate, topk),
+                           "ExpertChoice " + where);
+          }
+        }
+      }
+    }
+  }
+  SetGlobalThreadCount(previous_threads);
 }
 
 }  // namespace
