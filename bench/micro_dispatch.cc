@@ -1,9 +1,10 @@
 // Microbenchmark: routing, gate scoring, checksummed heap row transport,
-// plan construction and the schedule builders -- the host-side work COMET
-// performs per layer outside the expert GEMMs.
+// the GELU activation, plan construction and the schedule builders -- the
+// host-side work COMET performs per layer outside the expert GEMMs.
 #include "bench/bench_common.h"
 #include "comm/symmetric_heap.h"
 #include "core/reschedule.h"
+#include "moe/activation.h"
 #include "moe/route_plan.h"
 #include "moe/router.h"
 #include "moe/workload.h"
@@ -13,22 +14,26 @@
 using namespace comet;
 using namespace comet::bench;
 
-REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, route-plan and schedule construction") {
+REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, route-plan and schedule construction") {
   PrintHeader("Micro: dispatch metadata ops",
               "host-side per-layer work outside the expert GEMMs; mean ns per "
-              "call (heap_put_copy_row items = row elements)");
+              "call (heap_put_copy_row items = row elements, gelu_rows items "
+              "= tile elements)");
   AsciiTable table({"op", "items", "ns/op", "Mitems/s"});
 
+  // `shape` names the record (defaults to the item count).
   auto record = [&](const std::string& op, int64_t tokens,
-                    const TimedLoop& loop) {
+                    const TimedLoop& loop, const std::string& shape = "") {
     const double mitems_s = tokens > 0
         ? static_cast<double>(tokens) * 1e3 / loop.ns_per_iter
         : 0.0;
     table.AddRow({op, std::to_string(tokens),
                   FormatDouble(loop.ns_per_iter, 0),
                   tokens > 0 ? FormatDouble(mitems_s, 1) : "-"});
-    reporter.Report(op + "/" + std::to_string(tokens) + "/ns_per_op",
-                    loop.ns_per_iter, "ns");
+    reporter.Report(
+        op + "/" + (shape.empty() ? std::to_string(tokens) : shape) +
+            "/ns_per_op",
+        loop.ns_per_iter, "ns");
   };
 
   for (int64_t tokens : {int64_t{4096}, int64_t{16384}}) {
@@ -73,6 +78,26 @@ REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, route-plan and 
              heap.CopyRow(buf, 0, 1, 0, dst);
              DoNotOptimize(dst.data());
            }));
+  }
+
+  // GELU over the serving hidden tiles (decode: 32 tokens x topk 2 rows at
+  // ffn 128; prefill: 512 x 2 rows at ffn 512), f32, one thread. The same
+  // pre-activation values are restored before each call, so every call
+  // sees the same (Randn-distributed) inputs.
+  for (const auto& [rows, cols] :
+       {std::pair<int64_t, int64_t>{64, 128}, {1024, 512}}) {
+    ScopedThreadLimit serial(1);
+    Rng rng(5);
+    const Tensor pre = Tensor::Randn(Shape{rows, cols}, rng);
+    Tensor hidden = pre;
+    record("gelu_rows", rows * cols, TimeIt([&] {
+             std::copy(pre.data().begin(), pre.data().end(),
+                       hidden.data().begin());
+             ApplyActivationTile(hidden, ActivationKind::kGelu, 0, rows, 0,
+                                 cols);
+             DoNotOptimize(hidden.data().data());
+           }),
+           std::to_string(rows) + "x" + std::to_string(cols));
   }
 
   for (int64_t tokens : {int64_t{4096}, int64_t{16384}}) {

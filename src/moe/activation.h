@@ -6,7 +6,9 @@
 namespace comet {
 
 enum class ActivationKind {
-  kGelu,  // tanh approximation (the variant used by the evaluated models)
+  // tanh approximation (the variant used by the evaluated models), with
+  // tanh defined as fdlibm's tanhf (see TanhScalar).
+  kGelu,
   kSilu,
   kRelu,
   kIdentity,
@@ -16,11 +18,20 @@ enum class ActivationKind {
 void ApplyActivation(Tensor& t, ActivationKind kind);
 
 // Applies the activation in place over rows [row_begin, row_end) x cols
-// [col_begin, col_end) only; used by tile-granular executors.
+// [col_begin, col_end) only; used by tile-granular executors. The GELU row
+// loop is vectorized yet returns exactly GeluScalar's bits per element; at
+// 2-byte dtypes each result is then rounded on store (RNE).
 void ApplyActivationTile(Tensor& t, ActivationKind kind, int64_t row_begin,
                          int64_t row_end, int64_t col_begin, int64_t col_end);
 
 // Scalar versions, exposed for tests.
+//
+// TanhScalar is fdlibm's tanhf (glibc's s_tanhf.c with the s_expm1f.c paths
+// it reaches), transcribed branch-free: bit-identical to that algorithm for
+// every f32 input, independent of the host libm. GeluScalar and the GELU
+// derivative use it; the vectorized GELU row loop inlines the same code.
+// Exactness needs -ffp-contract=off, which the build sets globally.
+float TanhScalar(float x);
 float GeluScalar(float x);
 float SiluScalar(float x);
 

@@ -17,6 +17,7 @@
 #include "moe/route_plan.h"
 #include "moe/router.h"
 #include "moe/workload.h"
+#include "tests/fdlibm_reference.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -354,6 +355,161 @@ TEST(Activation, ReluAndIdentity) {
   EXPECT_EQ(t.at({0, 0}), 0.0f);
   ApplyActivation(id, ActivationKind::kIdentity);
   EXPECT_EQ(id.at({0, 0}), -1.0f);
+}
+
+// ---- GELU: bit-exact against fdlibm tanhf -------------------------------------------
+
+// Inputs that reach every branch of fdlibm tanhf/expm1f and the kernel's
+// vector lanes: +-4096 ulps around each branch threshold (as tanh inputs, and
+// as the GELU inputs whose inner argument lands there), a stride-1021 sweep
+// of all 2^32 bit patterns, and the specials.
+std::vector<float> GeluProbeInputs() {
+  std::vector<float> tanh_thresholds;
+  // tanhf: |x| = 2^-55, 1, 22, inf.
+  for (uint32_t bits : {0x24000000u, 0x3f800000u, 0x41b00000u, 0x7f800000u}) {
+    tanh_thresholds.push_back(std::bit_cast<float>(bits));
+  }
+  // expm1f at its argument a = +-2|x|: |a| = 2^-25, 0.5 ln2, 1.5 ln2,
+  // 27 ln2, and every boundary (k - 0.5) ln2 of the rounded reduction k.
+  for (uint32_t bits : {0x33000000u, 0x3eb17218u, 0x3f851592u, 0x4195b844u}) {
+    tanh_thresholds.push_back(std::bit_cast<float>(bits) / 2.0f);
+  }
+  for (int k = 2; k <= 64; ++k) {
+    tanh_thresholds.push_back(static_cast<float>((k - 0.5) * std::log(2.0) / 2));
+  }
+  std::vector<float> centers;
+  for (float v : tanh_thresholds) {
+    centers.push_back(v);
+    if (std::isinf(v)) continue;
+    // The GELU input x with sqrt(2/pi) (x + 0.044715 x^3) = v, by Newton.
+    double x = v;
+    for (int i = 0; i < 60; ++i) {
+      const double f = 0.7978845608028654 * (x + 0.044715 * x * x * x) - v;
+      x -= f / (0.7978845608028654 * (1.0 + 3 * 0.044715 * x * x));
+    }
+    centers.push_back(static_cast<float>(x));
+  }
+  std::vector<float> inputs;
+  for (float center : centers) {
+    for (float sign : {1.0f, -1.0f}) {
+      const int64_t c = std::bit_cast<uint32_t>(center);
+      for (int64_t d = -4096; d <= 4096; ++d) {
+        const int64_t b = c + d;
+        if (b < 0 || b > 0x7f800000) continue;  // stay on one sign's line
+        inputs.push_back(sign * std::bit_cast<float>(static_cast<uint32_t>(b)));
+      }
+    }
+  }
+  for (uint64_t b = 0; b < (uint64_t{1} << 32); b += 1021) {
+    inputs.push_back(std::bit_cast<float>(static_cast<uint32_t>(b)));
+  }
+  for (uint32_t bits : {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+                        0x7fc00000u, 0xffc00000u, 0x7fa00001u, 0xffbfffffu,
+                        0x00000001u, 0x80000001u, 0x007fffffu, 0x807fffffu,
+                        0x00400000u, 0x00800000u, 0x7f7fffffu, 0xff7fffffu}) {
+    inputs.push_back(std::bit_cast<float>(bits));
+  }
+  return inputs;
+}
+
+// Index of the first element whose bits differ, or -1.
+int64_t FirstBitMismatch(const std::vector<float>& got,
+                         const std::vector<float>& want) {
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<uint32_t>(got[i]) != std::bit_cast<uint32_t>(want[i])) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+// The GELU derivative exactly as ActivationGradScalar writes it, on the
+// reference tanhf.
+float ReferenceGeluGrad(float x) {
+  constexpr float kC = 0.7978845608028654f;
+  const float x3 = x * x * x;
+  const float inner = kC * (x + 0.044715f * x3);
+  const float t = fdlibm_reference::Tanhf(inner);
+  const float sech2 = 1.0f - t * t;
+  const float dinner = kC * (1.0f + 3.0f * 0.044715f * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
+}
+
+TEST(Activation, GeluMatchesFdlibmReferenceBitForBit) {
+  const std::vector<float> inputs = GeluProbeInputs();
+  const size_t n = inputs.size();
+  std::vector<float> got(n), want(n);
+  auto expect_exact = [&](const char* what) {
+    const int64_t i = FirstBitMismatch(got, want);
+    EXPECT_EQ(i, -1) << what << " differs at x bits 0x" << std::hex
+                     << std::bit_cast<uint32_t>(inputs[static_cast<size_t>(
+                            std::max<int64_t>(i, 0))]);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    got[i] = TanhScalar(inputs[i]);
+    want[i] = fdlibm_reference::Tanhf(inputs[i]);
+  }
+  expect_exact("TanhScalar");
+  for (size_t i = 0; i < n; ++i) {
+    got[i] = GeluScalar(inputs[i]);
+    want[i] = fdlibm_reference::Gelu(inputs[i]);
+  }
+  expect_exact("GeluScalar");
+  for (size_t i = 0; i < n; ++i) {
+    got[i] = ActivationGradScalar(ActivationKind::kGelu, inputs[i]);
+    want[i] = ReferenceGeluGrad(inputs[i]);
+  }
+  expect_exact("ActivationGradScalar");
+
+  // The vectorized tile loop, at each dtype, over column ranges that leave
+  // 1, 15, 1 and 1 tail lanes (16-lane vectors) from a misaligned start.
+  // Columns outside the range must stay untouched.
+  constexpr int64_t kColBegin = 3;
+  for (DType dtype : {DType::kF32, DType::kBF16, DType::kF16}) {
+    for (int64_t width : {int64_t{1}, int64_t{15}, int64_t{17}, int64_t{129}}) {
+      // Every 7th input keeps the 12 passes quick; each pass still covers
+      // every threshold neighborhood densely.
+      std::vector<float> xs;
+      for (size_t i = 0; i < n; i += 7) {
+        xs.push_back(QuantizeScalar(inputs[i], dtype));
+      }
+      const int64_t rows =
+          (static_cast<int64_t>(xs.size()) + width - 1) / width;
+      const int64_t kCols = kColBegin + width + 3;
+      Tensor t = Tensor::Full(Shape{rows, kCols}, 0.5f, dtype);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        const int64_t r = static_cast<int64_t>(i) / width;
+        const int64_t c = kColBegin + static_cast<int64_t>(i) % width;
+        t.row(r)[static_cast<size_t>(c)] = xs[i];
+      }
+      ApplyActivationTile(t, ActivationKind::kGelu, 0, rows, kColBegin,
+                          kColBegin + width);
+      got.assign(xs.size(), 0.0f);
+      want.assign(xs.size(), 0.0f);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        const int64_t r = static_cast<int64_t>(i) / width;
+        const int64_t c = kColBegin + static_cast<int64_t>(i) % width;
+        got[i] = t.row(r)[static_cast<size_t>(c)];
+        want[i] = QuantizeScalar(fdlibm_reference::Gelu(xs[i]), dtype);
+      }
+      const int64_t i = FirstBitMismatch(got, want);
+      EXPECT_EQ(i, -1) << "ApplyActivationTile " << DTypeName(dtype)
+                       << " width " << width << " differs at x bits 0x"
+                       << std::hex
+                       << std::bit_cast<uint32_t>(
+                              xs[static_cast<size_t>(std::max<int64_t>(i, 0))]);
+      bool outside_untouched = true;
+      for (int64_t r = 0; r < rows; ++r) {
+        const auto row = t.row(r);
+        for (int64_t c = 0; c < kCols; ++c) {
+          if (c >= kColBegin && c < kColBegin + width) continue;
+          outside_untouched &= row[static_cast<size_t>(c)] == 0.5f;
+        }
+      }
+      EXPECT_TRUE(outside_untouched)
+          << DTypeName(dtype) << " width " << width;
+    }
+  }
 }
 
 // ---- sharded weights --------------------------------------------------------------
