@@ -1,9 +1,14 @@
 // Microbenchmark: the functional-plane blocked GroupGEMM.
 //
 // Measures the host GEMM kernel used by the functional executors: whole
-// problems, tile-granular execution (the COMET path), and the grouped form
-// whose tile-order invariance makes rescheduling numerically free.
+// problems, tile-granular execution (the COMET path), the grouped form
+// whose tile-order invariance makes rescheduling numerically free, and the
+// serving tile shapes. Every record is reported beside a measured bound: a
+// peak probe of separate vector multiplies and adds, the arithmetic the
+// bit-exact kernel is limited to under -ffp-contract=off.
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "moe/group_gemm.h"
@@ -14,19 +19,94 @@
 using namespace comet;
 using namespace comet::bench;
 
+namespace {
+
+typedef float ProbeVec __attribute__((vector_size(16 * sizeof(float))));
+
+// Single-thread f32 GFLOP/s of 24 independent vector chains, each step one
+// multiply and one dependent add (no contraction): enough chains to be
+// throughput-bound on both FP ports, so this is the bound for a kernel that
+// issues the same instruction mix.
+double MulAddPeakGflops() {
+  constexpr int kChains = 24;
+  constexpr int64_t kSteps = 4096;
+  // Run-time operands keep the loop from being folded; m < 1 keeps the
+  // chains finite.
+  volatile float seed = 0.999f;
+  const float m = seed;
+  const float add = 1.0f - m;
+  const TimedLoop loop = TimeIt([&] {
+    // Local and fully unrolled, so every chain stays in a register.
+    ProbeVec acc[kChains];
+#pragma GCC unroll 24
+    for (int c = 0; c < kChains; ++c) {
+      acc[c] = ProbeVec{} + add * static_cast<float>(c);
+    }
+    for (int64_t s = 0; s < kSteps; ++s) {
+#pragma GCC unroll 24
+      for (int c = 0; c < kChains; ++c) {
+        acc[c] = acc[c] * m + add;
+      }
+    }
+#pragma GCC unroll 24
+    for (int c = 0; c < kChains; ++c) {
+      DoNotOptimize(acc[c]);
+    }
+  });
+  const double flops = 2.0 * 16 * kChains * static_cast<double>(kSteps);
+  return flops / loop.ns_per_iter;
+}
+
+}  // namespace
+
 REGISTER_BENCH(micro_groupgemm, "Micro: blocked GroupGEMM functional kernels") {
   PrintHeader("Micro: GroupGEMM kernels",
-              "host functional-plane GEMMs; mean ns per call and GFLOP/s");
-  AsciiTable table({"op", "size", "ns/op", "GFLOP/s"});
+              "host functional-plane GEMMs; mean ns per call, GFLOP/s and "
+              "the share of the mul+add peak probe");
+  const double peak = MulAddPeakGflops();
+  reporter.Report("calib/mul_add_peak/gflops", peak, "GFLOP/s");
+  AsciiTable table({"op", "size", "ns/op", "GFLOP/s", "of peak"});
+  table.AddRow({"mul_add_peak", "24 chains", "-", FormatDouble(peak, 2),
+                "100%"});
 
   auto record = [&](const std::string& op, const std::string& size,
                     double flops, const TimedLoop& loop) {
+    const double gflops = flops / loop.ns_per_iter;
     table.AddRow({op, size, FormatDouble(loop.ns_per_iter, 0),
-                  FormatDouble(flops / loop.ns_per_iter, 2)});
+                  FormatDouble(gflops, 2),
+                  FormatDouble(100.0 * gflops / peak, 0) + "%"});
     reporter.Report(op + "/" + size + "/ns_per_op", loop.ns_per_iter, "ns");
-    reporter.Report(op + "/" + size + "/gflops", flops / loop.ns_per_iter,
-                    "GFLOP/s");
+    reporter.Report(op + "/" + size + "/gflops", gflops, "GFLOP/s");
+    reporter.Report(op + "/" + size + "/peak_frac", gflops / peak);
   };
+
+  // The serving tile shapes, one thread: decode-sized (5, 8) and
+  // prefill-sized (33, 128) row blocks against the layer-0 (k = embedding,
+  // n = ffn) and layer-1 (k = ffn, n = embedding) weights of the decode and
+  // prefill models, in 128-column tiles. Rows 5 and 8 read B in place;
+  // 33 and 128 pack it.
+  for (const auto& [k_s, n_s] : {std::pair<int64_t, int64_t>{64, 128},
+                                {128, 64},
+                                {256, 512},
+                                {512, 256}}) {
+    for (int64_t rows : {int64_t{5}, int64_t{8}, int64_t{33}, int64_t{128}}) {
+      Rng rng(5);
+      const Tensor a = Tensor::Randn(Shape{rows, k_s}, rng);
+      const Tensor b = Tensor::Randn(Shape{k_s, n_s}, rng);
+      Tensor c(Shape{rows, n_s});
+      const int64_t tile_n = 128;
+      const double flops = static_cast<double>(2 * rows * n_s * k_s);
+      record("serve_tile",
+             "m=" + std::to_string(rows) + ",k=" + std::to_string(k_s) +
+                 ",n=" + std::to_string(n_s),
+             flops, TimeIt([&] {
+               for (int64_t cc = 0; cc < n_s; cc += tile_n) {
+                 GemmTile(a, b, c, 0, rows, cc, std::min(cc + tile_n, n_s));
+               }
+               DoNotOptimize(c.data().data());
+             }));
+    }
+  }
 
   const int64_t n = 64;
   const int64_t k = 128;

@@ -189,11 +189,13 @@ class CometExecutor : public MoeLayerExecutor {
   uint64_t profile_memo_hits() const { return profile_memo_hits_; }
   uint64_t profile_memo_misses() const { return profile_memo_misses_; }
 
-  // Cumulative transport stats of the serving-mode symmetric heap (zeros
-  // before PrepareServing). A plain struct so the telemetry plane can read
-  // heap traffic without depending on comm/.
+  // Transport stats of the serving-mode symmetric heap (zeros before
+  // PrepareServing). A plain struct so the telemetry plane can read heap
+  // traffic without depending on comm/.
   struct ServingHeapStats {
+    // Bytes moved by the last layer run only: every run resets the traffic.
     double total_traffic_bytes = 0.0;
+    // Cumulative across runs.
     uint64_t rows_verified = 0;
     uint64_t rows_corrupted = 0;
   };

@@ -1,6 +1,7 @@
 #include "moe/group_gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
@@ -9,25 +10,40 @@
 namespace comet {
 namespace {
 
-// Register-blocked microkernel geometry: each inner block accumulates an
-// MR x NR patch of C in registers (NR floats = one AVX-512 or two AVX2
-// vectors), streaming A broadcasts against a packed B panel.
-constexpr int64_t kMR = 4;
-constexpr int64_t kNR = 16;
+// Lanes per Vec: one AVX-512 vector (two AVX2, four SSE2). The NT lane split
+// and the TN block width are defined in these units.
+constexpr int64_t kLanes = 16;
 
-// One NR-wide accumulator/operand row. GCC/Clang vector extension rather
+// One kLanes-wide accumulator/operand row. GCC/Clang vector extension rather
 // than auto-vectorization: the explicit type pins the accumulators into
 // vector registers (plain acc[4][16] arrays tempted GCC into outer-loop
 // vectorization with stack-resident accumulators -- 6x slower). aligned(4)
 // permits loads straight from row-major tensor storage. On targets without
 // wide SIMD the compiler lowers the ops to narrower vectors; lane semantics
 // (and therefore results) are identical everywhere.
-typedef float Vec __attribute__((vector_size(kNR * sizeof(float)),
+typedef float Vec __attribute__((vector_size(kLanes * sizeof(float)),
                                  aligned(alignof(float))));
 
 inline const Vec& LoadVec(const float* p) {
   return *reinterpret_cast<const Vec*>(p);
 }
+
+inline void StoreVec(float* p, const Vec& v) { std::memcpy(p, &v, sizeof(v)); }
+
+// NN register tile: kMR rows x kNR columns of C held in 2 * kMR Vec
+// accumulators, fed by two B vectors per reduction step. Sixteen independent
+// add chains keep both FP ports busy at add latency 4.
+constexpr int64_t kMR = 8;
+constexpr int64_t kNR = 2 * kLanes;
+
+// Tiles of at least this many rows copy each B column chunk into a
+// contiguous panel; shorter ones (every decode tile) read B rows in place at
+// stride n, because over four or fewer row blocks the copy costs about as
+// much as the arithmetic it feeds.
+constexpr int64_t kPackMinRows = 4 * kMR + 1;
+
+// Rows of the TN register block.
+constexpr int64_t kTNRows = 4;
 
 // Row grain for the whole-matrix parallel wrappers: below this many rows per
 // chunk the dispatch overhead beats the win.
@@ -54,8 +70,8 @@ void QuantizeStore(Tensor& c, int64_t row_begin, int64_t row_end,
   }
 }
 
-// Per-thread packed B panel (k x kNR, zero-padded in the column direction).
-// Thread-local so tile kernels stay reentrant across pool workers.
+// Per-thread packed B panel (k x kNR). Thread-local so tile kernels stay
+// reentrant across pool workers; grows only (WarmGemmScratch pre-sizes it).
 std::vector<float>& PanelScratch() {
   thread_local std::vector<float> scratch;
   return scratch;
@@ -63,96 +79,144 @@ std::vector<float>& PanelScratch() {
 
 // ---- NN: C[i, j] = sum_p A[i, p] * B[p, j] ---------------------------------
 //
-// Accumulation order per C element is p-ascending with a single chain, a
-// pure function of (i, j, k): independent of the tile bounds and of the
-// (row, column) blocking below, so whole-vs-tiled and 1-vs-N-thread runs are
-// bit-identical. The old kernel's `a_ip == 0.0f` skip is gone on purpose:
-// the branch broke vectorization and cost more on dense data than it ever
-// saved on sparse (see bench/micro_groupgemm).
+// Accumulation order per C element is p-ascending with a single chain from
+// zero, a pure function of (i, j, k): independent of the tile bounds, the
+// register blocking and whether B was packed, so whole-vs-tiled and
+// 1-vs-N-thread runs are bit-identical.
+
+// One kRows x (kVecs * kLanes) block of C: A rows at `a` (stride k), B rows
+// at `b` (stride ldb, kVecs full vectors readable per row), C rows at `c`
+// (stride n), of which the first `width` columns are stored.
+template <int kRows, int kVecs>
+[[gnu::always_inline]] inline void MicroTile(const float* a, int64_t k,
+                                            const float* b, int64_t ldb,
+                                            float* c, int64_t n,
+                                            int64_t width) {
+  // The loops over r are unrolled, so acc is only ever indexed by constants
+  // and lives in registers (GCC otherwise keeps all of it on the stack and
+  // clears it with rep stos on every call).
+  Vec acc[kRows][kVecs] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    Vec bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = LoadVec(b + p * ldb + v * kLanes);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) {
+      const float a_rp = a[r * k + p];
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] += a_rp * bv[v];
+      }
+    }
+  }
+  if (width == kVecs * kLanes) {
+#pragma GCC unroll 16
+    for (int r = 0; r < kRows; ++r) {
+      for (int v = 0; v < kVecs; ++v) {
+        StoreVec(c + r * n + v * kLanes, acc[r][v]);
+      }
+    }
+    return;
+  }
+  // Ragged chunk: through a stack row, so that only this path spills.
+#pragma GCC unroll 16
+  for (int r = 0; r < kRows; ++r) {
+    float row[kVecs * kLanes];
+    for (int v = 0; v < kVecs; ++v) {
+      StoreVec(row + v * kLanes, acc[r][v]);
+    }
+    std::copy_n(row, width, c + r * n);
+  }
+}
+
+// The last 1..kMR-1 rows of a row range, at the same template.
+template <int kVecs, int kRows = kMR - 1>
+void RemainderRows(int64_t rows, const float* a, int64_t k, const float* b,
+                   int64_t ldb, float* c, int64_t n, int64_t width) {
+  if (rows == kRows) {
+    MicroTile<kRows, kVecs>(a, k, b, ldb, c, n, width);
+  } else if constexpr (kRows > 1) {
+    RemainderRows<kVecs, kRows - 1>(rows, a, k, b, ldb, c, n, width);
+  }
+}
+
+// Rows [row_begin, row_end) of one column chunk; b and c start at its first
+// column.
+template <int kVecs>
+void RowBlocks(const float* a, int64_t k, const float* b, int64_t ldb,
+               float* c, int64_t n, int64_t row_begin, int64_t row_end,
+               int64_t width) {
+  int64_t i = row_begin;
+  for (; i + kMR <= row_end; i += kMR) {
+    MicroTile<kMR, kVecs>(a + i * k, k, b, ldb, c + i * n, n, width);
+  }
+  if (i < row_end) {
+    RemainderRows<kVecs>(row_end - i, a + i * k, k, b, ldb, c + i * n, n,
+                         width);
+  }
+}
+
 void GemmTileImpl(const float* a, const float* b, float* c, int64_t k,
                   int64_t n, int64_t row_begin, int64_t row_end,
                   int64_t col_begin, int64_t col_end) {
-  std::vector<float>& panel = PanelScratch();
-  panel.resize(static_cast<size_t>(k * kNR));
-  float* pk = panel.data();
-
+  const bool tall = row_end - row_begin >= kPackMinRows;
   for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
     const int64_t width = std::min(kNR, col_end - jj);
-    // Pack the B panel once per column chunk; pad unused lanes with zeros so
-    // the full-width kernel below never reads past the logical columns.
-    for (int64_t p = 0; p < k; ++p) {
-      const float* b_row = b + p * n + jj;
-      float* dst = pk + p * kNR;
-      for (int64_t t = 0; t < width; ++t) {
-        dst[t] = b_row[t];
+    // Chunks of up to kLanes columns (the gate's E experts) run one vector
+    // wide instead of padding to kNR.
+    const int64_t chunk = width > kLanes ? kNR : kLanes;
+    const float* b_chunk = b + jj;
+    int64_t ldb = n;
+    if (tall || width != chunk) {
+      // Pack, zero-padding a ragged chunk so full-vector loads stay inside
+      // the panel.
+      std::vector<float>& panel = PanelScratch();
+      if (panel.size() < static_cast<size_t>(k * kNR)) {
+        panel.resize(static_cast<size_t>(k * kNR));
       }
-      for (int64_t t = width; t < kNR; ++t) {
-        dst[t] = 0.0f;
+      float* pk = panel.data();
+      for (int64_t p = 0; p < k; ++p) {
+        const float* b_row = b + p * n + jj;
+        float* dst = pk + p * chunk;
+        for (int64_t t = 0; t < width; ++t) {
+          dst[t] = b_row[t];
+        }
+        for (int64_t t = width; t < chunk; ++t) {
+          dst[t] = 0.0f;
+        }
       }
+      b_chunk = pk;
+      ldb = chunk;
     }
-
-    for (int64_t ii = row_begin; ii < row_end; ii += kMR) {
-      const int64_t rows = std::min(kMR, row_end - ii);
-      if (rows == kMR) {
-        const float* a0 = a + (ii + 0) * k;
-        const float* a1 = a + (ii + 1) * k;
-        const float* a2 = a + (ii + 2) * k;
-        const float* a3 = a + (ii + 3) * k;
-        Vec acc0{}, acc1{}, acc2{}, acc3{};
-        for (int64_t p = 0; p < k; ++p) {
-          const Vec bp = LoadVec(pk + p * kNR);
-          acc0 += a0[p] * bp;
-          acc1 += a1[p] * bp;
-          acc2 += a2[p] * bp;
-          acc3 += a3[p] * bp;
-        }
-        const Vec* accs[kMR] = {&acc0, &acc1, &acc2, &acc3};
-        for (int64_t r = 0; r < kMR; ++r) {
-          float* c_row = c + (ii + r) * n + jj;
-          for (int64_t t = 0; t < width; ++t) {
-            c_row[t] = (*accs[r])[t];
-          }
-        }
-      } else {
-        Vec acc[kMR] = {};
-        for (int64_t p = 0; p < k; ++p) {
-          const Vec bp = LoadVec(pk + p * kNR);
-          for (int64_t r = 0; r < rows; ++r) {
-            acc[r] += a[(ii + r) * k + p] * bp;
-          }
-        }
-        for (int64_t r = 0; r < rows; ++r) {
-          float* c_row = c + (ii + r) * n + jj;
-          for (int64_t t = 0; t < width; ++t) {
-            c_row[t] = acc[r][t];
-          }
-        }
-      }
+    if (chunk == kNR) {
+      RowBlocks<2>(a, k, b_chunk, ldb, c + jj, n, row_begin, row_end, width);
+    } else {
+      RowBlocks<1>(a, k, b_chunk, ldb, c + jj, n, row_begin, row_end, width);
     }
   }
 }
 
 // ---- NT: C[i, j] = dot(A row i, B row j) -----------------------------------
 //
-// The dot runs kNR independent accumulator lanes over p (lane l takes
-// p = l, l + kNR, ...), combined by a fixed binary tree. The lane split and
+// The dot runs kLanes independent accumulator lanes over p (lane l takes
+// p = l, l + kLanes, ...), combined by a fixed binary tree. The lane split and
 // the combine order depend only on k, never on the tile bounds, so the
-// whole-vs-tiled bit-exactness contract holds. Lanes auto-vectorize to one
-// fused multiply-add per kNR elements.
+// whole-vs-tiled bit-exactness contract holds. Lanes vectorize to one multiply
+// and one add per kLanes elements.
 float DotLanes(const float* a, const float* b, int64_t k) {
   Vec acc{};
-  const int64_t k_main = k - (k % kNR);
-  for (int64_t p = 0; p < k_main; p += kNR) {
+  const int64_t k_main = k - (k % kLanes);
+  for (int64_t p = 0; p < k_main; p += kLanes) {
     acc += LoadVec(a + p) * LoadVec(b + p);
   }
   for (int64_t p = k_main; p < k; ++p) {
     acc[p - k_main] += a[p] * b[p];
   }
-  float lanes[kNR];
-  for (int64_t l = 0; l < kNR; ++l) {
+  float lanes[kLanes];
+  for (int64_t l = 0; l < kLanes; ++l) {
     lanes[l] = acc[l];
   }
-  for (int64_t stride = kNR / 2; stride > 0; stride /= 2) {
+  for (int64_t stride = kLanes / 2; stride > 0; stride /= 2) {
     for (int64_t l = 0; l < stride; ++l) {
       lanes[l] += lanes[l + stride];
     }
@@ -180,11 +244,11 @@ void GemmNTTileImpl(const float* a, const float* b, float* c, int64_t k,
 void GemmTNTileImpl(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n, int64_t row_begin, int64_t row_end,
                     int64_t col_begin, int64_t col_end) {
-  for (int64_t jj = col_begin; jj < col_end; jj += kNR) {
-    const int64_t width = std::min(kNR, col_end - jj);
-    for (int64_t qq = row_begin; qq < row_end; qq += kMR) {
-      const int64_t rows = std::min(kMR, row_end - qq);
-      if (rows == kMR && width == kNR) {
+  for (int64_t jj = col_begin; jj < col_end; jj += kLanes) {
+    const int64_t width = std::min(kLanes, col_end - jj);
+    for (int64_t qq = row_begin; qq < row_end; qq += kTNRows) {
+      const int64_t rows = std::min(kTNRows, row_end - qq);
+      if (rows == kTNRows && width == kLanes) {
         Vec acc0{}, acc1{}, acc2{}, acc3{};
         for (int64_t i = 0; i < m; ++i) {
           const float* a_row = a + i * k + qq;
@@ -194,17 +258,17 @@ void GemmTNTileImpl(const float* a, const float* b, float* c, int64_t m,
           acc2 += a_row[2] * bp;
           acc3 += a_row[3] * bp;
         }
-        const Vec* accs[kMR] = {&acc0, &acc1, &acc2, &acc3};
-        for (int64_t r = 0; r < kMR; ++r) {
+        const Vec* accs[kTNRows] = {&acc0, &acc1, &acc2, &acc3};
+        for (int64_t r = 0; r < kTNRows; ++r) {
           float* c_row = c + (qq + r) * n + jj;
-          for (int64_t t = 0; t < kNR; ++t) {
+          for (int64_t t = 0; t < kLanes; ++t) {
             c_row[t] = (*accs[r])[t];
           }
         }
       } else {
         // Edge block: scalar accumulators, same per-element i-ascending
         // chain (partial-width vector loads would read past the B row).
-        float acc[kMR][kNR] = {};
+        float acc[kTNRows][kLanes] = {};
         for (int64_t i = 0; i < m; ++i) {
           const float* bp = b + i * n + jj;
           for (int64_t r = 0; r < rows; ++r) {

@@ -76,10 +76,12 @@ std::vector<GemmTileCoord> EnumerateTiles(const GroupGemmProblem& problem,
 // Executes one tile of the grouped problem.
 void RunTile(const GroupGemmProblem& problem, const GemmTileCoord& tile);
 
-// Pre-sizes the CALLING thread's packed-B panel scratch for reduction depths
-// up to `max_k`. The scratch is thread-local; the serving plane runs this on
-// every pool worker and rank thread during warm-up so steady-state tile
-// kernels never allocate.
+// Pre-sizes the CALLING thread's packed-B panel scratch (max_k x 32 floats,
+// one column chunk of the NN register tile) for reduction depths up to
+// `max_k`. Only tiles of more than 32 rows, or with a ragged column chunk,
+// pack B; the rest read it in place. The scratch is thread-local; the serving
+// plane runs this on every pool worker and rank thread during warm-up so
+// steady-state tile kernels never allocate.
 void WarmGemmScratch(int64_t max_k);
 
 // Executes all tiles in the given order; with the canonical order this is

@@ -243,13 +243,13 @@ struct MoeServer::RunState {
   int64_t iterations = 0;
   int64_t batched_tokens = 0;
   int64_t padding_tokens = 0;
-  // Telemetry delta baselines: the executor's memo/heap totals accumulate
-  // across runs (the serving heap persists in PrepareServing state), so the
-  // per-iteration counter updates publish deltas against the last sample.
+  // Telemetry delta baselines: the executor's memo and heap-integrity totals
+  // accumulate across runs (the serving heap persists in PrepareServing
+  // state), so the per-iteration counter updates publish deltas against the
+  // last sample.
   // Baselined by BeginRun, advanced by RecordIterationTelemetry.
   uint64_t prev_profile_hits = 0;
   uint64_t prev_profile_misses = 0;
-  double prev_heap_traffic = 0.0;
   uint64_t prev_rows_verified = 0;
   uint64_t prev_rows_corrupted = 0;
   int64_t prev_promotions = 0;
@@ -424,11 +424,10 @@ void MoeServer::BeginRun(RunBounds bounds) {
                                     bounds);
   telemetry_.BeginRun();
   // Baseline the cumulative executor/heap totals so this run's first delta
-  // doesn't inherit a previous run's traffic.
+  // doesn't inherit a previous run's counts.
   const CometExecutor::ServingHeapStats heap = executor_.serving_heap_stats();
   run_->prev_profile_hits = executor_.profile_memo_hits();
   run_->prev_profile_misses = executor_.profile_memo_misses();
-  run_->prev_heap_traffic = heap.total_traffic_bytes;
   run_->prev_rows_verified = heap.rows_verified;
   run_->prev_rows_corrupted = heap.rows_corrupted;
 }
@@ -777,8 +776,8 @@ void MoeServer::RecordIterationTelemetry(RunState& run, double now, double end,
   m.batch_tokens_hist->Observe(static_cast<double>(packed));
   m.iteration_us->Observe(end - now);
 
-  // The executor's memo and heap totals are cumulative across runs; publish
-  // this iteration's deltas.
+  // The executor's memo and heap-integrity totals are cumulative across
+  // runs; publish this iteration's deltas.
   const uint64_t hits = executor_.profile_memo_hits();
   const uint64_t misses = executor_.profile_memo_misses();
   m.profile_hits->Add(hits - run.prev_profile_hits);
@@ -786,13 +785,12 @@ void MoeServer::RecordIterationTelemetry(RunState& run, double now, double end,
   run.prev_profile_hits = hits;
   run.prev_profile_misses = misses;
   const CometExecutor::ServingHeapStats heap = executor_.serving_heap_stats();
-  // Traffic bytes are integer-valued doubles (sums of byte counts), so the
-  // delta casts exactly.
-  m.heap_traffic_bytes->Add(
-      static_cast<uint64_t>(heap.total_traffic_bytes - run.prev_heap_traffic));
+  // Unlike the other heap totals, traffic restarts at zero with every layer
+  // run, so the heap already holds this iteration's bytes. They are an
+  // integer-valued double (a sum of byte counts), so the cast is exact.
+  m.heap_traffic_bytes->Add(static_cast<uint64_t>(heap.total_traffic_bytes));
   m.heap_rows_verified->Add(heap.rows_verified - run.prev_rows_verified);
   m.heap_rows_corrupted->Add(heap.rows_corrupted - run.prev_rows_corrupted);
-  run.prev_heap_traffic = heap.total_traffic_bytes;
   run.prev_rows_verified = heap.rows_verified;
   run.prev_rows_corrupted = heap.rows_corrupted;
 

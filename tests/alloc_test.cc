@@ -672,7 +672,7 @@ const Pins kChaosGolden = {
     {"dispatch_log.size", 0x0000000000000044ULL},
     {"dispatch_log", 0x31529e7b202cd549ULL},
     {"chrome_trace", 0xce32d9f156d994a9ULL},
-    {"prometheus", 0x9c0d1fabb2b9f861ULL},
+    {"prometheus", 0x96d720550521e706ULL},
     {"jsonl", 0x06c624cf92c08296ULL},
 };
 

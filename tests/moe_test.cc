@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "moe/activation.h"
@@ -268,9 +270,115 @@ TEST(GroupGemm, MatchesNaiveGemm) {
       for (int64_t k = 0; k < 5; ++k) {
         acc += a.at({i, k}) * b.at({k, j});
       }
-      EXPECT_NEAR(c.at({i, j}), acc, 1e-4f);
+      EXPECT_EQ(c.at({i, j}), acc);
     }
   }
+}
+
+// The NN kernel's contract: every C element is one p-ascending acc + a * b
+// chain from +0, rounded once to C's dtype. Rows cover every remainder of
+// the 8-row register block and both sides of the 32-row packing threshold;
+// the column ranges cover every chunk width, in place and packed. Every
+// non-NaN result must match bit for bit. A NaN must stay a NaN, but its
+// payload is not compared: when two NaNs of different payload meet in an
+// add, IEEE 754 leaves open which one survives, and x86 keeps the first
+// operand's, whose order the compiler picks per instruction.
+TEST(GroupGemm, TileKernelMatchesSingleChainReferenceBitForBit) {
+  const int previous_threads = GlobalThreadCount();
+  SetGlobalThreadCount(8);
+  Rng rng(2016);
+  constexpr float kUntouched = -7.0f;
+  constexpr int64_t kRowOffset = 3;
+  constexpr int64_t n = 49;  // widest range: offset 16 + width 33, at the edge
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+  std::vector<int64_t> row_counts;
+  for (int64_t r = 1; r <= 17; ++r) {
+    row_counts.push_back(r);
+  }
+  row_counts.insert(row_counts.end(), {31, 32, 33, 128});
+  for (DType dtype : {DType::kF32, DType::kBF16, DType::kF16}) {
+    for (int64_t k : {0, 1, 7, 64, 129}) {
+      for (int64_t rows : row_counts) {
+        const int64_t m = kRowOffset + rows;
+        Tensor a = Tensor::Randn(Shape{m, k}, rng, 1.0f, dtype);
+        Tensor b = Tensor::Randn(Shape{k, n}, rng, 1.0f, dtype);
+        if (k > 0) {
+          // Signed zeros, infinities and a NaN, in rows and columns that
+          // every column range below reaches.
+          float* av = a.data().data();
+          float* bv = b.data().data();
+          av[(m - 1) * k + k / 2] = nan;
+          av[kRowOffset * k] = inf;
+          av[(m / 2) * k + k - 1] = -0.0f;
+          bv[(k - 1) * n + 16] = -inf;
+          bv[(k / 2) * n + 3] = 0.0f;
+          bv[0 * n + 17] = -0.0f;
+        }
+        Tensor want(Shape{m, n}, dtype);
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int64_t p = 0; p < k; ++p) {
+              acc += a.data()[i * k + p] * b.data()[p * n + j];
+            }
+            want.data()[i * n + j] = QuantizeScalar(acc, dtype);
+          }
+        }
+        const std::string shape = std::string(DTypeName(dtype)) +
+                                  " k=" + std::to_string(k) +
+                                  " rows=" + std::to_string(rows);
+        int64_t mismatches = 0;
+        std::string first;
+        const auto check = [&](const Tensor& got, int64_t i, int64_t j,
+                               float expected, const std::string& where) {
+          const float value = got.data()[i * n + j];
+          const bool same = std::isnan(expected)
+                                ? std::isnan(value)
+                                : bits(value) == bits(expected);
+          if (!same) {
+            if (mismatches++ == 0) {
+              first = where + " at (" + std::to_string(i) + ", " +
+                      std::to_string(j) + ")";
+            }
+          }
+        };
+        for (int64_t col_begin : {0, 3, 16}) {
+          for (int64_t width = 1; width <= 33; ++width) {
+            const int64_t col_end = col_begin + width;
+            Tensor c = Tensor::Full(Shape{m, n}, kUntouched, dtype);
+            GemmTile(a, b, c, kRowOffset, m, col_begin, col_end);
+            const std::string where = "GemmTile " + shape +
+                                      " cols [" + std::to_string(col_begin) +
+                                      ", " + std::to_string(col_end) + ")";
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t j = 0; j < n; ++j) {
+                const bool inside =
+                    i >= kRowOffset && j >= col_begin && j < col_end;
+                check(c, i, j, inside ? want.data()[i * n + j] : kUntouched,
+                      where);
+              }
+            }
+          }
+        }
+        for (int threads : {1, 8}) {
+          ScopedThreadLimit limit(threads);
+          Tensor c = Tensor::Full(Shape{m, n}, kUntouched, dtype);
+          Gemm(a, b, c);
+          const std::string where =
+              "Gemm threads=" + std::to_string(threads) + " " + shape;
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              check(c, i, j, want.data()[i * n + j], where);
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "first: " << first;
+      }
+    }
+  }
+  SetGlobalThreadCount(previous_threads);
 }
 
 TEST(GroupGemm, TileExecutionEqualsWhole) {

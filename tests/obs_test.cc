@@ -114,6 +114,45 @@ TEST(TelemetryOnContract, ServedBitsIdenticalToOffAcrossThreadsAndEp) {
   }
 }
 
+// comet_heap_traffic_bytes_total is the sum of each iteration's heap
+// traffic. The heap restarts its traffic total with every layer run, so the
+// counter adds that total; it must not difference consecutive totals, which
+// goes negative whenever an iteration moves fewer bytes than the one before.
+// EP 4, because a single rank moves no bytes.
+TEST(TelemetryOnContract, HeapTrafficCounterSumsPerIterationTraffic) {
+  const auto arrivals = LoadGenerator(BaseLoadOptions()).GenerateAll();
+  for (int num_threads : {1, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
+    MoeServer server(BaseServeOptions(/*ep=*/4, DType::kF32, num_threads,
+                                      /*telemetry=*/true),
+                     H800Cluster(4));
+    server.BeginRun();
+    for (const RequestSpec& spec : arrivals) {
+      ASSERT_TRUE(server.Offer(spec).admitted);
+    }
+    uint64_t sum = 0;
+    double previous = 0.0;
+    bool shrank = false;
+    double now = 0.0;
+    double end = 0.0;
+    while (server.StepIteration(now, &end)) {
+      const double bytes =
+          server.executor().serving_heap_stats().total_traffic_bytes;
+      sum += static_cast<uint64_t>(bytes);
+      shrank = shrank || bytes < previous;
+      previous = bytes;
+      now = end;
+    }
+    EXPECT_GT(sum, 0u);
+    EXPECT_TRUE(shrank) << "no iteration moved fewer bytes than the last";
+    EXPECT_EQ(server.telemetry().metrics().heap_traffic_bytes->value(), sum);
+    EXPECT_NE(server.ExportPrometheusText().find(
+                  "comet_heap_traffic_bytes_total{replica=\"0\"} " +
+                  std::to_string(sum) + "\n"),
+              std::string::npos);
+  }
+}
+
 // ---- contract 3: telemetry output is thread-count invariant ----------------
 
 struct Snapshots {
