@@ -1,6 +1,7 @@
 // Microbenchmark: routing, gate scoring, checksummed heap row transport,
-// the GELU activation, plan construction and the schedule builders -- the
-// host-side work COMET performs per layer outside the expert GEMMs.
+// the GELU activation, token synthesis (normal draws), plan construction and
+// the schedule builders -- the host-side work COMET performs per layer
+// outside the expert GEMMs.
 #include "bench/bench_common.h"
 #include "comm/symmetric_heap.h"
 #include "core/reschedule.h"
@@ -14,11 +15,12 @@
 using namespace comet;
 using namespace comet::bench;
 
-REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, route-plan and schedule construction") {
+REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, normal draws, route-plan and schedule construction") {
   PrintHeader("Micro: dispatch metadata ops",
               "host-side per-layer work outside the expert GEMMs; mean ns per "
               "call (heap_put_copy_row items = row elements, gelu_rows items "
-              "= tile elements)");
+              "= tile elements; rng_* rows: mean ns per normal, items = "
+              "normals per call)");
   AsciiTable table({"op", "items", "ns/op", "Mitems/s"});
 
   // `shape` names the record (defaults to the item count).
@@ -98,6 +100,37 @@ REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, route-pla
              DoNotOptimize(hidden.data().data());
            }),
            std::to_string(rows) + "x" + std::to_string(cols));
+  }
+
+  // Token synthesis, in ns per normal: scalar Rng::Normal, and FillNormal
+  // over one decode perturbation row (64, the serving embedding) and over a
+  // weight-sized span.
+  auto record_per_normal = [&](const std::string& name, int64_t normals,
+                               const TimedLoop& loop) {
+    const double ns = loop.ns_per_iter / static_cast<double>(normals);
+    table.AddRow({name, std::to_string(normals), FormatDouble(ns, 1),
+                  FormatDouble(1e3 / ns, 1)});
+    reporter.Report(name + "/ns_per_normal", ns, "ns");
+  };
+  {
+    constexpr int64_t kDraws = 1024;
+    Rng rng(6);
+    double sum = 0.0;
+    record_per_normal("rng_normal_scalar", kDraws, TimeIt([&] {
+                        for (int64_t d = 0; d < kDraws; ++d) {
+                          sum += rng.Normal();
+                        }
+                        DoNotOptimize(sum);
+                      }));
+  }
+  for (int64_t normals : {int64_t{64}, int64_t{65536}}) {
+    Rng rng(6);
+    std::vector<float> out(static_cast<size_t>(normals));
+    record_per_normal("rng_fill_normal/" + std::to_string(normals), normals,
+                      TimeIt([&] {
+                        rng.FillNormal(out, 0.0, 1.0);
+                        DoNotOptimize(out.data());
+                      }));
   }
 
   for (int64_t tokens : {int64_t{4096}, int64_t{16384}}) {

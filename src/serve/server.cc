@@ -683,10 +683,10 @@ bool MoeServer::StepIteration(double now, double* end_us) {
       // magnitudes ~1 across arbitrarily long decodes), rounded to the
       // serve dtype like any materialized token.
       lr.decode_input.resize(static_cast<size_t>(n_embed));
+      lr.decode_rng.FillNormal(lr.decode_input, 0.0, 1.0);
       for (int64_t n = 0; n < n_embed; ++n) {
-        lr.decode_input[static_cast<size_t>(n)] =
-            last_row[static_cast<size_t>(n)] +
-            static_cast<float>(lr.decode_rng.Normal(0.0, 1.0));
+        lr.decode_input[static_cast<size_t>(n)] +=
+            last_row[static_cast<size_t>(n)];
       }
       QuantizeSpan(lr.decode_input, options_.dtype);
     }

@@ -29,10 +29,7 @@ Tensor Tensor::Full(Shape shape, float value, DType logical_dtype) {
 
 Tensor Tensor::Randn(Shape shape, Rng& rng, float stddev, DType logical_dtype) {
   Tensor t(std::move(shape), logical_dtype);
-  for (auto& x : t.data_) {
-    x = static_cast<float>(rng.Normal(0.0, stddev));
-  }
-  t.Quantize();
+  t.FillRandn(rng, stddev);
   return t;
 }
 
@@ -137,10 +134,7 @@ void Tensor::FillZeroRows(int64_t row_begin, int64_t row_end) {
 }
 
 void Tensor::FillRandn(Rng& rng, float stddev) {
-  // Exactly Randn's fill: same draw order, same rounding point.
-  for (auto& x : data_) {
-    x = static_cast<float>(rng.Normal(0.0, stddev));
-  }
+  rng.FillNormal(data_, 0.0, stddev);
   Quantize();
 }
 

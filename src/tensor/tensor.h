@@ -91,9 +91,10 @@ class Tensor {
   // Zeroes all elements / rows [row_begin, row_end) (rank-2).
   void FillZero();
   void FillZeroRows(int64_t row_begin, int64_t row_end);
-  // Refills with iid N(0, stddev^2), then rounds to dtype -- consumes the
-  // rng exactly like Randn, so pooled and freshly-constructed request
-  // tensors hold bit-identical values for the same rng state.
+  // Refills with iid N(0, stddev^2) (Rng::FillNormal), then rounds to dtype.
+  // Randn is a fresh tensor plus this fill, so pooled and
+  // freshly-constructed request tensors hold bit-identical values for the
+  // same rng state.
   void FillRandn(Rng& rng, float stddev = 1.0f);
 
   // Gathers rows of `src` at `indices` into a new tensor (rank-2).

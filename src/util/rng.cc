@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <numeric>
 
 #include "util/check.h"
+#include "util/fdlibm.h"
 
 namespace comet {
 namespace {
+
+// One Box-Muller pair per lane: r = sqrt(-2 log u1), theta = 2 pi u2.
+template <class V>
+[[gnu::always_inline]] inline void BoxMuller(V u1, V u2, V& r, V& cos_theta,
+                                             V& sin_theta) {
+  r = fdlibm::Lane<V>::Sqrt(-2.0 * fdlibm::Log(u1));
+  fdlibm::SinCos(2.0 * std::numbers::pi * u2, sin_theta, cos_theta);
+}
 
 uint64_t SplitMix64(uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -65,21 +76,72 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
+double Rng::NextPositiveDouble() {
+  double u;
+  do {
+    u = NextDouble();
+  } while (u <= 0.0);
+  return u;
+}
+
 double Rng::Normal(double mean, double stddev) {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return mean + stddev * cached_normal_;
   }
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
+  const double u1 = NextPositiveDouble();
   const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  double r, cos_theta, sin_theta;
+  BoxMuller(u1, u2, r, cos_theta, sin_theta);
+  cached_normal_ = r * sin_theta;
   has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
+  return mean + stddev * r * cos_theta;
+}
+
+void Rng::FillNormal(std::span<float> out, double mean, double stddev) {
+  using fdlibm::DoubleLanes;
+  using fdlibm::kDoubleLanes;
+  // Pairs per batch. The uniforms are drawn serially, in Normal's order;
+  // the kernels then run kDoubleLanes pairs at a time.
+  constexpr size_t kBatch = 16 * kDoubleLanes;
+  size_t i = 0;
+  if (has_cached_normal_ && !out.empty()) {
+    has_cached_normal_ = false;
+    out[i++] = static_cast<float>(mean + stddev * cached_normal_);
+  }
+  while (i < out.size()) {
+    const size_t pairs = std::min(kBatch, (out.size() - i + 1) / 2);
+    alignas(sizeof(DoubleLanes)) double u1[kBatch], u2[kBatch];
+    for (size_t p = 0; p < pairs; ++p) {
+      u1[p] = NextPositiveDouble();
+      u2[p] = NextDouble();
+    }
+    // Pad the last vector with an in-domain pair whose results go unused.
+    const size_t padded =
+        (pairs + kDoubleLanes - 1) / kDoubleLanes * kDoubleLanes;
+    std::fill(u1 + pairs, u1 + padded, 0.5);
+    std::fill(u2 + pairs, u2 + padded, 0.0);
+    alignas(sizeof(DoubleLanes)) double first[kBatch], sin_part[kBatch];
+    for (size_t p = 0; p < padded; p += kDoubleLanes) {
+      DoubleLanes vu1, vu2, r, cos_theta, sin_theta;
+      std::memcpy(&vu1, u1 + p, sizeof(vu1));
+      std::memcpy(&vu2, u2 + p, sizeof(vu2));
+      BoxMuller(vu1, vu2, r, cos_theta, sin_theta);
+      const DoubleLanes vfirst = mean + stddev * r * cos_theta;
+      const DoubleLanes vsin = r * sin_theta;
+      std::memcpy(first + p, &vfirst, sizeof(vfirst));
+      std::memcpy(sin_part + p, &vsin, sizeof(vsin));
+    }
+    for (size_t p = 0; p < pairs; ++p) {
+      out[i++] = static_cast<float>(first[p]);
+      if (i == out.size()) {
+        cached_normal_ = sin_part[p];
+        has_cached_normal_ = true;
+        break;
+      }
+      out[i++] = static_cast<float>(mean + stddev * sin_part[p]);
+    }
+  }
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

@@ -6,10 +6,16 @@
 // splitmix64 as recommended by its authors; distribution helpers cover the
 // cases the benches need (uniform, normal, categorical, Dirichlet-like
 // expert-load vectors with a target standard deviation).
+//
+// Normals are Box-Muller over this repository's branch-free fdlibm log, sin
+// and cos (util/fdlibm.h), never the host libm, so every drawn value -- and
+// every token, weight and load vector synthesized from it -- is a pure
+// function of the seed and this source.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,8 +39,18 @@ class Rng {
   // Uniform real in [lo, hi).
   double Uniform(double lo, double hi);
 
-  // Standard normal via Box-Muller (cached second value).
+  // N(mean, stddev^2) via Box-Muller: one pair per two calls. A pair draws
+  // u1 (redrawn while <= 0) then u2, sets r = sqrt(-2 log u1) and
+  // theta = 2 pi u2, returns mean + stddev * r * cos(theta) and caches the
+  // standard r * sin(theta), which the next call returns as
+  // mean + stddev * (r * sin(theta)) with that call's mean and stddev.
   double Normal(double mean = 0.0, double stddev = 1.0);
+
+  // out[i] = static_cast<float>(Normal(mean, stddev)) for every i in order,
+  // leaving the generator (cached value included) exactly as those calls
+  // would, but evaluating the pairs' log, sin and cos a vector at a time.
+  // Never allocates.
+  void FillNormal(std::span<float> out, double mean, double stddev);
 
   // Samples an index in [0, weights.size()) proportionally to weights.
   // Requires at least one strictly positive weight.
@@ -56,6 +72,9 @@ class Rng {
   }
 
  private:
+  // Uniform in (0, 1): NextDouble redrawn while it is 0.
+  double NextPositiveDouble();
+
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

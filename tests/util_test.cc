@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
+#include <numbers>
+#include <vector>
 
+#include "tests/fdlibm_reference.h"
 #include "util/check.h"
+#include "util/fdlibm.h"
 #include "util/metadata_store.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -147,6 +154,207 @@ TEST(Rng, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, copy);
+}
+
+// FillNormal is Normal a span at a time: the same floats, and the same
+// generator state afterwards (a cached second value included), whatever the
+// span length, the entry cache and the calls around it.
+TEST(Rng, FillNormalMatchesScalarNormal) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 70; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  const std::pair<double, double> params[] = {{0.0, 1.0}, {0.0, 0.02},
+                                              {3.0, 2.0}};
+  uint64_t seed = 100;
+  for (const auto& [mean, stddev] : params) {
+    for (const bool cached : {false, true}) {
+      for (const size_t len : lengths) {
+        SCOPED_TRACE(testing::Message() << "mean " << mean << " stddev "
+                                        << stddev << " cached " << cached
+                                        << " len " << len);
+        Rng fill(++seed);
+        Rng scalar(seed);
+        if (cached) {  // one draw leaves the pair's second value cached
+          EXPECT_EQ(std::bit_cast<uint64_t>(fill.Normal(mean, stddev)),
+                    std::bit_cast<uint64_t>(scalar.Normal(mean, stddev)));
+        }
+        // Fill, a few scalar draws, a second (short) fill: all must agree.
+        for (const size_t n : {len, size_t{3}, len % 7 + 1}) {
+          std::vector<float> got(n);
+          fill.FillNormal(got, mean, stddev);
+          int mismatches = 0;
+          for (size_t i = 0; i < n; ++i) {
+            const float want = static_cast<float>(scalar.Normal(mean, stddev));
+            mismatches += std::bit_cast<uint32_t>(got[i]) !=
+                          std::bit_cast<uint32_t>(want);
+          }
+          ASSERT_EQ(mismatches, 0) << "fill of " << n;
+          for (int k = 0; k < 3; ++k) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(fill.Normal(mean, stddev)),
+                      std::bit_cast<uint64_t>(scalar.Normal(mean, stddev)));
+          }
+        }
+        ASSERT_EQ(fill.NextU64(), scalar.NextU64());
+      }
+    }
+  }
+}
+
+// Box-Muller's log, sin and cos kernels (util/fdlibm.h), at scalar and at
+// lane width, return the bits of the branchy fdlibm transcription
+// (tests/fdlibm_reference.h) over a stride sweep of the Box-Muller inputs
+// and +-4096 ulps around every branch threshold of the reference.
+TEST(Rng, BoxMullerKernelsMatchFdlibmReference) {
+  namespace ref = fdlibm_reference;
+  using fdlibm::DoubleLanes;
+  using fdlibm::kDoubleLanes;
+  constexpr int64_t kUlps = 4096;
+  constexpr double kPio2 = std::numbers::pi / 2;
+  constexpr double kTwoPi = 2.0 * std::numbers::pi;
+  const auto from_bits = [](uint64_t u) { return std::bit_cast<double>(u); };
+  const auto window = [&](std::vector<double>& xs, double center) {
+    const uint64_t c = std::bit_cast<uint64_t>(center);
+    for (int64_t d = -kUlps; d <= kUlps; ++d) {
+      xs.push_back(from_bits(c + static_cast<uint64_t>(d)));
+    }
+  };
+
+  // The kernel computes fdlibm's npio2_hw[n - 1] as the high word of the
+  // double n * pi/2.
+  for (int n = 1; n <= 32; ++n) {
+    EXPECT_EQ(ref::GetHighWord(n * kPio2), ref::npio2_hw[n - 1]) << n;
+  }
+
+  // Box-Muller inputs: u1 = m 2^-53 in (0, 1), theta = 2 pi m 2^-53.
+  constexpr uint64_t kTop = uint64_t{1} << 53;
+  std::vector<double> unit;
+  for (uint64_t m = 1; m < kTop; m += 8589934583) unit.push_back(m * 0x1p-53);
+  for (uint64_t m = 1; m <= 4096; ++m) {
+    unit.push_back(m * 0x1p-53);
+    unit.push_back((kTop - m) * 0x1p-53);
+  }
+  std::vector<double> log_in = unit;
+  std::vector<double> trig_in{0.0};
+  for (const double u : unit) trig_in.push_back(kTwoPi * u);
+
+  // log: f == 0 (powers of two), the -2^-20 <= f < 2^-20 window's edges,
+  // the 0x95f64 normalization carry and the i = (hx - 0x6147a) |
+  // (0x6b851 - hx) > 0 split, over the Box-Muller exponents and a few
+  // others.
+  std::vector<int> exponents = {-1022, -1021, 0, 1, 2, 100, 1023};
+  for (int e = -60; e <= -1; ++e) exponents.push_back(e);
+  for (const int e : exponents) {
+    for (const uint64_t mh :
+         {0x00000u, 0xffffeu, 0x00002u, 0x6a09cu, 0x6147au, 0x6b852u}) {
+      const uint64_t center = (static_cast<uint64_t>(e + 1023) << 52) |
+                              (mh << 32);
+      std::vector<double> xs;
+      window(xs, from_bits(center));
+      for (const double x : xs) {
+        if (x >= 0x1p-1022 && std::isfinite(x)) log_in.push_back(x);
+      }
+    }
+  }
+
+  // rem_pio2: the pi/4 cut, the n = 1 case's 3pi/4 cut and its pi/2 word
+  // (0x3ff921fb), n pi/2 (the i > 16 and i > 49 cancellation steps) and
+  // its high word's edges (the quick check, n < 32 included), the
+  // quadrant-rounding midpoints (n + 1/2) pi/2, and the medium range's
+  // top. kernel_sin/cos: the 2^-27, 0.3 (0x3FD33333) and 0.78125
+  // (0x3fe90000) cuts, reached directly and through each reduction.
+  std::vector<double> centers = {
+      std::numbers::pi / 4,  from_bits(0x3fe921fc00000000),
+      from_bits(0x4002d97c00000000), from_bits(0x3ff921fb00000000),
+      from_bits(0x3ff921fc00000000), from_bits(0x413921fb00000000)};
+  for (int n = 1; n <= 33; ++n) {
+    const double npio2 = n * kPio2;
+    const uint64_t hw = std::bit_cast<uint64_t>(npio2) >> 32;
+    centers.push_back(npio2);
+    centers.push_back(from_bits(hw << 32));
+    centers.push_back(from_bits((hw + 1) << 32));
+    centers.push_back((n - 0.5) * kPio2);
+  }
+  // i > 16 at a first-step y0 of ~2^-16 x needs the slow path without
+  // sharing n pi/2's high word, so only n >= 31 reaches it.
+  for (int n = 30; n <= 34; ++n) {
+    const double npio2 = n * kPio2;
+    for (int k = 15; k <= 18; ++k) {
+      const double d = std::ldexp(1.0, std::ilogb(npio2) - k);
+      centers.push_back(npio2 - d);
+      centers.push_back(npio2 + d);
+    }
+  }
+  for (const uint64_t cut :
+       {0x3e40000000000000u, 0x3FD3333400000000u, 0x3fe9000100000000u}) {
+    for (int n = 0; n <= 4; ++n) {
+      centers.push_back(n * kPio2 + from_bits(cut));
+      if (n > 0) centers.push_back(n * kPio2 - from_bits(cut));
+    }
+  }
+  for (const double c : centers) window(trig_in, c);
+
+  // Each function at scalar width and at lane width against the reference.
+  const auto check = [&](const char* name, const std::vector<double>& xs,
+                         auto&& kernel, auto&& reference) {
+    int64_t scalar_bad = 0;
+    int64_t lane_bad = 0;
+    for (size_t i = 0; i < xs.size(); i += kDoubleLanes) {
+      DoubleLanes v;
+      for (int l = 0; l < kDoubleLanes; ++l) {
+        v[l] = xs[std::min(i + static_cast<size_t>(l), xs.size() - 1)];
+      }
+      const DoubleLanes lanes = kernel(v);
+      for (int l = 0; l < kDoubleLanes && i + l < xs.size(); ++l) {
+        const uint64_t want = std::bit_cast<uint64_t>(reference(v[l]));
+        scalar_bad += std::bit_cast<uint64_t>(kernel(v[l])) != want;
+        lane_bad += std::bit_cast<uint64_t>(lanes[l]) != want;
+      }
+    }
+    EXPECT_EQ(scalar_bad, 0) << name << " scalar, of " << xs.size();
+    EXPECT_EQ(lane_bad, 0) << name << " lanes, of " << xs.size();
+  };
+  const auto sin = [](auto x) {
+    decltype(x) s, c;
+    fdlibm::SinCos(x, s, c);
+    return s;
+  };
+  const auto cos = [](auto x) {
+    decltype(x) s, c;
+    fdlibm::SinCos(x, s, c);
+    return c;
+  };
+  check("log", log_in, [](auto x) { return fdlibm::Log(x); }, ref::Log);
+  check("sin", trig_in, sin, ref::Sin);
+  check("cos", trig_in, cos, ref::Cos);
+
+  // Informational: how often the host libm differs from fdlibm on the
+  // Box-Muller inputs, and whether any normal changes after the float cast.
+  int64_t host_log = 0;
+  int64_t host_sin = 0;
+  int64_t host_cos = 0;
+  int64_t host_float = 0;
+  for (size_t i = 0; i < unit.size(); ++i) {
+    const double u1 = unit[i];
+    const double theta = kTwoPi * unit[unit.size() - 1 - i];
+    const double l = ref::Log(u1);
+    const double s = ref::Sin(theta);
+    const double c = ref::Cos(theta);
+    host_log += std::log(u1) != l;
+    host_sin += std::sin(theta) != s;
+    host_cos += std::cos(theta) != c;
+    const double r = std::sqrt(-2.0 * l);
+    const double host_r = std::sqrt(-2.0 * std::log(u1));
+    host_float += static_cast<float>(r * c) !=
+                  static_cast<float>(host_r * std::cos(theta));
+    host_float += static_cast<float>(r * s) !=
+                  static_cast<float>(host_r * std::sin(theta));
+  }
+  std::printf(
+      "host libm vs fdlibm over %zu Box-Muller inputs: log %lld, sin %lld, "
+      "cos %lld differ; %lld of %zu float normals differ\n",
+      unit.size(), static_cast<long long>(host_log),
+      static_cast<long long>(host_sin), static_cast<long long>(host_cos),
+      static_cast<long long>(host_float), 2 * unit.size());
 }
 
 // ---- stats -----------------------------------------------------------------
