@@ -7,109 +7,6 @@
 
 namespace comet {
 
-std::vector<Tensor> AllToAllRows(
-    const std::vector<Tensor>& inputs,
-    const std::vector<std::vector<int64_t>>& counts) {
-  const int world = static_cast<int>(inputs.size());
-  COMET_CHECK_GT(world, 0);
-  COMET_CHECK_EQ(counts.size(), inputs.size());
-  const int64_t cols = inputs[0].cols();
-  for (const auto& t : inputs) {
-    COMET_CHECK_EQ(t.cols(), cols);
-  }
-
-  // Validate row layout and compute receive counts.
-  std::vector<int64_t> recv_rows(static_cast<size_t>(world), 0);
-  for (int i = 0; i < world; ++i) {
-    COMET_CHECK_EQ(counts[static_cast<size_t>(i)].size(),
-                   static_cast<size_t>(world));
-    int64_t total = 0;
-    for (int j = 0; j < world; ++j) {
-      const int64_t c = counts[static_cast<size_t>(i)][static_cast<size_t>(j)];
-      COMET_CHECK_GE(c, 0);
-      total += c;
-      recv_rows[static_cast<size_t>(j)] += c;
-    }
-    COMET_CHECK_EQ(total, inputs[static_cast<size_t>(i)].rows())
-        << "send counts of rank " << i << " do not cover its buffer";
-  }
-
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<size_t>(world));
-  for (int j = 0; j < world; ++j) {
-    outputs.emplace_back(Shape{recv_rows[static_cast<size_t>(j)], cols},
-                         inputs[0].dtype());
-  }
-
-  std::vector<int64_t> write_pos(static_cast<size_t>(world), 0);
-  for (int i = 0; i < world; ++i) {
-    int64_t read_pos = 0;
-    for (int j = 0; j < world; ++j) {
-      const int64_t c = counts[static_cast<size_t>(i)][static_cast<size_t>(j)];
-      for (int64_t r = 0; r < c; ++r) {
-        outputs[static_cast<size_t>(j)].SetRow(
-            write_pos[static_cast<size_t>(j)] + r,
-            inputs[static_cast<size_t>(i)].row(read_pos + r));
-      }
-      write_pos[static_cast<size_t>(j)] += c;
-      read_pos += c;
-    }
-  }
-  return outputs;
-}
-
-std::vector<Tensor> AllGatherRows(const std::vector<Tensor>& inputs) {
-  const int world = static_cast<int>(inputs.size());
-  COMET_CHECK_GT(world, 0);
-  const int64_t cols = inputs[0].cols();
-  int64_t total_rows = 0;
-  for (const auto& t : inputs) {
-    COMET_CHECK_EQ(t.cols(), cols);
-    total_rows += t.rows();
-  }
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<size_t>(world));
-  for (int i = 0; i < world; ++i) {
-    Tensor out(Shape{total_rows, cols}, inputs[0].dtype());
-    int64_t pos = 0;
-    for (const auto& t : inputs) {
-      for (int64_t r = 0; r < t.rows(); ++r) {
-        out.SetRow(pos++, t.row(r));
-      }
-    }
-    outputs.push_back(std::move(out));
-  }
-  return outputs;
-}
-
-std::vector<Tensor> ReduceScatterRows(const std::vector<Tensor>& inputs,
-                                      int64_t rows_per_shard) {
-  const int world = static_cast<int>(inputs.size());
-  COMET_CHECK_GT(world, 0);
-  COMET_CHECK_GT(rows_per_shard, 0);
-  const int64_t cols = inputs[0].cols();
-  for (const auto& t : inputs) {
-    COMET_CHECK_EQ(t.cols(), cols);
-    COMET_CHECK_EQ(t.rows(), rows_per_shard * world);
-  }
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<size_t>(world));
-  for (int i = 0; i < world; ++i) {
-    Tensor out(Shape{rows_per_shard, cols}, inputs[0].dtype());
-    for (int j = 0; j < world; ++j) {
-      for (int64_t r = 0; r < rows_per_shard; ++r) {
-        out.AccumulateRow(
-            r,
-            inputs[static_cast<size_t>(j)].row(
-                static_cast<int64_t>(i) * rows_per_shard + r),
-            1.0f);
-      }
-    }
-    outputs.push_back(std::move(out));
-  }
-  return outputs;
-}
-
 namespace {
 
 // Multi-node all-to-all bound (alpha-beta per tier): every rank's traffic is

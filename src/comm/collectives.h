@@ -1,38 +1,15 @@
-// Functional collectives over per-rank tensors, plus their cost models.
-//
-// The functional variants operate on std::vector<Tensor> (index = rank) and
-// are used by the reference MoE layer and by the baselines' functional
-// paths. The cost models price the same collectives on a ClusterSpec; the
-// all-to-all cost uses the fluid network model (per-port capacities), ring
-// collectives use the standard (W-1)/W bandwidth term.
+// Cost models of collectives on a ClusterSpec, used by the baselines and the
+// backward passes. The all-to-all cost uses the fluid network model
+// (per-port capacities); ring collectives use the standard (W-1)/W bandwidth
+// term. Functional data movement goes through the symmetric heap
+// (comm/symmetric_heap.h), not through this module.
 #pragma once
 
 #include <vector>
 
 #include "hw/gpu_spec.h"
-#include "tensor/tensor.h"
 
 namespace comet {
-
-// ---- functional -----------------------------------------------------------
-
-// All-to-all of rows. inputs[i] is rank i's send buffer whose rows are laid
-// out as W consecutive groups: counts[i][j] rows destined to rank j.
-// Returns outputs[j]: concatenation over source ranks i (in rank order) of
-// the rows i sent to j. All inputs must share the column count.
-std::vector<Tensor> AllToAllRows(
-    const std::vector<Tensor>& inputs,
-    const std::vector<std::vector<int64_t>>& counts);
-
-// All-gather of rows: outputs[i] = concat(inputs[0], ..., inputs[W-1]).
-std::vector<Tensor> AllGatherRows(const std::vector<Tensor>& inputs);
-
-// Reduce-scatter over rows: inputs[i] has W*S rows; outputs[i] = sum over
-// ranks j of rows [i*S, (i+1)*S) of inputs[j].
-std::vector<Tensor> ReduceScatterRows(const std::vector<Tensor>& inputs,
-                                      int64_t rows_per_shard);
-
-// ---- cost models ----------------------------------------------------------
 
 // Completion time of an all-to-all with the given per-pair byte matrix
 // (bytes[i][j] from rank i to rank j; diagonal ignored -- local movement is

@@ -393,18 +393,13 @@ BackwardExecution CometBackward(const MoeWorkload& workload,
   // panel-major -- exactly the forward pipelines' conclusions.
   const int64_t shared_rows =
       placement.total_tokens() * placement.model().topk;
-  const auto pa = ResolveOverlapPipelines(
-      MoeBackwardKernelAGraph(shared_rows, n_embed, hidden));
-  COMET_CHECK(pa.size() == 1 && pa.front().chosen == DecomposeDim::kM &&
-              pa.front().hint == RescheduleHint::kArrivalOrder);
-  const auto pb = ResolveOverlapPipelines(
-      MoeBackwardKernelBGraph(shared_rows, n_embed, hidden));
-  COMET_CHECK(pb.size() == 1 && pb.front().chosen == DecomposeDim::kN &&
-              pb.front().hint == RescheduleHint::kPanelMajor);
+  CheckOverlapPipeline(MoeBackwardKernelAGraph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kM, RescheduleHint::kArrivalOrder);
+  CheckOverlapPipeline(MoeBackwardKernelBGraph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kN, RescheduleHint::kPanelMajor);
 
   BackwardExecution out;
-  out.executor = options.name_override.empty() ? "Comet-bwd"
-                                               : options.name_override;
+  out.executor = "Comet-bwd";
 
   // Division points: kernel A mirrors forward layer0, kernel B layer1.
   const FusedKernelConfig base = BaseFusedKernelConfig(options, cluster);

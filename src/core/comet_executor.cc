@@ -6,8 +6,7 @@
 
 #include "comm/symmetric_heap.h"
 #include "core/fused_kernel.h"
-#include "core/reschedule.h"
-#include "core/shared_tensor.h"
+#include "core/pipeline_ir.h"
 #include "moe/group_gemm.h"
 #include "runtime/rank_group.h"
 #include "util/check.h"
@@ -18,17 +17,18 @@ namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Sanity-checks the dependency analysis: layer0 decomposes along M, layer1
-// along N (paper §3.1.1). The schedules rely on it, so a future operator
-// change must trip loudly.
+// Sanity-checks the dependency analysis: layer0 decomposes along M in
+// arrival order, layer1 along N panel-major (paper §3.1). The schedules rely
+// on it, so a future operator change must trip loudly.
 void CheckDecomposition(const Placement& placement) {
   const int64_t shared_rows =
       placement.total_tokens() * placement.model().topk;
   const int64_t n_embed = placement.model().embedding;
-  COMET_CHECK(ResolveDecomposition(Layer0SharedTensor(
-                  shared_rows, n_embed)) == DecomposeDim::kM);
-  COMET_CHECK(ResolveDecomposition(Layer1SharedTensor(
-                  shared_rows, n_embed)) == DecomposeDim::kN);
+  const int64_t hidden = placement.HiddenPerTpRank();
+  CheckOverlapPipeline(MoeLayer0Graph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kM, RescheduleHint::kArrivalOrder);
+  CheckOverlapPipeline(MoeLayer1Graph(shared_rows, n_embed, hidden),
+                       DecomposeDim::kN, RescheduleHint::kPanelMajor);
 }
 
 // Thread-local combine row buffer (the f32 staging row the canonical
@@ -42,24 +42,30 @@ std::vector<float>& CombineRowBuf() {
 
 }  // namespace
 
-// Per-rank timing-plane workspaces: one fused-kernel workspace plus the two
-// persistent results, reused every iteration.
-struct CometExecutor::TimedScratch {
-  struct RankSim {
-    FusedKernelWorkspace ws;
+// Everything the executor reuses across Run and RunBatchInto calls. Every
+// buffer grows to its high-water mark and is re-formatted per call;
+// PrepareServing reserves them at the serving bound up front.
+struct CometExecutor::Workspace {
+  struct Rank {
+    // Timing-plane scratch. Its layer0/layer1 schedules, built by this
+    // call's simulation, are also the tile order the functional plane runs.
+    FusedKernelWorkspace sim;
     FusedKernelResult l0;
     FusedKernelResult l1;
     double gate = 0.0;
     double act = 0.0;
     double total = 0.0;
+    // Functional-plane tensors, one per local expert slice.
+    std::vector<Tensor> a_in;
+    std::vector<Tensor> h_mid;
+    std::vector<Tensor> y_out;
+    GroupGemmProblem problem0;
+    GroupGemmProblem problem1;
   };
-  std::vector<RankSim> sims;
-};
+  std::vector<Rank> ranks;
 
-// Persistent functional-plane state: the symmetric heap (allocated at the
-// serving bound and re-formatted per batch), per-rank schedule and tensor
-// workspaces, and the parked rank threads.
-struct CometExecutor::FunctionalScratch {
+  // The symmetric heap, allocated at the largest batch seen (or the serving
+  // bound) and re-formatted per batch.
   std::optional<SymmetricHeap> heap;
   SymmetricBufferId in_buf = -1;
   SymmetricBufferId contrib_buf = -1;
@@ -85,23 +91,15 @@ struct CometExecutor::FunctionalScratch {
   std::vector<SymmetricBufferId> w1_slab;
   std::vector<ReplicaSlot> slots;
 
-  struct RankScratch {
-    ScheduleScratch sched;
-    Layer0Schedule schedule0;
-    Layer1Schedule schedule1;
-    std::vector<Tensor> a_in;
-    std::vector<Tensor> h_mid;
-    std::vector<Tensor> y_out;
-    GroupGemmProblem problem0;
-    GroupGemmProblem problem1;
-  };
-  std::vector<RankScratch> ranks;
+  // Parked rank threads of the functional plane.
   RankGroup group;
-};
 
-struct CometExecutor::ServingState {
-  TimedScratch timed;
-  FunctionalScratch fn;
+  // Memoized division points per batch token count (RunBatchInto only).
+  struct NcMemoEntry {
+    int64_t total_tokens = 0;
+    int nc0 = 0;
+    int nc1 = 0;
+  };
   std::vector<NcMemoEntry> nc_memo;
 };
 
@@ -142,7 +140,7 @@ DivisionPoints PickDivisionPoints(const CometOptions& options,
 }
 
 CometExecutor::CometExecutor(CometOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), ws_(std::make_unique<Workspace>()) {
   COMET_CHECK_GT(options_.tile_m, 0);
   COMET_CHECK_GT(options_.tile_n, 0);
   COMET_CHECK_GE(options_.fixed_comm_blocks, 0);
@@ -154,8 +152,8 @@ CometExecutor::~CometExecutor() = default;
 
 CometExecutor::ServingHeapStats CometExecutor::serving_heap_stats() const {
   ServingHeapStats stats;
-  if (serving_ != nullptr && serving_->fn.heap.has_value()) {
-    const SymmetricHeap& heap = *serving_->fn.heap;
+  if (ws_->heap.has_value()) {
+    const SymmetricHeap& heap = *ws_->heap;
     stats.total_traffic_bytes = heap.TotalTraffic();
     stats.rows_verified = static_cast<uint64_t>(heap.rows_verified());
     stats.rows_corrupted = static_cast<uint64_t>(heap.rows_corrupted());
@@ -164,9 +162,6 @@ CometExecutor::ServingHeapStats CometExecutor::serving_heap_stats() const {
 }
 
 std::string CometExecutor::name() const {
-  if (!options_.name_override.empty()) {
-    return options_.name_override;
-  }
   std::string n = "Comet";
   if (!options_.reschedule) {
     n += "-noresched";
@@ -184,23 +179,32 @@ bool CometExecutor::Supports(const ParallelConfig&) const { return true; }
 
 LayerExecution CometExecutor::Run(const MoeWorkload& workload,
                                   const ClusterSpec& cluster, ExecMode mode) {
+  LayerExecution out;
+  RunInto(workload, cluster, mode, /*use_memo=*/false, out);
+  return out;
+}
+
+void CometExecutor::RunBatchInto(const MoeWorkload& workload,
+                                 const ClusterSpec& cluster, ExecMode mode,
+                                 LayerExecution* out) {
+  COMET_CHECK(out != nullptr);
+  RunInto(workload, cluster, mode, /*use_memo=*/true, *out);
+}
+
+void CometExecutor::RunInto(const MoeWorkload& workload,
+                            const ClusterSpec& cluster, ExecMode mode,
+                            bool use_memo, LayerExecution& out) {
   COMET_CHECK_EQ(cluster.world_size, workload.world())
       << "cluster and workload world sizes disagree";
   // Caps every ParallelFor this run issues -- including the whole-matrix
   // Gemm/activation wrappers called indirectly -- so num_threads = 1 really
   // is the old serial behavior end to end.
   ScopedThreadLimit thread_limit(options_.num_threads);
-  CheckDecomposition(workload.placement);
-
-  LayerExecution out;
   out.executor = name();
-  TimedScratch timed;
-  RunTimedInto(workload, cluster, out, timed, nullptr);
+  RunTimedInto(workload, cluster, use_memo, out);
   if (mode == ExecMode::kFunctional) {
-    FunctionalScratch fn;
-    RunFunctionalInto(workload, out, fn);
+    RunFunctionalInto(workload, out);
   }
-  return out;
 }
 
 void CometExecutor::PrepareServing(const Placement& max_placement,
@@ -210,20 +214,20 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   // the iterations will install.
   ScopedThreadLimit thread_limit(options_.num_threads);
 
-  serving_ = std::make_unique<ServingState>();
-  ServingState& state = *serving_;
+  Workspace& ws = *ws_;
   const int world = max_placement.world();
   const int64_t total_tokens = max_placement.total_tokens();
   const int64_t n_embed = max_placement.model().embedding;
   const int64_t hidden = max_placement.HiddenPerTpRank();
   const int64_t epg = max_placement.ExpertsPerGroup();
   const int ep = max_placement.parallel().ep;
-  state.nc_memo.reserve(64);
+  ws.nc_memo.clear();
+  ws.nc_memo.reserve(64);
 
-  // ---- timing plane: fused-kernel workspaces at their analytic bounds -------
-  // Worst-case rows per expert is the whole batch (every token may pick the
-  // same expert); chunk/tile counts follow from the tile geometry. These are
-  // over-approximations -- capacity is cheap, a mid-window realloc is not.
+  // Per-rank workspaces at their analytic bounds. Worst-case rows per expert
+  // is the whole batch (every token may pick the same expert); chunk/tile
+  // counts follow from the tile geometry. These are over-approximations --
+  // capacity is cheap, a mid-window realloc is not.
   const int64_t max_rows = total_tokens;
   // Every rank's plan carries epg home slices plus (with replication on)
   // max_replicated_experts replica slices -- always, active or not -- so all
@@ -233,62 +237,47 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   const int64_t col_tiles0 = CeilDiv(hidden, options_.tile_n);
   const int64_t col_tiles1 = CeilDiv(n_embed, options_.tile_n);
   const int64_t tiles_max = chunks_max * std::max(col_tiles0, col_tiles1);
-  state.timed.sims.resize(static_cast<size_t>(world));
-  for (auto& sim : state.timed.sims) {
-    FusedKernelWorkspace& ws = sim.ws;
-    ws.schedule_scratch.class_count.reserve(static_cast<size_t>(ep));
-    ws.schedule_scratch.class_offset.reserve(static_cast<size_t>(ep));
-    ws.schedule_scratch.tiles_tmp.reserve(static_cast<size_t>(tiles_max));
-    ws.layer0.row_order.resize(static_cast<size_t>(slices_max));
-    for (auto& order : ws.layer0.row_order) {
+  ws.ranks.resize(static_cast<size_t>(world));
+  for (Workspace::Rank& rank : ws.ranks) {
+    FusedKernelWorkspace& sim = rank.sim;
+    sim.schedule_scratch.class_count.reserve(static_cast<size_t>(ep));
+    sim.schedule_scratch.class_offset.reserve(static_cast<size_t>(ep));
+    sim.schedule_scratch.tiles_tmp.reserve(static_cast<size_t>(tiles_max));
+    sim.layer0.row_order.resize(static_cast<size_t>(slices_max));
+    for (auto& order : sim.layer0.row_order) {
       order.reserve(static_cast<size_t>(max_rows));
     }
-    ws.layer0.tiles.reserve(static_cast<size_t>(tiles_max));
-    ws.layer1.tiles.reserve(static_cast<size_t>(tiles_max));
-    ws.chunk_base.reserve(static_cast<size_t>(slices_max));
-    ws.chunk_seen.reserve(static_cast<size_t>(chunks_max));
-    ws.chunk_intra.reserve(static_cast<size_t>(chunks_max));
-    ws.chunk_inter.reserve(static_cast<size_t>(chunks_max));
-    ws.chunk_arrival.reserve(static_cast<size_t>(chunks_max));
-    ws.chunk_order.reserve(static_cast<size_t>(chunks_max));
-    ws.tasks.reserve(static_cast<size_t>(tiles_max));
-    ws.jobs.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
-    ws.job_chunks.reserve(static_cast<size_t>(chunks_max));
-    ws.transfers.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
-    ws.slot_heap.reserve(static_cast<size_t>(cluster.gpu.num_sms));
-    ws.panel_done.reserve(static_cast<size_t>(col_tiles1));
-    ws.slot_schedule.tasks.reserve(static_cast<size_t>(tiles_max));
-    sim.l0.timeline.Clear();
-    sim.l1.timeline.Clear();
-  }
-
-  // ---- functional plane: heap at bounds + per-rank tensor slabs -------------
-  EnsureFunctionalCapacity(state.fn, max_placement);
-  for (auto& rs : state.fn.ranks) {
-    rs.sched.class_count.reserve(static_cast<size_t>(ep));
-    rs.sched.class_offset.reserve(static_cast<size_t>(ep));
-    rs.sched.tiles_tmp.reserve(static_cast<size_t>(tiles_max));
-    rs.schedule0.row_order.resize(static_cast<size_t>(slices_max));
-    for (auto& order : rs.schedule0.row_order) {
-      order.reserve(static_cast<size_t>(max_rows));
+    sim.layer0.tiles.reserve(static_cast<size_t>(tiles_max));
+    sim.layer1.tiles.reserve(static_cast<size_t>(tiles_max));
+    sim.chunk_base.reserve(static_cast<size_t>(slices_max));
+    sim.chunk_seen.reserve(static_cast<size_t>(chunks_max));
+    sim.chunk_intra.reserve(static_cast<size_t>(chunks_max));
+    sim.chunk_inter.reserve(static_cast<size_t>(chunks_max));
+    sim.chunk_arrival.reserve(static_cast<size_t>(chunks_max));
+    sim.chunk_order.reserve(static_cast<size_t>(chunks_max));
+    sim.tasks.reserve(static_cast<size_t>(tiles_max));
+    sim.jobs.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
+    sim.job_chunks.reserve(static_cast<size_t>(chunks_max));
+    sim.transfers.reserve(
+        static_cast<size_t>(std::max(chunks_max, col_tiles1)));
+    sim.slot_heap.reserve(static_cast<size_t>(cluster.gpu.num_sms));
+    sim.panel_done.reserve(static_cast<size_t>(col_tiles1));
+    sim.slot_schedule.tasks.reserve(static_cast<size_t>(tiles_max));
+    rank.a_in.resize(static_cast<size_t>(slices_max));
+    rank.h_mid.resize(static_cast<size_t>(slices_max));
+    rank.y_out.resize(static_cast<size_t>(slices_max));
+    for (size_t le = 0; le < static_cast<size_t>(slices_max); ++le) {
+      rank.a_in[le].Reserve(max_rows * n_embed);
+      rank.h_mid[le].Reserve(max_rows * hidden);
+      rank.y_out[le].Reserve(max_rows * n_embed);
     }
-    rs.schedule0.tiles.reserve(static_cast<size_t>(tiles_max));
-    rs.schedule1.tiles.reserve(static_cast<size_t>(tiles_max));
-    rs.a_in.resize(static_cast<size_t>(slices_max));
-    rs.h_mid.resize(static_cast<size_t>(slices_max));
-    rs.y_out.resize(static_cast<size_t>(slices_max));
-    for (int64_t le = 0; le < slices_max; ++le) {
-      rs.a_in[static_cast<size_t>(le)].Reserve(max_rows * n_embed);
-      rs.h_mid[static_cast<size_t>(le)].Reserve(max_rows * hidden);
-      rs.y_out[static_cast<size_t>(le)].Reserve(max_rows * n_embed);
+    for (GroupGemmProblem* problem : {&rank.problem0, &rank.problem1}) {
+      problem->a.reserve(static_cast<size_t>(slices_max));
+      problem->b.reserve(static_cast<size_t>(slices_max));
+      problem->c.reserve(static_cast<size_t>(slices_max));
     }
-    rs.problem0.a.reserve(static_cast<size_t>(slices_max));
-    rs.problem0.b.reserve(static_cast<size_t>(slices_max));
-    rs.problem0.c.reserve(static_cast<size_t>(slices_max));
-    rs.problem1.a.reserve(static_cast<size_t>(slices_max));
-    rs.problem1.b.reserve(static_cast<size_t>(slices_max));
-    rs.problem1.c.reserve(static_cast<size_t>(slices_max));
   }
+  EnsureFunctionalCapacity(max_placement);
 
   // ---- warm thread-local scratch on every thread that can touch it ----------
   // Pool workers run GEMM tiles and row gathers; rank threads additionally
@@ -304,50 +293,32 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   };
   GlobalThreadPool().ForEachWorker(warm);
   warm(0);  // the calling thread executes chunk 0 of every region
-  state.fn.group.Configure(world, options_.num_threads);
-  state.fn.group.Run(warm);
-}
-
-void CometExecutor::RunBatchInto(const MoeWorkload& workload,
-                                 const ClusterSpec& cluster, ExecMode mode,
-                                 LayerExecution* out) {
-  COMET_CHECK(out != nullptr);
-  COMET_CHECK(serving_ != nullptr)
-      << "RunBatchInto requires PrepareServing first";
-  COMET_CHECK_EQ(cluster.world_size, workload.world())
-      << "cluster and workload world sizes disagree";
-  ScopedThreadLimit thread_limit(options_.num_threads);
-  out->executor = name();
-  RunTimedInto(workload, cluster, *out, serving_->timed, &serving_->nc_memo);
-  if (mode == ExecMode::kFunctional) {
-    RunFunctionalInto(workload, *out, serving_->fn);
-  }
+  ws.group.Configure(world, options_.num_threads);
+  ws.group.Run(warm);
 }
 
 void CometExecutor::RunTimedInto(const MoeWorkload& workload,
-                                 const ClusterSpec& cluster,
-                                 LayerExecution& out, TimedScratch& scratch,
-                                 std::vector<NcMemoEntry>* nc_memo) {
+                                 const ClusterSpec& cluster, bool use_memo,
+                                 LayerExecution& out) {
   const OpCostModel costs(cluster);
   const Placement& placement = workload.placement;
   const RoutePlan& plan = workload.plan;
   const int world = placement.world();
+  Workspace& ws = *ws_;
 
   const FusedKernelConfig base = BaseFusedKernelConfig(options_, cluster);
 
   // Division points. The serving memo is a flat lookup on M: every other
   // field of the profile key (cluster | model | TP | EP | stage) is fixed for
   // one serving executor.
-  const NcMemoEntry* memo_hit = nullptr;
-  if (nc_memo != nullptr) {
-    for (const NcMemoEntry& e : *nc_memo) {
+  const Workspace::NcMemoEntry* memo_hit = nullptr;
+  if (use_memo) {
+    for (const Workspace::NcMemoEntry& e : ws.nc_memo) {
       if (e.total_tokens == placement.total_tokens()) {
         memo_hit = &e;
         break;
       }
     }
-  }
-  if (nc_memo != nullptr) {
     // Telemetry only: these never feed back into any decision.
     ++(memo_hit != nullptr ? profile_memo_hits_ : profile_memo_misses_);
   }
@@ -355,53 +326,52 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
     last_nc0_ = memo_hit->nc0;
     last_nc1_ = memo_hit->nc1;
   } else {
-    if (nc_memo != nullptr) {
-      // First sight of this batch size: the check Run makes on every call.
-      CheckDecomposition(placement);
-    }
+    // Every Run, and the first sight of each batch size in serving.
+    CheckDecomposition(placement);
     const DivisionPoints nc =
         PickDivisionPoints(options_, base, plan, costs, assigner_);
     last_nc0_ = nc.layer0;
     last_nc1_ = nc.layer1;
-    if (nc_memo != nullptr) {
-      nc_memo->push_back(
-          NcMemoEntry{placement.total_tokens(), last_nc0_, last_nc1_});
+    if (use_memo) {
+      ws.nc_memo.push_back(Workspace::NcMemoEntry{placement.total_tokens(),
+                                                  last_nc0_, last_nc1_});
     }
   }
 
   // Per-rank simulations are independent: fan them out across the pool and
   // reduce serially afterwards, so the simulated times and the critical-rank
   // timeline are identical at any thread count.
-  scratch.sims.resize(static_cast<size_t>(world));
+  ws.ranks.resize(static_cast<size_t>(world));
   ParallelFor(
       0, world, 1,
       [&](int64_t r) {
-        TimedScratch::RankSim& sim = scratch.sims[static_cast<size_t>(r)];
+        Workspace::Rank& rank = ws.ranks[static_cast<size_t>(r)];
         FusedKernelConfig config0 = base;
         config0.comm_blocks = last_nc0_;
         FusedKernelConfig config1 = base;
         config1.comm_blocks = last_nc1_;
         SimulateLayer0FusedInto(plan, static_cast<int>(r), costs, config0,
-                                sim.ws, &sim.l0);
+                                rank.sim, &rank.l0);
         SimulateLayer1FusedInto(plan, static_cast<int>(r), costs, config1,
-                                sim.ws, &sim.l1);
-        sim.gate = costs.GatingUs(placement.tokens_per_group(),
-                                  placement.model().embedding,
-                                  placement.model().num_experts);
-        sim.act = costs.ActivationUs(plan.ForRank(static_cast<int>(r)).TotalRows(),
-                                     placement.HiddenPerTpRank());
+                                rank.sim, &rank.l1);
+        rank.gate = costs.GatingUs(placement.tokens_per_group(),
+                                   placement.model().embedding,
+                                   placement.model().num_experts);
+        rank.act = costs.ActivationUs(
+            plan.ForRank(static_cast<int>(r)).TotalRows(),
+            placement.HiddenPerTpRank());
         // One host launch each for: gating, fused layer0, activation, fused
         // layer1. This is the entire host-side footprint of a COMET MoE layer.
         const double launches = 4.0 * costs.LaunchUs();
-        sim.total = launches + sim.gate + sim.l0.duration_us + sim.act +
-                    sim.l1.duration_us;
+        rank.total = launches + rank.gate + rank.l0.duration_us + rank.act +
+                     rank.l1.duration_us;
       });
 
   out.per_rank_us.assign(static_cast<size_t>(world), 0.0);
   int worst_rank = 0;
   double worst = -1.0;
   for (int r = 0; r < world; ++r) {
-    const double total = scratch.sims[static_cast<size_t>(r)].total;
+    const double total = ws.ranks[static_cast<size_t>(r)].total;
     out.per_rank_us[static_cast<size_t>(r)] = total;
     if (total > worst) {
       worst = total;
@@ -410,84 +380,80 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
   }
   // Rebuild the critical rank's timeline in place: host+gate, fused l0,
   // act, fused l1 in sequence.
-  const TimedScratch::RankSim& sim =
-      scratch.sims[static_cast<size_t>(worst_rank)];
+  const Workspace::Rank& critical = ws.ranks[static_cast<size_t>(worst_rank)];
   Timeline& tl = out.timeline;
   tl.Clear();
   double t = 0.0;
   tl.Add("launch", OpCategory::kHost, -1, t, t + 4.0 * costs.LaunchUs());
   t += 4.0 * costs.LaunchUs();
-  tl.Add("gating", OpCategory::kGating, 0, t, t + sim.gate);
-  t += sim.gate;
-  tl.Merge(sim.l0.timeline, t);
-  t += sim.l0.duration_us;
-  tl.Add("activation", OpCategory::kActivation, 0, t, t + sim.act);
-  t += sim.act;
-  tl.Merge(sim.l1.timeline, t);
+  tl.Add("gating", OpCategory::kGating, 0, t, t + critical.gate);
+  t += critical.gate;
+  tl.Merge(critical.l0.timeline, t);
+  t += critical.l0.duration_us;
+  tl.Add("activation", OpCategory::kActivation, 0, t, t + critical.act);
+  t += critical.act;
+  tl.Merge(critical.l1.timeline, t);
   out.duration_us = worst;
 }
 
-void CometExecutor::EnsureFunctionalCapacity(FunctionalScratch& scratch,
-                                             const Placement& placement) {
+void CometExecutor::EnsureFunctionalCapacity(const Placement& placement) {
+  Workspace& ws = *ws_;
   const int world = placement.world();
   const int64_t group_tokens = placement.tokens_per_group();
   const int64_t topk = placement.model().topk;
   const int64_t n_embed = placement.model().embedding;
   const int64_t hidden = placement.HiddenPerTpRank();
   const DType dtype = options_.compute_dtype;
-  if (!scratch.heap.has_value() || scratch.heap_world != world ||
-      scratch.heap_group_tokens < group_tokens || scratch.heap_topk != topk ||
-      scratch.heap_n_embed != n_embed || scratch.heap_hidden != hidden ||
-      scratch.heap_dtype != dtype) {
-    scratch.heap.emplace(world,
-                         HeapIntegrityOptions{options_.verify_transport,
+  if (ws.heap.has_value() && ws.heap_world == world &&
+      ws.heap_group_tokens >= group_tokens && ws.heap_topk == topk &&
+      ws.heap_n_embed == n_embed && ws.heap_hidden == hidden &&
+      ws.heap_dtype == dtype) {
+    return;
+  }
+  ws.heap.emplace(world, HeapIntegrityOptions{options_.verify_transport,
                                               options_.corrupt_rate,
                                               options_.corrupt_seed});
-    scratch.in_buf = scratch.heap->Allocate(
-        "moe-input", Shape{group_tokens, n_embed}, dtype);
-    scratch.contrib_buf = scratch.heap->Allocate(
-        "moe-contrib", Shape{group_tokens * topk, n_embed}, dtype);
-    // One arrival signal per contrib row per rank: the undispatch puts bump
-    // it, the combine waits on it -- the NVSHMEM put-with-signal discipline
-    // the real fused kernels use to gate consumption on delivery. Signal
-    // arrays cannot resize (atomics), so they are sized at the bound; a
-    // smaller batch simply leaves the tail words untouched at zero.
-    scratch.contrib_sig =
-        scratch.heap->AllocateSignals("moe-contrib-ready", group_tokens * topk);
-    // Replica weight slabs, one (W0, W1) pair per slot. A heap rebuild
-    // wipes slab contents, so every slot resets to free -- the serving
-    // plane only rebuilds in PrepareServing, before any promotion.
-    scratch.w0_slab.clear();
-    scratch.w1_slab.clear();
-    scratch.slots.clear();
-    if (options_.max_replicated_experts > 0) {
-      const size_t n_slots =
-          static_cast<size_t>(options_.max_replicated_experts);
-      scratch.w0_slab.reserve(n_slots);
-      scratch.w1_slab.reserve(n_slots);
-      for (size_t s = 0; s < n_slots; ++s) {
-        scratch.w0_slab.push_back(
-            scratch.heap->Allocate("replica-w0-slot" + std::to_string(s),
-                                   Shape{n_embed, hidden}, dtype));
-        scratch.w1_slab.push_back(
-            scratch.heap->Allocate("replica-w1-slot" + std::to_string(s),
-                                   Shape{hidden, n_embed}, dtype));
-      }
-      scratch.slots.assign(n_slots, FunctionalScratch::ReplicaSlot{});
+  ws.in_buf =
+      ws.heap->Allocate("moe-input", Shape{group_tokens, n_embed}, dtype);
+  ws.contrib_buf = ws.heap->Allocate(
+      "moe-contrib", Shape{group_tokens * topk, n_embed}, dtype);
+  // One arrival signal per contrib row per rank: the undispatch puts bump
+  // it, the combine waits on it -- the NVSHMEM put-with-signal discipline
+  // the real fused kernels use to gate consumption on delivery. Signal
+  // arrays cannot resize (atomics), so they are sized at the bound; a
+  // smaller batch simply leaves the tail words untouched at zero.
+  ws.contrib_sig =
+      ws.heap->AllocateSignals("moe-contrib-ready", group_tokens * topk);
+  // Replica weight slabs, one (W0, W1) pair per slot. A heap rebuild wipes
+  // slab contents, so every slot resets to free -- the serving plane only
+  // rebuilds in PrepareServing, before any promotion.
+  ws.w0_slab.clear();
+  ws.w1_slab.clear();
+  ws.slots.clear();
+  if (options_.max_replicated_experts > 0) {
+    const size_t n_slots = static_cast<size_t>(options_.max_replicated_experts);
+    ws.w0_slab.reserve(n_slots);
+    ws.w1_slab.reserve(n_slots);
+    for (size_t s = 0; s < n_slots; ++s) {
+      ws.w0_slab.push_back(
+          ws.heap->Allocate("replica-w0-slot" + std::to_string(s),
+                            Shape{n_embed, hidden}, dtype));
+      ws.w1_slab.push_back(
+          ws.heap->Allocate("replica-w1-slot" + std::to_string(s),
+                            Shape{hidden, n_embed}, dtype));
     }
-    scratch.heap_world = world;
-    scratch.heap_group_tokens = group_tokens;
-    scratch.heap_topk = topk;
-    scratch.heap_n_embed = n_embed;
-    scratch.heap_hidden = hidden;
-    scratch.heap_dtype = dtype;
+    ws.slots.assign(n_slots, Workspace::ReplicaSlot{});
   }
-  scratch.ranks.resize(static_cast<size_t>(world));
+  ws.heap_world = world;
+  ws.heap_group_tokens = group_tokens;
+  ws.heap_topk = topk;
+  ws.heap_n_embed = n_embed;
+  ws.heap_hidden = hidden;
+  ws.heap_dtype = dtype;
 }
 
 void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
-                                      LayerExecution& out,
-                                      FunctionalScratch& scratch) {
+                                      LayerExecution& out) {
   COMET_CHECK(workload.weights != nullptr && !workload.inputs.empty())
       << "functional execution requires a materialized workload";
   const Placement& placement = workload.placement;
@@ -514,20 +480,20 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
   // constructed heap of this batch's shape would have: integrity re-armed
   // (checksums, valid flags and injector put-counts all reset), buffers
   // re-formatted to the batch's row counts, every signal word zero, traffic
-  // matrix clear. For a cold scratch (the non-serving path) this is a no-op
-  // on top of a genuinely fresh heap.
-  EnsureFunctionalCapacity(scratch, placement);
-  SymmetricHeap& heap = *scratch.heap;
+  // matrix clear.
+  EnsureFunctionalCapacity(placement);
+  Workspace& ws = *ws_;
+  SymmetricHeap& heap = *ws.heap;
   heap.SetIntegrity(HeapIntegrityOptions{options_.verify_transport,
                                          options_.corrupt_rate,
                                          options_.corrupt_seed});
-  heap.ResizeRows(scratch.in_buf, group_tokens);
-  heap.ResizeRows(scratch.contrib_buf, group_tokens * topk);
-  heap.ResetSignals(scratch.contrib_sig);
+  heap.ResizeRows(ws.in_buf, group_tokens);
+  heap.ResizeRows(ws.contrib_buf, group_tokens * topk);
+  heap.ResetSignals(ws.contrib_sig);
   heap.ResetTraffic();
-  const SymmetricBufferId in_buf = scratch.in_buf;
-  const SymmetricBufferId contrib_buf = scratch.contrib_buf;
-  const SymmetricBufferId contrib_sig = scratch.contrib_sig;
+  const SymmetricBufferId in_buf = ws.in_buf;
+  const SymmetricBufferId contrib_buf = ws.contrib_buf;
+  const SymmetricBufferId contrib_sig = ws.contrib_sig;
 
   for (int r = 0; r < world; ++r) {
     heap.Local(in_buf, r) =
@@ -545,8 +511,7 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
     const int group = placement.EpGroupOfRank(r);
     const int lane = placement.TpLaneOfRank(r);
     const RankPlan& rank_plan = plan.ForRank(r);
-    FunctionalScratch::RankScratch& rs =
-        scratch.ranks[static_cast<size_t>(r)];
+    Workspace::Rank& rs = ws.ranks[static_cast<size_t>(r)];
 
     // Weight operand for local slice `le`: home slices read the sharded
     // store; replica slices (index >= epg) read this rank's slab copy,
@@ -566,22 +531,21 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
                       : &workload.sharded_weights->W1Shard(0, lane);
       }
       const size_t slot = le - static_cast<size_t>(epg);
-      COMET_CHECK_LT(slot, scratch.slots.size())
+      COMET_CHECK_LT(slot, ws.slots.size())
           << "plan has replica slices but the executor was not configured "
              "with max_replicated_experts";
-      COMET_CHECK_EQ(scratch.slots[slot].expert, expert)
+      COMET_CHECK_EQ(ws.slots[slot].expert, expert)
           << "replica slot " << slot << " holds a different expert's weights";
-      COMET_CHECK_EQ(scratch.slots[slot].ep_group, group)
+      COMET_CHECK_EQ(ws.slots[slot].ep_group, group)
           << "replica slot " << slot << " promoted onto a different group";
       const SymmetricHeap& cheap = heap;
-      return layer0 ? &cheap.Local(scratch.w0_slab[slot], r)
-                    : &cheap.Local(scratch.w1_slab[slot], r);
+      return layer0 ? &cheap.Local(ws.w0_slab[slot], r)
+                    : &cheap.Local(ws.w1_slab[slot], r);
     };
 
-    BuildLayer0ScheduleInto(rank_plan, group, ep, hidden, options_.tile_m,
-                            options_.tile_n, options_.reschedule, rs.sched,
-                            &rs.schedule0);
-    const Layer0Schedule& schedule0 = rs.schedule0;
+    // The timing plane built this rank's schedules for this very batch.
+    const Layer0Schedule& schedule0 = rs.sim.layer0;
+    const Layer1Schedule& schedule1 = rs.sim.layer1;
 
     // Materialize the layer0 shared tensor per expert with rows in the
     // permuted layout; remote rows travel through the symmetric heap. Rows
@@ -637,10 +601,6 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
       ApplyActivation(h, workload.activation);
     }
 
-    BuildLayer1ScheduleInto(rank_plan, n_embed, options_.tile_m,
-                            options_.tile_n, options_.reschedule,
-                            &rs.schedule1);
-    const Layer1Schedule& schedule1 = rs.schedule1;
     GroupGemmProblem& problem1 = rs.problem1;
     problem1.a.clear();
     problem1.b.clear();
@@ -749,20 +709,20 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
   // Configure resolves concurrency against the ambient thread limit; with an
   // unchanged shape it is an allocation-free no-op, so steady-state
   // iterations reuse the parked rank threads.
-  scratch.group.Configure(world, options_.num_threads);
-  scratch.group.Run(produce, consume);
+  ws.group.Configure(world, options_.num_threads);
+  ws.group.Run(produce, consume);
 }
 
 void CometExecutor::PromoteReplica(int slot, int64_t expert, int ep_group,
                                    const Placement& placement,
                                    const ShardedExpertWeights& weights) {
-  COMET_CHECK(serving_ != nullptr)
-      << "PromoteReplica requires PrepareServing first";
-  FunctionalScratch& fn = serving_->fn;
+  Workspace& ws = *ws_;
+  COMET_CHECK(ws.heap.has_value())
+      << "PromoteReplica requires a heap: call PrepareServing first";
   COMET_CHECK_GE(slot, 0);
-  COMET_CHECK_LT(slot, static_cast<int>(fn.slots.size()))
+  COMET_CHECK_LT(slot, static_cast<int>(ws.slots.size()))
       << "replica slot beyond max_replicated_experts";
-  FunctionalScratch::ReplicaSlot& state = fn.slots[static_cast<size_t>(slot)];
+  Workspace::ReplicaSlot& state = ws.slots[static_cast<size_t>(slot)];
   COMET_CHECK_LT(state.expert, 0) << "replica slot " << slot << " is busy";
   COMET_CHECK_GE(expert, 0);
   COMET_CHECK_LT(expert, placement.model().num_experts);
@@ -771,10 +731,10 @@ void CometExecutor::PromoteReplica(int slot, int64_t expert, int ep_group,
   COMET_CHECK_LT(ep_group, placement.parallel().ep);
   COMET_CHECK_NE(ep_group, home)
       << "replica of expert " << expert << " placed on its home group";
-  SymmetricHeap& heap = *fn.heap;
+  SymmetricHeap& heap = *ws.heap;
   const SymmetricHeap& cheap = heap;  // const reads leave checksums intact
-  const SymmetricBufferId b0 = fn.w0_slab[static_cast<size_t>(slot)];
-  const SymmetricBufferId b1 = fn.w1_slab[static_cast<size_t>(slot)];
+  const SymmetricBufferId b0 = ws.w0_slab[static_cast<size_t>(slot)];
+  const SymmetricBufferId b1 = ws.w1_slab[static_cast<size_t>(slot)];
   // Lane-matched weight transfer: each target-group lane receives the
   // expert's shard for its lane from the matching home rank, row by row
   // over the symmetric heap (counted as fabric traffic like any other put).
@@ -802,22 +762,18 @@ void CometExecutor::PromoteReplica(int slot, int64_t expert, int ep_group,
 }
 
 void CometExecutor::RetireReplica(int slot) {
-  COMET_CHECK(serving_ != nullptr)
-      << "RetireReplica requires PrepareServing first";
-  FunctionalScratch& fn = serving_->fn;
+  Workspace& ws = *ws_;
   COMET_CHECK_GE(slot, 0);
-  COMET_CHECK_LT(slot, static_cast<int>(fn.slots.size()))
+  COMET_CHECK_LT(slot, static_cast<int>(ws.slots.size()))
       << "replica slot beyond max_replicated_experts";
-  FunctionalScratch::ReplicaSlot& state = fn.slots[static_cast<size_t>(slot)];
+  Workspace::ReplicaSlot& state = ws.slots[static_cast<size_t>(slot)];
   COMET_CHECK_GE(state.expert, 0)
       << "replica slot " << slot << " is already free";
-  state = FunctionalScratch::ReplicaSlot{};
+  state = Workspace::ReplicaSlot{};
 }
 
 void CometExecutor::InvalidateBatchProfiles() {
-  if (serving_ != nullptr) {
-    serving_->nc_memo.clear();
-  }
+  ws_->nc_memo.clear();
 }
 
 }  // namespace comet

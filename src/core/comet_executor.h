@@ -3,12 +3,17 @@
 // specialization and adaptive workload assignment.
 //
 // Two planes share one schedule:
-//  * functional -- executes the REAL math tile-by-tile in the rescheduled
-//    order, moving tokens through the NVSHMEM-style symmetric heap exactly
-//    as the fused kernels would. Verified bit-exact against the sharded
+//  * timing -- builds each rank's layer0/layer1 tile schedules and prices
+//    them on the cluster model through the fused-kernel simulator.
+//  * functional -- executes the REAL math tile-by-tile in exactly those
+//    schedules, moving tokens through the NVSHMEM-style symmetric heap as
+//    the fused kernels would. Verified bit-exact against the sharded
 //    reference layer (rescheduling must never change results).
-//  * timing -- prices the same schedule on the cluster model through the
-//    fused-kernel simulator.
+//
+// Every call runs through one executor-owned workspace: per-rank simulation
+// and tensor scratch, the symmetric heap, the parked rank threads. Run and
+// RunBatchInto share it, so repeated calls reuse buffers instead of
+// reallocating them; results never depend on what a previous call left.
 //
 // Option toggles expose the paper's ablations: rescheduling off (canonical
 // tile order), vertical fusion instead of thread-block specialization, and
@@ -72,8 +77,6 @@ struct CometOptions {
   // Optional cross-run profile cache (paper: metadata written at deployment
   // time). Borrowed pointer; may be null.
   MetadataStore* profile_cache = nullptr;
-  // Override the executor display name (for ablation benches).
-  std::string name_override;
 };
 
 // Fused-kernel setup shared by the forward executor and CometBackward.
@@ -113,19 +116,20 @@ class CometExecutor : public MoeLayerExecutor {
   // ---- zero-allocation serving fast path ------------------------------------
   //
   // A serving loop re-executes the same layer shape thousands of times. The
-  // pair below turns that steady state malloc-free: PrepareServing allocates
-  // every workspace the iteration needs at its run-level bound (symmetric
-  // heap buffers and signals, per-rank schedule/simulation workspaces,
-  // per-expert tensor slabs, parked rank threads) and warms the thread-local
-  // scratch of every pool worker and rank thread; RunBatchInto then executes
-  // one batch into a caller-persistent LayerExecution, reusing all of it.
-  // Results are bit-identical to Run for the same inputs. Not thread-safe:
-  // one serving loop per executor.
+  // pair below turns that steady state malloc-free. RunBatchInto is Run built
+  // into a caller-persistent LayerExecution, with division points memoized
+  // per batch size; both run through the same workspace, so results are
+  // bit-identical to Run for the same inputs. PrepareServing is an optional
+  // warm-up that sizes the workspace for the largest batch up front. Not
+  // thread-safe: one serving loop per executor.
 
-  // Preallocates serving workspaces for batches up to `max_placement`'s
-  // token count (its model/parallel shape must match the batches served).
-  // Call once before the loop; allocates, so keep it outside any
-  // allocation-counting window. Idempotent.
+  // Warm-up for batches up to `max_placement`'s token count (its
+  // model/parallel shape must match the batches served): reserves every
+  // workspace at that bound (symmetric heap buffers and signals, per-rank
+  // schedule/simulation workspaces, per-expert tensor slabs, parked rank
+  // threads), warms the thread-local scratch of every pool worker and rank
+  // thread, and clears the division-point memo. Allocates, so call it
+  // before any allocation-counting window. Idempotent.
   void PrepareServing(const Placement& max_placement,
                       const ClusterSpec& cluster);
 
@@ -134,8 +138,11 @@ class CometExecutor : public MoeLayerExecutor {
   // few batch shapes thousands of times, and each re-sweep is the host-side
   // overhead the paper's decode regime is dominated by -- so each shape is
   // profiled once. After PrepareServing and one warm-up call per distinct
-  // batch token count, performs zero heap allocations per call. In
-  // kTimedOnly mode `out->outputs` is left untouched.
+  // batch token count, performs zero heap allocations per call. A batch
+  // beyond the bounds the heap was built for (by PrepareServing or an
+  // earlier call, Run included) rebuilds the heap, which frees every replica
+  // slot; MoeServer stays within its PrepareServing bound and never calls
+  // Run. In kTimedOnly mode `out->outputs` is left untouched.
   void RunBatchInto(const MoeWorkload& workload, const ClusterSpec& cluster,
                     ExecMode mode, LayerExecution* out);
 
@@ -143,8 +150,8 @@ class CometExecutor : public MoeLayerExecutor {
   //
   // The serving plane's HotExpertTracker decides WHAT to replicate; these
   // apply the decision. Replica weights live in per-slot symmetric-heap
-  // slabs ("replica-w0-slot{s}" / "replica-w1-slot{s}") preallocated by
-  // PrepareServing when options.max_replicated_experts > 0; a promote
+  // slabs ("replica-w0-slot{s}" / "replica-w1-slot{s}") allocated with the
+  // heap when options.max_replicated_experts > 0; a promote
   // bit-copies the expert's lane shards from its home ranks into the target
   // group's ranks through PutRow (quantization on the already-quantized
   // weights is the identity, so replica math is bit-identical to home math).
@@ -156,6 +163,7 @@ class CometExecutor : public MoeLayerExecutor {
 
   // Copies expert `expert`'s weights into replica slot `slot` on EP group
   // `ep_group` (must not be the expert's home group; slot must be free).
+  // Requires the heap, i.e. PrepareServing or a functional run first.
   void PromoteReplica(int slot, int64_t expert, int ep_group,
                       const Placement& placement,
                       const ShardedExpertWeights& weights);
@@ -189,8 +197,8 @@ class CometExecutor : public MoeLayerExecutor {
   uint64_t profile_memo_hits() const { return profile_memo_hits_; }
   uint64_t profile_memo_misses() const { return profile_memo_misses_; }
 
-  // Transport stats of the serving-mode symmetric heap (zeros before
-  // PrepareServing). A plain struct so the telemetry plane can read heap
+  // Transport stats of the workspace's symmetric heap (zeros before
+  // PrepareServing or the first functional run). A plain struct so the telemetry plane can read heap
   // traffic without depending on comm/.
   struct ServingHeapStats {
     // Bytes moved by the last layer run only: every run resets the traffic.
@@ -202,23 +210,16 @@ class CometExecutor : public MoeLayerExecutor {
   ServingHeapStats serving_heap_stats() const;
 
  private:
-  // Memoized division points for one batch token count (serving fast path).
-  struct NcMemoEntry {
-    int64_t total_tokens = 0;
-    int nc0 = 0;
-    int nc1 = 0;
-  };
-  struct TimedScratch;       // per-rank simulation workspaces (.cc)
-  struct FunctionalScratch;  // persistent heap + per-rank tensor slabs (.cc)
-  struct ServingState;       // everything PrepareServing owns (.cc)
+  struct Workspace;  // everything reused across calls (.cc)
 
+  // The one body behind Run and RunBatchInto; `use_memo` consults and fills
+  // the per-batch-size division-point memo.
+  void RunInto(const MoeWorkload& workload, const ClusterSpec& cluster,
+               ExecMode mode, bool use_memo, LayerExecution& out);
   void RunTimedInto(const MoeWorkload& workload, const ClusterSpec& cluster,
-                    LayerExecution& out, TimedScratch& scratch,
-                    std::vector<NcMemoEntry>* nc_memo);
-  void RunFunctionalInto(const MoeWorkload& workload, LayerExecution& out,
-                         FunctionalScratch& scratch);
-  void EnsureFunctionalCapacity(FunctionalScratch& scratch,
-                                const Placement& placement);
+                    bool use_memo, LayerExecution& out);
+  void RunFunctionalInto(const MoeWorkload& workload, LayerExecution& out);
+  void EnsureFunctionalCapacity(const Placement& placement);
 
   CometOptions options_;
   AdaptiveAssigner assigner_;
@@ -226,7 +227,7 @@ class CometExecutor : public MoeLayerExecutor {
   int last_nc1_ = 0;
   uint64_t profile_memo_hits_ = 0;
   uint64_t profile_memo_misses_ = 0;
-  std::unique_ptr<ServingState> serving_;
+  std::unique_ptr<Workspace> ws_;
 };
 
 }  // namespace comet

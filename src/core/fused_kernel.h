@@ -49,7 +49,9 @@ struct FusedKernelResult {
 
 // Reusable workspace for the Simulate*FusedInto variants below. Owned per
 // rank by the executor; every buffer grows to its high-water mark during
-// warm-up and is then reused allocation-free. Row chunks (the token-delivery
+// warm-up and is then reused allocation-free. After a call, `layer0` /
+// `layer1` hold the schedule that call priced; the executor's functional
+// plane runs its tiles in exactly that order. Row chunks (the token-delivery
 // unit: tiles of one expert sharing a row range) are addressed by the flat
 // id `chunk_base[expert_local] + row_begin / tile_m` instead of a map.
 struct FusedKernelWorkspace {

@@ -43,6 +43,10 @@ std::string AxisRoleName(AxisRole role) {
   return "?";
 }
 
+std::string DecomposeDimName(DecomposeDim dim) {
+  return dim == DecomposeDim::kM ? "M" : "N";
+}
+
 std::string RescheduleHintName(RescheduleHint hint) {
   switch (hint) {
     case RescheduleHint::kArrivalOrder:
@@ -206,6 +210,17 @@ std::vector<ResolvedPipeline> ResolveOverlapPipelines(
     return !p.crosses_domains;
   });
   return all;
+}
+
+void CheckOverlapPipeline(const PipelineGraph& graph, DecomposeDim dim,
+                          RescheduleHint hint) {
+  const std::vector<ResolvedPipeline> pipelines =
+      ResolveOverlapPipelines(graph);
+  COMET_CHECK(pipelines.size() == 1 && pipelines.front().chosen == dim &&
+              pipelines.front().hint == hint)
+      << "expected one overlap pipeline along " << DecomposeDimName(dim)
+      << " (" << RescheduleHintName(hint) << "), resolved:\n"
+      << DescribePipelines(pipelines);
 }
 
 std::string DescribePipelines(const std::vector<ResolvedPipeline>& pipelines) {

@@ -23,9 +23,15 @@
 #include <string>
 #include <vector>
 
-#include "core/shared_tensor.h"
-
 namespace comet {
+
+// The axis of a shared tensor its sub-tensors are cut along.
+enum class DecomposeDim {
+  kM,  // rows (token dimension)
+  kN,  // columns (embedding / hidden dimension)
+};
+
+std::string DecomposeDimName(DecomposeDim dim);
 
 // How an operator relates the elements of one tensor axis.
 enum class AxisRole {
@@ -132,6 +138,12 @@ std::vector<ResolvedPipeline> ResolvePipelines(const PipelineGraph& graph);
 // boundary -- MoE has exactly two per direction (forward and backward).
 std::vector<ResolvedPipeline> ResolveOverlapPipelines(
     const PipelineGraph& graph);
+
+// Throws CheckError unless `graph` has exactly one overlap pipeline, and it
+// decomposes along `dim` with reschedule `hint`. The executors assert their
+// schedules' assumptions through this.
+void CheckOverlapPipeline(const PipelineGraph& graph, DecomposeDim dim,
+                          RescheduleHint hint);
 
 // Human-readable multi-line summary of an analysis.
 std::string DescribePipelines(const std::vector<ResolvedPipeline>& pipelines);

@@ -46,7 +46,6 @@ CometOptions MakeExecutorOptions(const ServeOptions& options) {
       options.adaptation.enabled ? options.adaptation.max_replicated_experts
                                  : 0;
   comet.tile_m = options.granularity;
-  comet.name_override = "Comet-serve";
   return comet;
 }
 

@@ -34,10 +34,6 @@ class MetadataStore {
   std::optional<double> GetDouble(const std::string& key) const;
 
   bool Contains(const std::string& key) const;
-  // Drops every entry (the serving plane invalidates its batch-profile
-  // store when the replica layout changes and the cached division points no
-  // longer describe the plan being executed).
-  void Clear() { entries_.clear(); }
   size_t size() const { return entries_.size(); }
   const std::map<std::string, std::string>& entries() const { return entries_; }
 

@@ -237,55 +237,6 @@ TEST(SymmetricHeapBounds, InRangeAccessStillWorksAfterChecks) {
   EXPECT_EQ(heap.GetRow(buf, 0, 1, 1)[1], 6.0f);
 }
 
-// ---- functional collectives ---------------------------------------------------
-
-TEST(Collectives, AllToAllRowsRoutesByCounts) {
-  // 2 ranks; rank 0 sends 1 row to itself and 2 to rank 1; rank 1 sends 1
-  // row to each.
-  std::vector<Tensor> inputs;
-  inputs.push_back(Tensor::Iota(Shape{3, 2}));        // rows 0,1,2
-  inputs.push_back(Tensor::Iota(Shape{2, 2}, 10.0f)); // rows 0',1'
-  const std::vector<std::vector<int64_t>> counts = {{1, 2}, {1, 1}};
-  const auto out = AllToAllRows(inputs, counts);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].rows(), 2);  // 1 from rank 0 + 1 from rank 1
-  EXPECT_EQ(out[1].rows(), 3);
-  // Rank 1 receives rank 0's rows 1,2 then rank 1's row 1'.
-  EXPECT_EQ(out[1].at({0, 0}), 2.0f);
-  EXPECT_EQ(out[1].at({1, 0}), 4.0f);
-  EXPECT_EQ(out[1].at({2, 0}), 20.0f);
-}
-
-TEST(Collectives, AllToAllRejectsBadCounts) {
-  std::vector<Tensor> inputs;
-  inputs.push_back(Tensor::Zeros(Shape{3, 2}));
-  inputs.push_back(Tensor::Zeros(Shape{2, 2}));
-  EXPECT_THROW(AllToAllRows(inputs, {{1, 1}, {1, 1}}), CheckError);
-}
-
-TEST(Collectives, AllGatherRowsConcatenatesEverywhere) {
-  std::vector<Tensor> inputs;
-  inputs.push_back(Tensor::Full(Shape{1, 2}, 1.0f));
-  inputs.push_back(Tensor::Full(Shape{2, 2}, 2.0f));
-  const auto out = AllGatherRows(inputs);
-  for (const auto& t : out) {
-    EXPECT_EQ(t.rows(), 3);
-    EXPECT_EQ(t.at({0, 0}), 1.0f);
-    EXPECT_EQ(t.at({2, 1}), 2.0f);
-  }
-}
-
-TEST(Collectives, ReduceScatterRowsSumsShards) {
-  std::vector<Tensor> inputs;
-  inputs.push_back(Tensor::Full(Shape{4, 2}, 1.0f));
-  inputs.push_back(Tensor::Full(Shape{4, 2}, 2.0f));
-  const auto out = ReduceScatterRows(inputs, 2);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].rows(), 2);
-  EXPECT_EQ(out[0].at({0, 0}), 3.0f);
-  EXPECT_EQ(out[1].at({1, 1}), 3.0f);
-}
-
 // ---- cost models ---------------------------------------------------------------
 
 TEST(CollectiveCost, UniformAllToAllScalesWithBytes) {

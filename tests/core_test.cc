@@ -1,5 +1,5 @@
-// Unit tests for the COMET core: shared-tensor dependency resolving,
-// rescheduling, the fused-kernel simulator and adaptive workload assignment.
+// Unit tests for the COMET core: rescheduling, the fused-kernel simulator
+// and adaptive workload assignment.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,7 +7,6 @@
 #include "core/adaptive.h"
 #include "core/fused_kernel.h"
 #include "core/reschedule.h"
-#include "core/shared_tensor.h"
 #include "exec/op_costs.h"
 #include "moe/workload.h"
 #include "util/check.h"
@@ -28,37 +27,6 @@ MoeWorkload SmallWorkload(int tp, int ep, int64_t tokens, double std = 0.0) {
   options.load_std = std;
   options.materialize = false;
   return MakeWorkload(model, ParallelConfig{tp, ep}, tokens, options);
-}
-
-// ---- shared tensor analysis -----------------------------------------------
-
-TEST(SharedTensor, Layer0DecomposesAlongM) {
-  EXPECT_EQ(ResolveDecomposition(Layer0SharedTensor(1024, 4096)),
-            DecomposeDim::kM);
-}
-
-TEST(SharedTensor, Layer1DecomposesAlongN) {
-  EXPECT_EQ(ResolveDecomposition(Layer1SharedTensor(1024, 4096)),
-            DecomposeDim::kN);
-}
-
-TEST(SharedTensor, GemmConsumerIndependentAlongRowsOnly) {
-  EXPECT_TRUE(ConsumerIndependentAlong(TensorAccess::kGemmConsume,
-                                       DecomposeDim::kM));
-  EXPECT_FALSE(ConsumerIndependentAlong(TensorAccess::kGemmConsume,
-                                        DecomposeDim::kN));
-}
-
-TEST(SharedTensor, TopKReduceIndependentAlongColsOnly) {
-  EXPECT_FALSE(ConsumerIndependentAlong(TensorAccess::kTopKReduceConsume,
-                                        DecomposeDim::kM));
-  EXPECT_TRUE(ConsumerIndependentAlong(TensorAccess::kTopKReduceConsume,
-                                       DecomposeDim::kN));
-}
-
-TEST(SharedTensor, DimNames) {
-  EXPECT_EQ(DecomposeDimName(DecomposeDim::kM), "M");
-  EXPECT_EQ(DecomposeDimName(DecomposeDim::kN), "N");
 }
 
 // ---- rescheduling -----------------------------------------------------------

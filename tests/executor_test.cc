@@ -8,6 +8,10 @@
 // reassociates the K reduction).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "baselines/fastermoe.h"
 #include "baselines/megatron.h"
 #include "baselines/tutel.h"
@@ -160,6 +164,35 @@ TEST(ExecutorTiming, CometHidesMostCommunication) {
   EXPECT_GT(run.timeline.HiddenCommFraction(), 0.6);
 }
 
+// Bit-for-bit equality of two layer executions: outputs, simulated times
+// and the critical rank's timeline.
+void ExpectSameExecution(const LayerExecution& got,
+                         const LayerExecution& want) {
+  ASSERT_EQ(got.outputs.size(), want.outputs.size());
+  for (size_t g = 0; g < got.outputs.size(); ++g) {
+    ASSERT_EQ(got.outputs[g].shape(), want.outputs[g].shape())
+        << "group " << g;
+    const auto a = got.outputs[g].data();
+    const auto b = want.outputs[g].data();
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(a[i]), std::bit_cast<uint32_t>(b[i]))
+          << "group " << g << " element " << i;
+    }
+  }
+  EXPECT_EQ(got.duration_us, want.duration_us);
+  EXPECT_EQ(got.per_rank_us, want.per_rank_us);
+  const auto& ti = got.timeline.intervals();
+  const auto& wi = want.timeline.intervals();
+  ASSERT_EQ(ti.size(), wi.size());
+  for (size_t i = 0; i < ti.size(); ++i) {
+    EXPECT_EQ(ti[i].label, wi[i].label) << "interval " << i;
+    EXPECT_EQ(ti[i].category, wi[i].category) << "interval " << i;
+    EXPECT_EQ(ti[i].lane, wi[i].lane) << "interval " << i;
+    EXPECT_EQ(ti[i].start_us, wi[i].start_us) << "interval " << i;
+    EXPECT_EQ(ti[i].end_us, wi[i].end_us) << "interval " << i;
+  }
+}
+
 TEST(CometBatch, RunBatchMatchesRunAndCachesProfiles) {
   // The serving entry point (PrepareServing + RunBatchInto) must be a pure
   // optimization: bit-identical outputs, identical simulated duration and
@@ -177,25 +210,76 @@ TEST(CometBatch, RunBatchMatchesRunAndCachesProfiles) {
   EXPECT_EQ(via_run.duration_us, via_batch.duration_us);
   EXPECT_EQ(batched.profile_memo_misses(), 1u);
   EXPECT_EQ(batched.profile_memo_hits(), 0u);
+  // Run shares the serving workspace but never touches the memo.
+  const auto interleaved = batched.Run(w, cluster, ExecMode::kFunctional);
+  ExpectSameExecution(interleaved, via_run);
+  EXPECT_EQ(batched.profile_memo_misses(), 1u);
+  EXPECT_EQ(batched.profile_memo_hits(), 0u);
   // Division points agree between the swept and the memoized path.
   batched.RunBatchInto(w, cluster, ExecMode::kFunctional, &via_batch);
   EXPECT_EQ(batched.profile_memo_hits(), 1u);
+  EXPECT_EQ(batched.profile_memo_misses(), 1u);
+  ExpectSameExecution(via_batch, via_run);
   ExpectBitExact(via_run.outputs, via_batch.outputs);
   EXPECT_EQ(via_batch.duration_us, via_run.duration_us);
   EXPECT_EQ(batched.last_layer0_comm_blocks(), plain.last_layer0_comm_blocks());
   EXPECT_EQ(batched.last_layer1_comm_blocks(), plain.last_layer1_comm_blocks());
 }
 
+MoeWorkload CapacityDroppedWorkload(int tp, int ep, int64_t tokens) {
+  MoeWorkload w = TinyWorkload(tp, ep, tokens, /*seed=*/19, /*load_std=*/0.08);
+  const DropStats stats =
+      ApplyCapacityFactor(w.routing, w.model().num_experts, 0.8);
+  EXPECT_GT(stats.dropped_pairs, 0);
+  w.plan = RoutePlan(w.placement, w.routing);
+  return w;
+}
+
+TEST(CometFunctional, RunReusesWorkspaceAcrossShapes) {
+  // One executor's workspace outlives every call: smaller and larger
+  // batches, a TP change, a world change (which rebuilds the heap), a
+  // timed-only call, capacity-dropped routes and a batch beyond the heap's
+  // bounds must each leave nothing behind that the next call could observe.
+  struct Step {
+    MoeWorkload workload;
+    ClusterSpec cluster;
+    ExecMode mode;
+  };
+  const ClusterSpec ep4 = H800Cluster(4);
+  const std::vector<Step> steps = {
+      {TinyWorkload(1, 4, 64), ep4, ExecMode::kFunctional},
+      {TinyWorkload(1, 4, 16), ep4, ExecMode::kFunctional},
+      {TinyWorkload(2, 2, 48), ep4, ExecMode::kFunctional},
+      {TinyWorkload(1, 2, 32), H800Cluster(2), ExecMode::kFunctional},
+      {TinyWorkload(1, 4, 96), ep4, ExecMode::kTimedOnly},
+      {TinyWorkload(1, 4, 96), ep4, ExecMode::kFunctional},
+      {CapacityDroppedWorkload(1, 4, 64), ep4, ExecMode::kFunctional},
+      {TinyWorkload(1, 4, 128), ep4, ExecMode::kFunctional},
+  };
+  const CometOptions options{.tile_m = 8, .tile_n = 8};
+  CometExecutor reused{options};
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const Step& step = steps[i];
+    CometExecutor fresh{options};
+    const auto want = fresh.Run(step.workload, step.cluster, step.mode);
+    const auto got = reused.Run(step.workload, step.cluster, step.mode);
+    ExpectSameExecution(got, want);
+    EXPECT_EQ(got.outputs.empty(), step.mode == ExecMode::kTimedOnly);
+    EXPECT_EQ(reused.last_layer0_comm_blocks(),
+              fresh.last_layer0_comm_blocks());
+    EXPECT_EQ(reused.last_layer1_comm_blocks(),
+              fresh.last_layer1_comm_blocks());
+  }
+  EXPECT_EQ(reused.profile_memo_hits() + reused.profile_memo_misses(), 0u);
+}
+
 TEST(CometFunctional, CapacityDroppedRoutingStillBitExact) {
   // Enforce a tight capacity so pairs (and whole tokens) drop, rebuild the
   // plan, and run COMET functionally: short routes must flow through the
   // heap-mediated combine unharmed.
-  MoeWorkload w = TinyWorkload(/*tp=*/2, /*ep=*/2, /*tokens=*/48,
-                               /*seed=*/19, /*load_std=*/0.08);
-  const DropStats stats =
-      ApplyCapacityFactor(w.routing, w.model().num_experts, 0.8);
-  ASSERT_GT(stats.dropped_pairs, 0);
-  w.plan = RoutePlan(w.placement, w.routing);
+  const MoeWorkload w = CapacityDroppedWorkload(/*tp=*/2, /*ep=*/2,
+                                                /*tokens=*/48);
   const auto reference = ShardedReferenceMoeLayer(w);
   CometExecutor comet{CometOptions{.tile_m = 8, .tile_n = 8}};
   const auto run = comet.Run(w, H800Cluster(4), ExecMode::kFunctional);

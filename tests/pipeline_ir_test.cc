@@ -54,6 +54,28 @@ TEST(PipelineIr, BackwardKernelBMirrorsLayer1) {
   EXPECT_EQ(pipelines.front().hint, RescheduleHint::kPanelMajor);
 }
 
+TEST(PipelineIr, CheckOverlapPipelineRejectsAnyOtherConclusion) {
+  const PipelineGraph layer0 = MoeLayer0Graph(256, 64, 128);
+  EXPECT_NO_THROW(CheckOverlapPipeline(layer0, DecomposeDim::kM,
+                                       RescheduleHint::kArrivalOrder));
+  EXPECT_THROW(CheckOverlapPipeline(layer0, DecomposeDim::kN,
+                                    RescheduleHint::kArrivalOrder),
+               CheckError);
+  EXPECT_THROW(CheckOverlapPipeline(layer0, DecomposeDim::kM,
+                                    RescheduleHint::kPanelMajor),
+               CheckError);
+  // Same-domain edges only: nothing to overlap.
+  PipelineGraph g;
+  g.AddTensor("x", 64, 64).AddTensor("y", 64, 64);
+  g.AddOp({.name = "scale",
+           .domain = OpDomain::kCompute,
+           .reads = {{"x", AxisRole::kParallel, AxisRole::kParallel}},
+           .writes = {{"y", AxisRole::kParallel, AxisRole::kParallel}}});
+  EXPECT_THROW(
+      CheckOverlapPipeline(g, DecomposeDim::kM, RescheduleHint::kNone),
+      CheckError);
+}
+
 TEST(PipelineIr, Layer0FullAnalysisIncludesSameDomainEdges) {
   const auto all = ResolvePipelines(MoeLayer0Graph(256, 64, 128));
   // A (dispatch -> gemm) and H (gemm -> activation); Z and tokens are graph
@@ -202,6 +224,8 @@ TEST(PipelineIr, NamesAreStable) {
   EXPECT_EQ(RescheduleHintName(RescheduleHint::kArrivalOrder),
             "arrival-order");
   EXPECT_EQ(RescheduleHintName(RescheduleHint::kPanelMajor), "panel-major");
+  EXPECT_EQ(DecomposeDimName(DecomposeDim::kM), "M");
+  EXPECT_EQ(DecomposeDimName(DecomposeDim::kN), "N");
 }
 
 }  // namespace
