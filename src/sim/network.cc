@@ -21,11 +21,13 @@ FluidNetwork::FluidNetwork(int num_ports, double egress_bytes_per_us,
 
 std::vector<FlowCompletion> FluidNetwork::Run(
     const std::vector<Flow>& flows) const {
-  std::vector<FlowCompletion> out(flows.size());
-  std::vector<double> remaining(flows.size());
-  std::vector<bool> done(flows.size(), false);
+  const size_t n = flows.size();
+  const size_t ports = static_cast<size_t>(num_ports_);
+  std::vector<FlowCompletion> out(n);
+  std::vector<double> remaining(n);
+  std::vector<char> done(n, 0);
   size_t active_or_pending = 0;
-  for (size_t i = 0; i < flows.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const auto& f = flows[i];
     COMET_CHECK_GE(f.src, 0);
     COMET_CHECK_LT(f.src, num_ports_);
@@ -37,7 +39,7 @@ std::vector<FlowCompletion> FluidNetwork::Run(
     out[i].start_us = f.ready_us;
     if (f.bytes <= 0.0) {
       out[i].end_us = f.ready_us + latency_us_;
-      done[i] = true;
+      done[i] = 1;
     } else {
       ++active_or_pending;
     }
@@ -47,7 +49,7 @@ std::vector<FlowCompletion> FluidNetwork::Run(
   // Start simulation at the earliest ready time.
   {
     double earliest = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < flows.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (!done[i]) {
         earliest = std::min(earliest, flows[i].ready_us);
       }
@@ -57,21 +59,33 @@ std::vector<FlowCompletion> FluidNetwork::Run(
     }
   }
 
+  // Per-step state, allocated once. Each port's active flows are listed
+  // contiguously (egress: out_flows[out_begin[p], out_begin[p + 1]), ingress
+  // likewise), and out_n / in_n count the ones not yet fixed.
+  std::vector<size_t> active;
+  active.reserve(n);
+  std::vector<double> rate(n, 0.0);
+  std::vector<char> fixed(n, 0);
+  std::vector<double> egress_cap(ports);
+  std::vector<double> ingress_cap(ports);
+  std::vector<int> out_n(ports);
+  std::vector<int> in_n(ports);
+  std::vector<size_t> out_begin(ports + 1);
+  std::vector<size_t> in_begin(ports + 1);
+  std::vector<size_t> out_flows(n);
+  std::vector<size_t> in_flows(n);
+
   while (active_or_pending > 0) {
-    // Max-min fair rates via iterative water-filling over ports.
-    std::vector<double> rate(flows.size(), 0.0);
-    std::vector<bool> fixed(flows.size(), true);
-    std::vector<size_t> active;
-    for (size_t i = 0; i < flows.size(); ++i) {
+    active.clear();
+    for (size_t i = 0; i < n; ++i) {
       if (!done[i] && flows[i].ready_us <= now) {
         active.push_back(i);
-        fixed[i] = false;
       }
     }
     if (active.empty()) {
       // Jump to the next arrival.
       double next = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < flows.size(); ++i) {
+      for (size_t i = 0; i < n; ++i) {
         if (!done[i]) {
           next = std::min(next, flows[i].ready_us);
         }
@@ -80,72 +94,77 @@ std::vector<FlowCompletion> FluidNetwork::Run(
       continue;
     }
 
-    std::vector<double> egress_cap(static_cast<size_t>(num_ports_), egress_);
-    std::vector<double> ingress_cap(static_cast<size_t>(num_ports_), ingress_);
+    // Max-min fair rates via iterative water-filling over ports.
+    std::fill(out_n.begin(), out_n.end(), 0);
+    std::fill(in_n.begin(), in_n.end(), 0);
+    for (const size_t i : active) {
+      ++out_n[static_cast<size_t>(flows[i].src)];
+      ++in_n[static_cast<size_t>(flows[i].dst)];
+      fixed[i] = 0;
+    }
+    for (size_t p = 0; p < ports; ++p) {
+      out_begin[p + 1] = out_begin[p] + static_cast<size_t>(out_n[p]);
+      in_begin[p + 1] = in_begin[p] + static_cast<size_t>(in_n[p]);
+    }
+    // Re-count while listing, so the counts end where they started.
+    std::fill(out_n.begin(), out_n.end(), 0);
+    std::fill(in_n.begin(), in_n.end(), 0);
+    for (const size_t i : active) {
+      const size_t src = static_cast<size_t>(flows[i].src);
+      const size_t dst = static_cast<size_t>(flows[i].dst);
+      out_flows[out_begin[src] + static_cast<size_t>(out_n[src]++)] = i;
+      in_flows[in_begin[dst] + static_cast<size_t>(in_n[dst]++)] = i;
+    }
+    std::fill(egress_cap.begin(), egress_cap.end(), egress_);
+    std::fill(ingress_cap.begin(), ingress_cap.end(), ingress_);
+
     size_t unfixed = active.size();
     while (unfixed > 0) {
       // Find the tightest port: min(cap / #unfixed flows through it).
       double best_share = std::numeric_limits<double>::infinity();
-      for (int p = 0; p < num_ports_; ++p) {
-        int out_n = 0;
-        int in_n = 0;
-        for (size_t i : active) {
-          if (fixed[i]) {
-            continue;
-          }
-          if (flows[i].src == p) {
-            ++out_n;
-          }
-          if (flows[i].dst == p) {
-            ++in_n;
-          }
+      for (size_t p = 0; p < ports; ++p) {
+        if (out_n[p] > 0) {
+          best_share = std::min(best_share, egress_cap[p] / out_n[p]);
         }
-        if (out_n > 0) {
-          best_share = std::min(best_share, egress_cap[static_cast<size_t>(p)] /
-                                                out_n);
-        }
-        if (in_n > 0) {
-          best_share = std::min(
-              best_share, ingress_cap[static_cast<size_t>(p)] / in_n);
+        if (in_n[p] > 0) {
+          best_share = std::min(best_share, ingress_cap[p] / in_n[p]);
         }
       }
       COMET_CHECK(best_share < std::numeric_limits<double>::infinity());
       // Fix every unfixed flow passing through a port saturated at this
       // share. (Conservative: fix ALL unfixed flows at best_share whose src
-      // or dst port attains the bottleneck.)
+      // or dst port attains the bottleneck.) Every flow fixed in this round
+      // subtracts the same share, so the order flows are fixed in leaves the
+      // capacities -- and the later ports' tightness tests -- unchanged.
       bool fixed_any = false;
-      for (int p = 0; p < num_ports_; ++p) {
-        int out_n = 0;
-        int in_n = 0;
-        for (size_t i : active) {
-          if (!fixed[i] && flows[i].src == p) {
-            ++out_n;
-          }
-          if (!fixed[i] && flows[i].dst == p) {
-            ++in_n;
-          }
+      const auto fix = [&](size_t i) {
+        if (fixed[i]) {
+          return;
         }
+        const size_t src = static_cast<size_t>(flows[i].src);
+        const size_t dst = static_cast<size_t>(flows[i].dst);
+        rate[i] = best_share;
+        fixed[i] = 1;
+        --unfixed;
+        fixed_any = true;
+        egress_cap[src] -= best_share;
+        ingress_cap[dst] -= best_share;
+        --out_n[src];
+        --in_n[dst];
+      };
+      for (size_t p = 0; p < ports; ++p) {
         const bool out_tight =
-            out_n > 0 &&
-            egress_cap[static_cast<size_t>(p)] / out_n <= best_share * (1 + 1e-12);
+            out_n[p] > 0 && egress_cap[p] / out_n[p] <= best_share * (1 + 1e-12);
         const bool in_tight =
-            in_n > 0 && ingress_cap[static_cast<size_t>(p)] / in_n <=
-                            best_share * (1 + 1e-12);
-        if (!out_tight && !in_tight) {
-          continue;
-        }
-        for (size_t i : active) {
-          if (fixed[i]) {
-            continue;
+            in_n[p] > 0 && ingress_cap[p] / in_n[p] <= best_share * (1 + 1e-12);
+        if (out_tight) {
+          for (size_t k = out_begin[p]; k < out_begin[p + 1]; ++k) {
+            fix(out_flows[k]);
           }
-          if ((out_tight && flows[i].src == p) ||
-              (in_tight && flows[i].dst == p)) {
-            rate[i] = best_share;
-            fixed[i] = true;
-            --unfixed;
-            fixed_any = true;
-            egress_cap[static_cast<size_t>(flows[i].src)] -= best_share;
-            ingress_cap[static_cast<size_t>(flows[i].dst)] -= best_share;
+        }
+        if (in_tight) {
+          for (size_t k = in_begin[p]; k < in_begin[p + 1]; ++k) {
+            fix(in_flows[k]);
           }
         }
       }
@@ -155,23 +174,23 @@ std::vector<FlowCompletion> FluidNetwork::Run(
     // Step length: min over active flows of remaining/rate, and the next
     // arrival of a pending flow.
     double dt = std::numeric_limits<double>::infinity();
-    for (size_t i : active) {
+    for (const size_t i : active) {
       if (rate[i] > 0.0) {
         dt = std::min(dt, remaining[i] / rate[i]);
       }
     }
-    for (size_t i = 0; i < flows.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (!done[i] && flows[i].ready_us > now) {
         dt = std::min(dt, flows[i].ready_us - now);
       }
     }
     COMET_CHECK(dt > 0.0 && dt < std::numeric_limits<double>::infinity());
 
-    for (size_t i : active) {
+    for (const size_t i : active) {
       remaining[i] -= rate[i] * dt;
       if (remaining[i] <= 1e-9) {
         remaining[i] = 0.0;
-        done[i] = true;
+        done[i] = 1;
         --active_or_pending;
         out[i].end_us = now + dt + latency_us_;
       }

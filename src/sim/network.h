@@ -35,10 +35,12 @@ class FluidNetwork {
                double ingress_bytes_per_us, double latency_us);
 
   // Simulates all flows; returns completion intervals parallel to `flows`.
-  // Flows with src == dst complete after `local_copy_us(bytes)` -- they never
-  // touch the fabric; callers model local copies separately, so here they
-  // finish at ready time + latency only if bytes > 0 is remote. For
-  // simplicity flows with src == dst are rejected.
+  // Flows must cross the fabric: src == dst is rejected (callers charge
+  // local copies to compute). A zero-byte flow completes at ready time +
+  // latency. Each step (until the next completion or arrival) costs
+  // O(flows) to collect the active set plus, per water-filling round,
+  // O(ports) to find the tightest port and one pass over the flow lists of
+  // the ports it saturates; a step has at most 2 * ports rounds.
   std::vector<FlowCompletion> Run(const std::vector<Flow>& flows) const;
 
   int num_ports() const { return num_ports_; }

@@ -2,6 +2,7 @@
 // queue, fluid network and the host/stream executor.
 #include <gtest/gtest.h>
 
+#include "tests/fluid_network_reference.h"
 #include "sim/bandwidth_queue.h"
 #include "sim/network.h"
 #include "sim/slot_pool.h"
@@ -9,9 +10,13 @@
 #include "sim/timeline.h"
 #include "sim/trace_export.h"
 #include "util/check.h"
+#include "util/rng.h"
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace comet {
 namespace {
@@ -203,6 +208,60 @@ TEST(FluidNetwork, LateFlowStartsAtReadyTime) {
 TEST(FluidNetwork, RejectsSelfFlow) {
   FluidNetwork net(2, 100.0, 100.0, 0.0);
   EXPECT_THROW(net.Run({{1, 1, 10.0, 0.0}}), CheckError);
+}
+
+// Per-port water-filling against the original re-counting one
+// (fluid_network_reference.h), bit for bit: random port counts, flow sets
+// with repeated pairs, zero-byte flows, equal sizes (simultaneous
+// completions), staggered and tied ready times, unequal egress and ingress.
+TEST(FluidNetwork, MatchesReferenceWaterFillingBitForBit) {
+  Rng rng(0xf1d0);
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    const int ports = static_cast<int>(rng.UniformInt(2, 16));
+    const int n = static_cast<int>(rng.UniformInt(1, 80));
+    const double egress = rng.Uniform(20.0, 400.0);
+    const double ingress = rng.UniformInt(0, 3) == 0 ? egress
+                                                     : rng.Uniform(20.0, 400.0);
+    const double latency = rng.UniformInt(0, 1) == 0 ? 0.0 : rng.Uniform(0.0, 5.0);
+    const bool staggered = rng.UniformInt(0, 1) == 1;
+    std::vector<Flow> flows(static_cast<size_t>(n));
+    for (Flow& f : flows) {
+      f.src = static_cast<int>(rng.UniformInt(0, ports - 1));
+      f.dst = static_cast<int>(rng.UniformInt(0, ports - 2));
+      f.dst += f.dst >= f.src ? 1 : 0;
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          f.bytes = 0.0;
+          break;
+        case 1:
+          f.bytes = 1024.0 * static_cast<double>(rng.UniformInt(1, 4));
+          break;
+        default:
+          f.bytes = rng.Uniform(1.0, 1.0e5);
+          break;
+      }
+      if (staggered) {
+        f.ready_us = rng.UniformInt(0, 2) == 0
+                         ? 10.0 * static_cast<double>(rng.UniformInt(0, 5))
+                         : rng.Uniform(0.0, 200.0);
+      }
+    }
+    SCOPED_TRACE("case " + std::to_string(c));
+    const FluidNetwork net(ports, egress, ingress, latency);
+    const auto got = net.Run(flows);
+    const auto want =
+        fluid_reference::Run(ports, egress, ingress, latency, flows);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].start_us),
+                std::bit_cast<uint64_t>(want[i].start_us))
+          << "flow " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].end_us),
+                std::bit_cast<uint64_t>(want[i].end_us))
+          << "flow " << i;
+    }
+  }
 }
 
 // ---- stream sim -----------------------------------------------------------------
