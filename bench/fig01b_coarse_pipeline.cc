@@ -18,11 +18,12 @@ namespace {
 
 // Chunked Megatron-style MoE layer on `rank`: phase-major, chunk-minor
 // issue so chunk c+1's dispatch overlaps chunk c's experts (the Figure 1(b)
-// schedule), with per-chunk kernels and launches.
+// schedule), with per-chunk kernels and launches. `collectives` are priced
+// for a chunk of 1 / `degree`.
 double ChunkedLayerUs(const MoeWorkload& w, const OpCostModel& costs,
-                      int rank, int degree) {
-  const BaselineQuantities q =
-      ComputeQuantities(w, costs, rank, 0.85, 1.0 / degree);
+                      const BaselineCollectives& collectives, int rank,
+                      int degree) {
+  const BaselineQuantities q = ComputeQuantities(w, costs, collectives, rank);
   StreamSim sim(costs.LaunchUs());
   const int comp = sim.AddStream("compute");
   const int comm = sim.AddStream("comm");
@@ -76,9 +77,12 @@ REGISTER_BENCH(fig01b_coarse_pipeline, "Figure 1(b): coarse-grained overlap by c
     std::vector<std::string> row{std::to_string(m)};
     double best_chunked = 1e300;
     for (const int degree : {1, 2, 4, 8}) {
+      const BaselineCollectives collectives =
+          ComputeCollectives(w, costs, 1.0 / degree);
       double worst = 0.0;
       for (int r = 0; r < w.world(); ++r) {
-        worst = std::max(worst, ChunkedLayerUs(w, costs, r, degree));
+        worst = std::max(worst,
+                         ChunkedLayerUs(w, costs, collectives, r, degree));
       }
       row.push_back(FormatUsAsMs(worst));
       if (degree > 1) {

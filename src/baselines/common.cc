@@ -35,18 +35,38 @@ std::vector<std::vector<double>> ScaleMatrix(
 
 }  // namespace
 
-BaselineQuantities ComputeQuantities(const MoeWorkload& workload,
-                                     const OpCostModel& costs, int rank,
-                                     double gemm_efficiency,
-                                     double chunk_fraction) {
+BaselineCollectives ComputeCollectives(const MoeWorkload& workload,
+                                       const OpCostModel& costs,
+                                       double chunk_fraction) {
   COMET_CHECK_GT(chunk_fraction, 0.0);
   COMET_CHECK_LE(chunk_fraction, 1.0);
   const Placement& placement = workload.placement;
   const RoutePlan& plan = workload.plan;
   const ClusterSpec& cluster = costs.cluster();
+  const double row_bytes = static_cast<double>(placement.model().embedding) *
+                           costs.bytes_per_element();
+
+  BaselineCollectives c;
+  c.chunk_fraction = chunk_fraction;
+  c.a2a_dispatch_us = AllToAllCostUs(
+      cluster, ScaleMatrix(plan.DispatchBytes(row_bytes), chunk_fraction));
+  c.a2a_return_us = AllToAllCostUs(
+      cluster, ScaleMatrix(plan.EpReturnBytes(row_bytes), chunk_fraction));
+  c.tp_reduce_scatter_us = RingReduceScatterCostUs(
+      cluster, chunk_fraction * static_cast<double>(placement.parallel().tp) *
+                   plan.TpReduceScatterBytesPerRank(row_bytes));
+  return c;
+}
+
+BaselineQuantities ComputeQuantities(const MoeWorkload& workload,
+                                     const OpCostModel& costs,
+                                     const BaselineCollectives& collectives,
+                                     int rank, double gemm_efficiency) {
+  const double chunk_fraction = collectives.chunk_fraction;
+  const Placement& placement = workload.placement;
+  const RoutePlan& plan = workload.plan;
+  const ClusterSpec& cluster = costs.cluster();
   const double elt = costs.bytes_per_element();
-  const double row_bytes =
-      static_cast<double>(placement.model().embedding) * elt;
 
   // A dedicated GEMM model so TE can use its own sustained efficiency.
   const GemmCostModel gemm(cluster.gpu, 128, 128, gemm_efficiency, elt);
@@ -66,13 +86,9 @@ BaselineQuantities ComputeQuantities(const MoeWorkload& workload,
       costs.CombineReduceUs(chunk_rows, placement.model().embedding,
                             placement.model().topk);
 
-  q.a2a_dispatch_us = AllToAllCostUs(
-      cluster, ScaleMatrix(plan.DispatchBytes(row_bytes), chunk_fraction));
-  q.a2a_return_us = AllToAllCostUs(
-      cluster, ScaleMatrix(plan.EpReturnBytes(row_bytes), chunk_fraction));
-  q.tp_reduce_scatter_us = RingReduceScatterCostUs(
-      cluster, chunk_fraction * static_cast<double>(placement.parallel().tp) *
-                   plan.TpReduceScatterBytesPerRank(row_bytes));
+  q.a2a_dispatch_us = collectives.a2a_dispatch_us;
+  q.a2a_return_us = collectives.a2a_return_us;
+  q.tp_reduce_scatter_us = collectives.tp_reduce_scatter_us;
 
   const auto shapes0 = ToGemmShapes(plan.Layer0Problems(rank), chunk_fraction);
   const auto shapes1 = ToGemmShapes(plan.Layer1Problems(rank), chunk_fraction);

@@ -21,9 +21,25 @@ namespace comet {
 // overall duration when M is small").
 inline constexpr double kAuxRoutingKernels = 8.0;
 
-// Per-rank operator durations every baseline composes from. All collective
-// times are global makespans (a collective completes when the slowest rank
-// does), GEMM/local times are per-rank.
+// The layer's collectives, priced once for every rank: each is a global
+// makespan (a collective completes when the slowest rank does) of the
+// whole-world byte matrix scaled to one pipeline chunk.
+struct BaselineCollectives {
+  double chunk_fraction = 1.0;  // the chunk these were priced for
+  double a2a_dispatch_us = 0.0;
+  double a2a_return_us = 0.0;
+  double tp_reduce_scatter_us = 0.0;
+};
+
+// Prices the dispatch and return all-to-alls and the TP reduce-scatter of
+// one `chunk_fraction` (0 < f <= 1) of the layer's traffic.
+BaselineCollectives ComputeCollectives(const MoeWorkload& workload,
+                                       const OpCostModel& costs,
+                                       double chunk_fraction = 1.0);
+
+// Per-rank operator durations every baseline composes from. The collective
+// times are copied from the layer's BaselineCollectives; GEMM/local times
+// are per-rank.
 struct BaselineQuantities {
   double gate_us = 0.0;
   double permute_us = 0.0;    // local token reordering before dispatch
@@ -40,15 +56,15 @@ struct BaselineQuantities {
   std::vector<double> gemm1_per_expert_us;
 };
 
-// Computes the quantities for `rank`. `gemm_efficiency` lets Megatron-TE use
-// its slightly different kernel selection; `chunk_fraction` (0 < f <= 1)
-// scales the token rows per kernel for pipelined baselines (GEMM efficiency
+// Computes the quantities for `rank`, one pipeline chunk of
+// `collectives.chunk_fraction` of its rows at a time (GEMM efficiency
 // degrades on the smaller chunks -- this is the t1 + t2 > t effect of
-// Figure 1(b)).
+// Figure 1(b)). `gemm_efficiency` lets Megatron-TE use its slightly
+// different kernel selection.
 BaselineQuantities ComputeQuantities(const MoeWorkload& workload,
-                                     const OpCostModel& costs, int rank,
-                                     double gemm_efficiency = 0.85,
-                                     double chunk_fraction = 1.0);
+                                     const OpCostModel& costs,
+                                     const BaselineCollectives& collectives,
+                                     int rank, double gemm_efficiency = 0.85);
 
 // Finalizes a LayerExecution from per-rank durations/timelines: picks the
 // slowest rank as critical.

@@ -21,12 +21,14 @@ LayerExecution FasterMoeExecutor::Run(const MoeWorkload& workload,
   const double chunk_fraction = 1.0 / kPipelineDegree;
   std::vector<double> per_rank(static_cast<size_t>(world), 0.0);
   std::vector<Timeline> timelines(static_cast<size_t>(world));
+  const BaselineCollectives collectives =
+      ComputeCollectives(workload, costs, chunk_fraction);
 
   // Per-rank StreamSim programs are independent; fan them out.
   ParallelFor(0, world, 1, [&](int64_t ri) {
     const int r = static_cast<int>(ri);
     const BaselineQuantities q =
-        ComputeQuantities(workload, costs, r, 0.85, chunk_fraction);
+        ComputeQuantities(workload, costs, collectives, r);
     const double experts_host_us =
         kPerExpertHostUs *
         static_cast<double>(workload.placement.ExpertsPerGroup());

@@ -23,12 +23,13 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
   const int world = workload.world();
   std::vector<double> per_rank(static_cast<size_t>(world), 0.0);
   std::vector<Timeline> timelines(static_cast<size_t>(world));
+  const BaselineCollectives collectives = ComputeCollectives(workload, costs);
 
   // Per-rank StreamSim programs are independent; fan them out.
   ParallelFor(0, world, 1, [&](int64_t ri) {
     const int r = static_cast<int>(ri);
-    const BaselineQuantities q =
-        ComputeQuantities(workload, costs, r, flavor_.gemm_efficiency);
+    const BaselineQuantities q = ComputeQuantities(workload, costs, collectives,
+                                                   r, flavor_.gemm_efficiency);
 
     StreamSim sim(costs.LaunchUs());
     const int stream = sim.AddStream("compute");

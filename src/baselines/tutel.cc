@@ -1,5 +1,7 @@
 #include "baselines/tutel.h"
 
+#include <array>
+#include <iterator>
 #include <limits>
 
 #include "moe/reference_layer.h"
@@ -10,10 +12,12 @@
 namespace comet {
 
 double TutelExecutor::SimulateRank(const MoeWorkload& workload,
-                                   const OpCostModel& costs, int rank,
-                                   int degree, Timeline* timeline) const {
+                                   const OpCostModel& costs,
+                                   const BaselineCollectives& collectives,
+                                   int rank, int degree,
+                                   Timeline* timeline) const {
   const BaselineQuantities q =
-      ComputeQuantities(workload, costs, rank, 0.85, 1.0 / degree);
+      ComputeQuantities(workload, costs, collectives, rank);
   const double host_sched_us =
       kPerExpertTopkHostUs *
       static_cast<double>(workload.placement.ExpertsPerGroup()) *
@@ -82,16 +86,21 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
 
   // Heuristic search: pick the pipeline degree minimizing rank 0's latency
   // (Tutel tunes on a sampled rank, not the global critical path -- part of
-  // why its choice can be sub-optimal).
+  // why its choice can be sub-optimal). Each probed degree prices its
+  // chunk's collectives once; the winner's serve every rank.
   double best = std::numeric_limits<double>::infinity();
-  int best_degree = kDegrees[0];
-  for (int d : kDegrees) {
-    const double t = SimulateRank(workload, costs, 0, d, nullptr);
+  size_t best_index = 0;
+  std::array<BaselineCollectives, std::size(kDegrees)> collectives;
+  for (size_t i = 0; i < std::size(kDegrees); ++i) {
+    collectives[i] = ComputeCollectives(workload, costs, 1.0 / kDegrees[i]);
+    const double t =
+        SimulateRank(workload, costs, collectives[i], 0, kDegrees[i], nullptr);
     if (t < best) {
       best = t;
-      best_degree = d;
+      best_index = i;
     }
   }
+  const int best_degree = kDegrees[best_index];
   last_degree_ = best_degree;
 
   const int world = workload.world();
@@ -100,8 +109,9 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
   // Per-rank simulations are independent; fan them out.
   ParallelFor(0, world, 1, [&](int64_t r) {
     per_rank[static_cast<size_t>(r)] =
-        SimulateRank(workload, costs, static_cast<int>(r), best_degree,
-                     &timelines[static_cast<size_t>(r)]);
+        SimulateRank(workload, costs, collectives[best_index],
+                     static_cast<int>(r),
+                     best_degree, &timelines[static_cast<size_t>(r)]);
   });
   FinalizeFromRanks(std::move(per_rank), std::move(timelines), out);
 

@@ -26,8 +26,10 @@ class TutelExecutor : public MoeLayerExecutor {
   int last_pipeline_degree() const { return last_degree_; }
 
  private:
+  // `collectives` are priced for a chunk of 1 / `degree`.
   double SimulateRank(const MoeWorkload& workload, const OpCostModel& costs,
-                      int rank, int degree, Timeline* timeline) const;
+                      const BaselineCollectives& collectives, int rank,
+                      int degree, Timeline* timeline) const;
 
   // The limited search space of pipeline degrees.
   static constexpr int kDegrees[3] = {1, 2, 4};
