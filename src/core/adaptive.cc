@@ -29,14 +29,26 @@ std::vector<int> AdaptiveAssigner::Candidates(int total_blocks) const {
 std::vector<DivisionPointSample> AdaptiveAssigner::Sweep(
     MoePipelineStage stage, const RoutePlan& plan, int rank,
     const OpCostModel& costs, const FusedKernelConfig& base) const {
+  // Only the channel and the slot schedule depend on nc: prepare the layer
+  // once, then price every candidate on it. Only durations are read, so no
+  // timeline is recorded.
+  const bool layer0 = stage == MoePipelineStage::kLayer0;
+  FusedKernelWorkspace ws;
+  if (layer0) {
+    PrepareLayer0Fused(plan, rank, costs, base, ws);
+  } else {
+    PrepareLayer1Fused(plan, rank, costs, base, ws);
+  }
   std::vector<DivisionPointSample> samples;
+  FusedKernelResult result;
   for (int nc : Candidates(base.total_blocks)) {
     FusedKernelConfig config = base;
     config.comm_blocks = nc;
-    const FusedKernelResult result =
-        stage == MoePipelineStage::kLayer0
-            ? SimulateLayer0Fused(plan, rank, costs, config)
-            : SimulateLayer1Fused(plan, rank, costs, config);
+    if (layer0) {
+      PriceLayer0Fused(plan, costs, config, ws, &result, nullptr);
+    } else {
+      PriceLayer1Fused(plan, costs, config, ws, &result, nullptr);
+    }
     samples.push_back(DivisionPointSample{nc, result.duration_us});
   }
   return samples;

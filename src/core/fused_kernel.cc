@@ -54,19 +54,35 @@ double TierLatencyUs(const TierSplit& split, const ClusterSpec& cluster) {
              : cluster.link.latency_us;
 }
 
-void ResetResult(FusedKernelResult* result) {
+// Zeroes the numbers of `result` and clears `timeline` when there is one.
+// `result->timeline` is left alone: the price steps write intervals only to
+// the timeline their caller passes.
+void ResetResult(FusedKernelResult* result, Timeline* timeline) {
   result->duration_us = 0.0;
   result->compute_makespan_us = 0.0;
   result->comm_makespan_us = 0.0;
   result->stall_us = 0.0;
   result->comm_bytes = 0.0;
-  result->timeline.Clear();
+  if (timeline != nullptr) {
+    timeline->Clear();
+  }
+}
+
+// Appends one interval per scheduled tile to `timeline`, if there is one.
+void AddTileIntervals(const SlotSchedule& sched, const char* label,
+                      OpCategory category, Timeline* timeline) {
+  if (timeline == nullptr) {
+    return;
+  }
+  for (const ScheduledTask& task : sched.tasks) {
+    timeline->Add(label, category, 0, task.start_us, task.end_us);
+  }
 }
 
 // Lays out the flat chunk id space for `plan` and clears the per-chunk
-// accumulators. Returns the total chunk count.
-int64_t PrepareChunks(const RankPlan& rank_plan, int64_t tile_m,
-                      FusedKernelWorkspace& ws) {
+// accumulators.
+void PrepareChunks(const RankPlan& rank_plan, int64_t tile_m,
+                   FusedKernelWorkspace& ws) {
   const size_t n_experts = rank_plan.experts.size();
   ws.chunk_base.resize(n_experts);
   int64_t total_chunks = 0;
@@ -78,18 +94,15 @@ int64_t PrepareChunks(const RankPlan& rank_plan, int64_t tile_m,
   ws.chunk_seen.assign(static_cast<size_t>(total_chunks), 0);
   ws.chunk_intra.assign(static_cast<size_t>(total_chunks), 0.0);
   ws.chunk_inter.assign(static_cast<size_t>(total_chunks), 0.0);
-  ws.chunk_arrival.assign(static_cast<size_t>(total_chunks), 0.0);
   ws.chunk_order.clear();
-  return total_chunks;
 }
 
 }  // namespace
 
-void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result) {
+void PrepareLayer0Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws) {
   const Placement& placement = plan.placement();
   const int group = placement.EpGroupOfRank(rank);
   const int ep = placement.parallel().ep;
@@ -97,11 +110,6 @@ void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
   const int64_t out_cols = placement.HiddenPerTpRank();
   const int64_t n_embed = placement.model().embedding;
   const double row_bytes = static_cast<double>(n_embed) * costs.bytes_per_element();
-  const LinkSpec& link = costs.cluster().link;
-
-  COMET_CHECK_GT(config.total_blocks, 0);
-  COMET_CHECK_GE(config.comm_blocks, 0);
-  COMET_CHECK_LT(config.comm_blocks, config.total_blocks);
 
   BuildLayer0ScheduleInto(rank_plan, group, ep, out_cols, config.tile_m,
                           config.tile_n, config.reschedule,
@@ -144,8 +152,37 @@ void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
     total_split.inter += remote.inter;
     ws.chunk_order.push_back(chunk);
   }
+  ws.remote_intra = total_split.intra;
+  ws.remote_inter = total_split.inter;
 
-  ResetResult(result);
+  // The chunks with remote rows, in first-use order, as delivery jobs.
+  ws.jobs.clear();
+  ws.job_chunks.clear();
+  for (const int64_t chunk : ws.chunk_order) {
+    const double bytes = ws.chunk_intra[static_cast<size_t>(chunk)] +
+                         ws.chunk_inter[static_cast<size_t>(chunk)];
+    if (bytes > 0.0) {
+      ws.jobs.push_back(TransferJob{0.0, bytes});
+      ws.job_chunks.push_back(chunk);
+    }
+  }
+}
+
+void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
+                      const FusedKernelConfig& config,
+                      FusedKernelWorkspace& ws, FusedKernelResult* result,
+                      Timeline* timeline) {
+  const int64_t n_embed = plan.placement().model().embedding;
+  const ClusterSpec& cluster = costs.cluster();
+  const LinkSpec& link = cluster.link;
+  const Layer0Schedule& schedule = ws.layer0;
+
+  COMET_CHECK_GT(config.total_blocks, 0);
+  COMET_CHECK_GE(config.comm_blocks, 0);
+  COMET_CHECK_LT(config.comm_blocks, config.total_blocks);
+
+  ResetResult(result, timeline);
+  const TierSplit total_split{ws.remote_intra, ws.remote_inter};
   result->comm_bytes = total_split.intra + total_split.inter;
 
   const double total_comm_bytes = result->comm_bytes;
@@ -184,10 +221,7 @@ void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
     result->comm_makespan_us = sched.makespan_us;
     result->stall_us = sched.stall_us;
     result->duration_us = sched.makespan_us;
-    for (size_t i = 0; i < ws.tasks.size(); ++i) {
-      result->timeline.Add("l0-tile", OpCategory::kLayer0Comp, 0,
-                           sched.tasks[i].start_us, sched.tasks[i].end_us);
-    }
+    AddTileIntervals(sched, "l0-tile", OpCategory::kLayer0Comp, timeline);
     return;
   }
 
@@ -195,29 +229,22 @@ void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
       << "remote tokens but no communication blocks";
 
   // Token delivery: FIFO channel at the aggregate rate of the nc blocks,
-  // tier-blended on multi-node clusters.
+  // tier-blended on multi-node clusters. Local chunks arrive at 0.
+  ws.chunk_arrival.assign(ws.chunk_intra.size(), 0.0);
   if (total_comm_bytes > 0.0) {
     const double bw =
         ScatteredChannelBandwidth(total_split, cluster, config.comm_blocks);
     BandwidthQueue channel(bw, TierLatencyUs(total_split, cluster));
-    ws.jobs.clear();
-    ws.job_chunks.clear();
-    for (const int64_t chunk : ws.chunk_order) {
-      const double bytes = ws.chunk_intra[static_cast<size_t>(chunk)] +
-                           ws.chunk_inter[static_cast<size_t>(chunk)];
-      if (bytes > 0.0) {
-        ws.jobs.push_back(TransferJob{0.0, bytes});
-        ws.job_chunks.push_back(chunk);
-      }
-    }
     channel.ScheduleInto(ws.jobs, 0.0, &ws.transfers);
     for (size_t i = 0; i < ws.transfers.size(); ++i) {
       ws.chunk_arrival[static_cast<size_t>(ws.job_chunks[i])] =
           ws.transfers[i].end_us;
       result->comm_makespan_us =
           std::max(result->comm_makespan_us, ws.transfers[i].end_us);
-      result->timeline.Add("l0-recv", OpCategory::kLayer0Comm, 1,
-                           ws.transfers[i].start_us, ws.transfers[i].end_us);
+      if (timeline != nullptr) {
+        timeline->Add("l0-recv", OpCategory::kLayer0Comm, 1,
+                      ws.transfers[i].start_us, ws.transfers[i].end_us);
+      }
     }
   }
 
@@ -237,10 +264,16 @@ void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
   result->compute_makespan_us = sched.makespan_us;
   result->stall_us = sched.stall_us;
   result->duration_us = std::max(sched.makespan_us, result->comm_makespan_us);
-  for (size_t i = 0; i < ws.tasks.size(); ++i) {
-    result->timeline.Add("l0-tile", OpCategory::kLayer0Comp, 0,
-                         sched.tasks[i].start_us, sched.tasks[i].end_us);
-  }
+  AddTileIntervals(sched, "l0-tile", OpCategory::kLayer0Comp, timeline);
+}
+
+void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
+                             const OpCostModel& costs,
+                             const FusedKernelConfig& config,
+                             FusedKernelWorkspace& ws,
+                             FusedKernelResult* result) {
+  PrepareLayer0Fused(plan, rank, costs, config, ws);
+  PriceLayer0Fused(plan, costs, config, ws, result, &result->timeline);
 }
 
 FusedKernelResult SimulateLayer0Fused(const RoutePlan& plan, int rank,
@@ -252,25 +285,17 @@ FusedKernelResult SimulateLayer0Fused(const RoutePlan& plan, int rank,
   return result;
 }
 
-void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result) {
+void PrepareLayer1Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws) {
   const Placement& placement = plan.placement();
   const RankPlan& rank_plan = plan.ForRank(rank);
   const int64_t n_embed = placement.model().embedding;
-  const int64_t k_depth = placement.HiddenPerTpRank();
   const double elt = costs.bytes_per_element();
-  const LinkSpec& link = costs.cluster().link;
-
-  COMET_CHECK_GT(config.total_blocks, 0);
-  COMET_CHECK_GE(config.comm_blocks, 0);
-  COMET_CHECK_LT(config.comm_blocks, config.total_blocks);
 
   BuildLayer1ScheduleInto(rank_plan, n_embed, config.tile_m, config.tile_n,
                           config.reschedule, &ws.layer1);
-  const Layer1Schedule& schedule = ws.layer1;
 
   // Communication volume: remote partial rows return to their home group
   // (scattered all-to-all writes, split by fabric tier) plus the TP
@@ -294,15 +319,37 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
       }
     }
   }
-  const double ep_bytes_total = ep_split.intra + ep_split.inter;
-  const double rs_bytes_total = plan.TpReduceScatterBytesPerRank(row_bytes);
+  ws.remote_intra = ep_split.intra;
+  ws.remote_inter = ep_split.inter;
+  ws.reduce_scatter_bytes = plan.TpReduceScatterBytesPerRank(row_bytes);
   const int tp = placement.parallel().tp;
-  const bool tp_group_spans_nodes =
+  ws.reduce_scatter_crosses_nodes =
       tp > 1 && !cluster.SameNode(placement.RankOf(group, 0),
                                   placement.RankOf(group, tp - 1));
+}
+
+void PriceLayer1Fused(const RoutePlan& plan, const OpCostModel& costs,
+                      const FusedKernelConfig& config,
+                      FusedKernelWorkspace& ws, FusedKernelResult* result,
+                      Timeline* timeline) {
+  const Placement& placement = plan.placement();
+  const int64_t n_embed = placement.model().embedding;
+  const int64_t k_depth = placement.HiddenPerTpRank();
+  const ClusterSpec& cluster = costs.cluster();
+  const LinkSpec& link = cluster.link;
+  const Layer1Schedule& schedule = ws.layer1;
+
+  COMET_CHECK_GT(config.total_blocks, 0);
+  COMET_CHECK_GE(config.comm_blocks, 0);
+  COMET_CHECK_LT(config.comm_blocks, config.total_blocks);
+
+  const TierSplit ep_split{ws.remote_intra, ws.remote_inter};
+  const double ep_bytes_total = ep_split.intra + ep_split.inter;
+  const double rs_bytes_total = ws.reduce_scatter_bytes;
+  const bool tp_group_spans_nodes = ws.reduce_scatter_crosses_nodes;
   const double total_comm = ep_bytes_total + rs_bytes_total;
 
-  ResetResult(result);
+  ResetResult(result, timeline);
   result->comm_bytes = total_comm;
 
   const double tile_us =
@@ -327,10 +374,7 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
     result->comm_makespan_us = sched.makespan_us;
     result->duration_us = sched.makespan_us;
     result->stall_us = sched.stall_us;
-    for (size_t i = 0; i < ws.tasks.size(); ++i) {
-      result->timeline.Add("l1-tile", OpCategory::kLayer1Comp, 0,
-                           sched.tasks[i].start_us, sched.tasks[i].end_us);
-    }
+    AddTileIntervals(sched, "l1-tile", OpCategory::kLayer1Comp, timeline);
     return;
   }
 
@@ -344,10 +388,7 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
   const SlotSchedule& sched = ws.slot_schedule;
   result->compute_makespan_us = sched.makespan_us;
   result->stall_us = sched.stall_us;
-  for (size_t i = 0; i < ws.tasks.size(); ++i) {
-    result->timeline.Add("l1-tile", OpCategory::kLayer1Comp, 0,
-                         sched.tasks[i].start_us, sched.tasks[i].end_us);
-  }
+  AddTileIntervals(sched, "l1-tile", OpCategory::kLayer1Comp, timeline);
 
   // Panel completion times gate the reduce + write/send of those columns.
   ws.panel_done.assign(static_cast<size_t>(panels), 0.0);
@@ -391,12 +432,23 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
     channel.ScheduleInto(ws.jobs, 0.0, &ws.transfers);
     for (const auto& s : ws.transfers) {
       comm_end = std::max(comm_end, s.end_us);
-      result->timeline.Add("l1-send", OpCategory::kLayer1Comm, 1, s.start_us,
-                           s.end_us);
+      if (timeline != nullptr) {
+        timeline->Add("l1-send", OpCategory::kLayer1Comm, 1, s.start_us,
+                      s.end_us);
+      }
     }
   }
   result->comm_makespan_us = comm_end;
   result->duration_us = std::max(result->compute_makespan_us, comm_end);
+}
+
+void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
+                             const OpCostModel& costs,
+                             const FusedKernelConfig& config,
+                             FusedKernelWorkspace& ws,
+                             FusedKernelResult* result) {
+  PrepareLayer1Fused(plan, rank, costs, config, ws);
+  PriceLayer1Fused(plan, costs, config, ws, result, &result->timeline);
 }
 
 FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,

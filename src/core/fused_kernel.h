@@ -47,13 +47,14 @@ struct FusedKernelResult {
   Timeline timeline;
 };
 
-// Reusable workspace for the Simulate*FusedInto variants below. Owned per
-// rank by the executor; every buffer grows to its high-water mark during
-// warm-up and is then reused allocation-free. After a call, `layer0` /
-// `layer1` hold the schedule that call priced; the executor's functional
-// plane runs its tiles in exactly that order. Row chunks (the token-delivery
-// unit: tiles of one expert sharing a row range) are addressed by the flat
-// id `chunk_base[expert_local] + row_begin / tile_m` instead of a map.
+// Reusable workspace for the prepare / price steps and the
+// Simulate*FusedInto variants below. Owned per rank by the executor; every
+// buffer grows to its high-water mark during warm-up and is then reused
+// allocation-free. After a call, `layer0` / `layer1` hold the schedule that
+// call priced; the executor's functional plane runs its tiles in exactly
+// that order. Row chunks (the token-delivery unit: tiles of one expert
+// sharing a row range) are addressed by the flat id
+// `chunk_base[expert_local] + row_begin / tile_m` instead of a map.
 struct FusedKernelWorkspace {
   ScheduleScratch schedule_scratch;
   Layer0Schedule layer0;
@@ -64,8 +65,16 @@ struct FusedKernelWorkspace {
   std::vector<double> chunk_inter;    // remote bytes per chunk, inter-node
   std::vector<double> chunk_arrival;  // delivery time per chunk (0 = local)
   std::vector<int64_t> chunk_order;   // chunk ids in tile first-use order
+  // Written by a prepare step, read by the price step after it: the rank's
+  // remote bytes by fabric tier (layer0: rows in, layer1: EP return rows
+  // out), and layer1's TP reduce-scatter share and whether it crosses nodes.
+  double remote_intra = 0.0;
+  double remote_inter = 0.0;
+  double reduce_scatter_bytes = 0.0;
+  bool reduce_scatter_crosses_nodes = false;
   std::vector<SlotTask> tasks;
-  std::vector<TransferJob> jobs;
+  std::vector<TransferJob> jobs;      // layer0: chunk deliveries (prepared);
+                                      // layer1: panel sends (priced)
   std::vector<int64_t> job_chunks;    // chunk id of each transfer job
   std::vector<TransferResult> transfers;
   std::vector<double> slot_heap;
@@ -86,7 +95,8 @@ FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,
 
 // Allocation-free rebuild variants: identical numbers and timeline to the
 // functions above, built into `result` (timeline cleared and refilled; all
-// labels fit SSO) using `ws` for every intermediate.
+// labels fit SSO) using `ws` for every intermediate. Each is its layer's
+// prepare step followed by its price step.
 void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
                              const OpCostModel& costs,
                              const FusedKernelConfig& config,
@@ -97,5 +107,40 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
                              const FusedKernelConfig& config,
                              FusedKernelWorkspace& ws,
                              FusedKernelResult* result);
+
+// The two steps of a fused-kernel simulation, for callers that price many
+// division points of one layer (the adaptive sweep).
+//
+// Prepare builds into `ws` everything that does not depend on
+// `config.comm_blocks`: the (rescheduled) tile schedule; for layer0 the row
+// chunk layout, each chunk's remote bytes by fabric tier and the delivery
+// jobs; for layer1 the EP return bytes by tier and the TP reduce-scatter
+// share. It reads `config`'s tile sizes and reschedule flag only.
+//
+// Price simulates one division point on the prepared `ws`: the
+// communication channel of nc blocks and the in-order slot schedule of the
+// np = total_blocks - nc GEMM blocks. `config` must equal the prepare's in
+// every field but comm_blocks, which price validates. It leaves
+// `result->timeline` alone and writes the intervals to `timeline` (cleared
+// first) only when that is non-null. A price leaves the prepared state as
+// it found it, so one prepare serves any number of prices. The two
+// schedules live side by side, but the rest of the prepared state is
+// shared: price the layer prepared last.
+void PrepareLayer0Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws);
+void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
+                      const FusedKernelConfig& config,
+                      FusedKernelWorkspace& ws, FusedKernelResult* result,
+                      Timeline* timeline);
+void PrepareLayer1Fused(const RoutePlan& plan, int rank,
+                        const OpCostModel& costs,
+                        const FusedKernelConfig& config,
+                        FusedKernelWorkspace& ws);
+void PriceLayer1Fused(const RoutePlan& plan, const OpCostModel& costs,
+                      const FusedKernelConfig& config,
+                      FusedKernelWorkspace& ws, FusedKernelResult* result,
+                      Timeline* timeline);
 
 }  // namespace comet

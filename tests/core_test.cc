@@ -2,7 +2,11 @@
 // and adaptive workload assignment.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "core/adaptive.h"
 #include "core/fused_kernel.h"
@@ -214,6 +218,82 @@ TEST_F(FusedKernelTest, MoreCommBlocksTradeComputeForComm) {
   EXPECT_LT(many_tail, few_tail);
   // Fewer compute blocks stretch the compute makespan.
   EXPECT_GT(many.compute_makespan_us, few.compute_makespan_us);
+}
+
+void ExpectSameBits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
+}
+
+void ExpectSameNumbers(const FusedKernelResult& a, const FusedKernelResult& b) {
+  ExpectSameBits(a.duration_us, b.duration_us, "duration_us");
+  ExpectSameBits(a.compute_makespan_us, b.compute_makespan_us,
+                 "compute_makespan_us");
+  ExpectSameBits(a.comm_makespan_us, b.comm_makespan_us, "comm_makespan_us");
+  ExpectSameBits(a.stall_us, b.stall_us, "stall_us");
+  ExpectSameBits(a.comm_bytes, b.comm_bytes, "comm_bytes");
+}
+
+// One prepare serves every division point: pricing nc after nc on one
+// prepared workspace gives exactly what a fresh simulation at that nc
+// gives, and records a timeline only when handed one.
+TEST(FusedKernelSteps, PricesOnOnePrepareMatchFreshSimulations) {
+  for (const ClusterSpec& cluster :
+       {H800Cluster(4), MultiNodeH800Cluster(2, 2)}) {
+    const OpCostModel costs(cluster);
+    for (const auto& [tp, ep] : {std::pair{1, 4}, std::pair{2, 2}}) {
+      const MoeWorkload w = SmallWorkload(tp, ep, 2048);
+      for (const bool vertical : {false, true}) {
+        for (const bool layer0 : {true, false}) {
+          SCOPED_TRACE(cluster.name + " TP" + std::to_string(tp) + " EP" +
+                       std::to_string(ep) + (vertical ? " vertical" : "") +
+                       (layer0 ? " layer0" : " layer1"));
+          FusedKernelConfig config;
+          config.total_blocks = cluster.gpu.num_sms;
+          config.tile_m = 64;
+          config.tile_n = 64;
+          config.vertical_fusion = vertical;
+          FusedKernelWorkspace ws;
+          if (layer0) {
+            PrepareLayer0Fused(w.plan, 1, costs, config, ws);
+          } else {
+            PrepareLayer1Fused(w.plan, 1, costs, config, ws);
+          }
+          FusedKernelResult recorded;
+          FusedKernelResult unrecorded;
+          for (const int nc : {8, 1, 64, 8, 120}) {
+            config.comm_blocks = nc;
+            const FusedKernelResult fresh =
+                layer0 ? SimulateLayer0Fused(w.plan, 1, costs, config)
+                       : SimulateLayer1Fused(w.plan, 1, costs, config);
+            if (layer0) {
+              PriceLayer0Fused(w.plan, costs, config, ws, &recorded,
+                               &recorded.timeline);
+              PriceLayer0Fused(w.plan, costs, config, ws, &unrecorded,
+                               nullptr);
+            } else {
+              PriceLayer1Fused(w.plan, costs, config, ws, &recorded,
+                               &recorded.timeline);
+              PriceLayer1Fused(w.plan, costs, config, ws, &unrecorded,
+                               nullptr);
+            }
+            ExpectSameNumbers(recorded, fresh);
+            ExpectSameNumbers(unrecorded, fresh);
+            EXPECT_TRUE(unrecorded.timeline.empty());
+            const auto& got = recorded.timeline.intervals();
+            const auto& want = fresh.timeline.intervals();
+            ASSERT_EQ(got.size(), want.size()) << "nc " << nc;
+            for (size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].label, want[i].label);
+              EXPECT_EQ(got[i].category, want[i].category);
+              EXPECT_EQ(got[i].lane, want[i].lane);
+              ExpectSameBits(got[i].start_us, want[i].start_us, "start_us");
+              ExpectSameBits(got[i].end_us, want[i].end_us, "end_us");
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- adaptive assignment ------------------------------------------------------
