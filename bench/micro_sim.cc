@@ -3,7 +3,9 @@
 // bench is thousands of simulated layers), so its throughput gates how large
 // a sweep the bench suite can afford.
 #include "bench/bench_common.h"
+#include "core/adaptive.h"
 #include "sim/bandwidth_queue.h"
+#include "sim/network.h"
 #include "sim/stream_sim.h"
 
 using namespace comet;
@@ -35,6 +37,42 @@ REGISTER_BENCH(micro_sim, "Micro: timing-plane simulator throughput") {
              const LayerExecution run =
                  systems.megatron_cutlass.Run(w, cluster, ExecMode::kTimedOnly);
              DoNotOptimize(run.duration_us);
+           }));
+  }
+
+  // The two pricing steps those layer sims repeat most, alone on the
+  // M=16384 layer: one fluid all-to-all (the baselines' 56-flow EP8 dispatch
+  // matrix) and one layer0 division-point sweep at tile 128 (COMET's
+  // adaptive assignment, 62 candidates on one prepared schedule).
+  {
+    const MoeWorkload w =
+        TimedWorkload(Mixtral8x7B(), ParallelConfig{1, 8}, 16384);
+    const OpCostModel costs(cluster);
+    const auto bytes = w.plan.DispatchBytes(
+        static_cast<double>(w.model().embedding) * costs.bytes_per_element());
+    std::vector<Flow> flows;
+    for (int i = 0; i < w.world(); ++i) {
+      for (int j = 0; j < w.world(); ++j) {
+        const double b = bytes[static_cast<size_t>(i)][static_cast<size_t>(j)];
+        if (i != j && b > 0.0) {
+          flows.push_back(Flow{i, j, b, 0.0});
+        }
+      }
+    }
+    const LinkSpec& link = cluster.link;
+    const FluidNetwork net(w.world(), link.collective_bandwidth_bytes_per_us,
+                           link.collective_bandwidth_bytes_per_us,
+                           link.latency_us);
+    record("fluid_all_to_all", "world=" + std::to_string(w.world()),
+           TimeIt([&] { DoNotOptimize(net.Run(flows).back().end_us); }));
+    FusedKernelConfig base;
+    base.total_blocks = cluster.gpu.num_sms;
+    const AdaptiveAssigner assigner;
+    record("adaptive_sweep", "M=16384", TimeIt([&] {
+             DoNotOptimize(assigner
+                               .Sweep(MoePipelineStage::kLayer0, w.plan, 0,
+                                      costs, base)
+                               .size());
            }));
   }
 
