@@ -110,8 +110,8 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
   ParallelFor(0, world, 1, [&](int64_t r) {
     per_rank[static_cast<size_t>(r)] =
         SimulateRank(workload, costs, collectives[best_index],
-                     static_cast<int>(r),
-                     best_degree, &timelines[static_cast<size_t>(r)]);
+                     static_cast<int>(r), best_degree,
+                     &timelines[static_cast<size_t>(r)]);
   });
   FinalizeFromRanks(std::move(per_rank), std::move(timelines), out);
 

@@ -153,10 +153,10 @@ std::vector<FlowCompletion> FluidNetwork::Run(
         --in_n[dst];
       };
       for (size_t p = 0; p < ports; ++p) {
-        const bool out_tight =
-            out_n[p] > 0 && egress_cap[p] / out_n[p] <= best_share * (1 + 1e-12);
-        const bool in_tight =
-            in_n[p] > 0 && ingress_cap[p] / in_n[p] <= best_share * (1 + 1e-12);
+        const bool out_tight = out_n[p] > 0 && egress_cap[p] / out_n[p] <=
+                                                  best_share * (1 + 1e-12);
+        const bool in_tight = in_n[p] > 0 && ingress_cap[p] / in_n[p] <=
+                                                 best_share * (1 + 1e-12);
         if (out_tight) {
           for (size_t k = out_begin[p]; k < out_begin[p + 1]; ++k) {
             fix(out_flows[k]);

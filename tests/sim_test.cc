@@ -223,7 +223,8 @@ TEST(FluidNetwork, MatchesReferenceWaterFillingBitForBit) {
     const double egress = rng.Uniform(20.0, 400.0);
     const double ingress = rng.UniformInt(0, 3) == 0 ? egress
                                                      : rng.Uniform(20.0, 400.0);
-    const double latency = rng.UniformInt(0, 1) == 0 ? 0.0 : rng.Uniform(0.0, 5.0);
+    const double latency =
+        rng.UniformInt(0, 1) == 0 ? 0.0 : rng.Uniform(0.0, 5.0);
     const bool staggered = rng.UniformInt(0, 1) == 1;
     std::vector<Flow> flows(static_cast<size_t>(n));
     for (Flow& f : flows) {

@@ -185,9 +185,41 @@ constexpr RunPin kRunPins[] = {
 std::string RowName(const RunSetup& s, const std::string& system) {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s/%dx%d/M%" PRId64 "/std%g/n%d/%s",
-                s.model().name.c_str(), s.tp, s.ep, s.tokens, s.load_std, s.nodes,
-                system.c_str());
+                s.model().name.c_str(), s.tp, s.ep, s.tokens, s.load_std,
+                s.nodes, system.c_str());
   return buf;
+}
+
+// Pin-table lines, formatted as the tables write them.
+std::string RunLine(const std::string& row, uint64_t total_ms_bits,
+                    uint64_t per_rank_fnv, uint64_t timeline_fnv) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "    {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull, 0x%016" PRIx64 "ull},",
+                row.c_str(), total_ms_bits, per_rank_fnv, timeline_fnv);
+  return buf;
+}
+
+std::string SweepLine(const std::string& row, uint64_t samples_fnv) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "    {\"%s\", 0x%016" PRIx64 "ull},",
+                row.c_str(), samples_fnv);
+  return buf;
+}
+
+// Compares line by line; on a changed row count prints the whole table.
+void ExpectLines(const std::vector<std::string>& actual,
+                 const std::vector<std::string>& expected) {
+  std::string table;
+  for (const std::string& line : actual) {
+    table += line + "\n";
+  }
+  ASSERT_EQ(actual.size(), expected.size())
+      << "row count changed; the full table is:\n" << table;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "row " << i;
+  }
 }
 
 TEST(TimingGolden, RunModelBitsMatchPins) {
@@ -214,35 +246,18 @@ TEST(TimingGolden, RunModelBitsMatchPins) {
         continue;
       }
       const ModelRunResult r = RunModel(*exec, cfg, cluster);
-      char line[320];
-      std::snprintf(line, sizeof(line),
-                    "    {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
-                    "ull, 0x%016" PRIx64 "ull},",
-                    RowName(s, exec->name()).c_str(),
-                    std::bit_cast<uint64_t>(r.total_ms),
-                    DigestPerRank(r.moe_layer.per_rank_us),
-                    DigestTimeline(r.moe_layer.timeline));
-      actual.push_back(line);
+      actual.push_back(RunLine(RowName(s, exec->name()),
+                               std::bit_cast<uint64_t>(r.total_ms),
+                               DigestPerRank(r.moe_layer.per_rank_us),
+                               DigestTimeline(r.moe_layer.timeline)));
     }
   }
-  ASSERT_EQ(actual.size(), std::size(kRunPins))
-      << "row count changed; the full table is:\n"
-      << [&] {
-           std::string all;
-           for (const std::string& l : actual) {
-             all += l + "\n";
-           }
-           return all;
-         }();
-  for (size_t i = 0; i < actual.size(); ++i) {
-    char expected[320];
-    std::snprintf(expected, sizeof(expected),
-                  "    {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
-                  "ull, 0x%016" PRIx64 "ull},",
-                  kRunPins[i].row, kRunPins[i].total_ms_bits,
-                  kRunPins[i].per_rank_fnv, kRunPins[i].timeline_fnv);
-    EXPECT_EQ(actual[i], expected) << "row " << i;
+  std::vector<std::string> expected;
+  for (const RunPin& pin : kRunPins) {
+    expected.push_back(RunLine(pin.row, pin.total_ms_bits, pin.per_rank_fnv,
+                               pin.timeline_fnv));
   }
+  ExpectLines(actual, expected);
 }
 
 // The adaptive sweep on rank 0 of a Mixtral layer, per stage and tile size.
@@ -289,33 +304,20 @@ TEST(TimingGolden, SweepSamplesMatchPins) {
           f.U64(static_cast<uint64_t>(sample.comm_blocks));
           f.Double(sample.duration_us);
         }
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "    {\"%dx%d/M%" PRId64 "/layer%d/tile%" PRId64
-                      "\", 0x%016" PRIx64 "ull},",
-                      tp, ep, tokens,
-                      stage == MoePipelineStage::kLayer0 ? 0 : 1, tile,
-                      f.value());
-        actual.push_back(line);
+        char row[64];
+        std::snprintf(row, sizeof(row),
+                      "%dx%d/M%" PRId64 "/layer%d/tile%" PRId64, tp, ep,
+                      tokens, stage == MoePipelineStage::kLayer0 ? 0 : 1,
+                      tile);
+        actual.push_back(SweepLine(row, f.value()));
       }
     }
   }
-  ASSERT_EQ(actual.size(), std::size(kSweepPins))
-      << "row count changed; the full table is:\n"
-      << [&] {
-           std::string all;
-           for (const std::string& l : actual) {
-             all += l + "\n";
-           }
-           return all;
-         }();
-  for (size_t i = 0; i < actual.size(); ++i) {
-    char expected[160];
-    std::snprintf(expected, sizeof(expected),
-                  "    {\"%s\", 0x%016" PRIx64 "ull},", kSweepPins[i].row,
-                  kSweepPins[i].samples_fnv);
-    EXPECT_EQ(actual[i], expected) << "row " << i;
+  std::vector<std::string> expected;
+  for (const SweepPin& pin : kSweepPins) {
+    expected.push_back(SweepLine(pin.row, pin.samples_fnv));
   }
+  ExpectLines(actual, expected);
 }
 
 }  // namespace
