@@ -48,6 +48,31 @@ REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, normal dr
            }));
   }
 
+  // Qwen2-MoE's routing shape (E 64, topk 4) at the paper's M, built fresh
+  // per call as MakeWorkload does.
+  {
+    Rng rng(1);
+    const auto load = rng.LoadVectorWithStd(64, 0.032);
+    record("synthetic_routing", 16384, TimeIt([&] {
+             SyntheticRouter router(load, 42);
+             RoutingTable routing = router.Route(16384, 4);
+             DoNotOptimize(routing.tokens.data());
+           }),
+           "E=64,topk=4/16384");
+  }
+
+  // A decode-shaped batch (32 tokens, E 8, topk 2) on a warm router with
+  // the table reused, as a synthetic-routing server steps it.
+  {
+    Rng rng(1);
+    SyntheticRouter router(rng.LoadVectorWithStd(8, 0.032), 42);
+    RoutingTable routing;
+    record("synthetic_route_into", 32, TimeIt([&] {
+             router.RouteInto(32, 2, /*shift=*/0, &routing);
+             DoNotOptimize(routing.tokens.data());
+           }));
+  }
+
   // The learned gate at the serving shapes (decode: 32 tokens at N 64;
   // prefill: 512 tokens at N 256; E 8, topk 2), serial like a one-thread
   // server, scratch and table reused across calls as the server does.

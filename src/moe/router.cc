@@ -1,11 +1,14 @@
 #include "moe/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "moe/group_gemm.h"
 #include "util/check.h"
+#include "util/fdlibm.h"
 #include "util/stats.h"
 
 namespace comet {
@@ -274,19 +277,106 @@ RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
   return table;
 }
 
+namespace {
+
+using fdlibm::DoubleLanes;
+using fdlibm::Int64Lanes;
+using fdlibm::kDoubleLanes;
+
+// Experts a pick scans between checks that every lane has found its pick.
+constexpr int64_t kScanChunk = 8;
+
+// True if every lane of the all-ones/zero mask is set.
+bool AllLanes(Int64Lanes mask) {
+  int64_t all = -1;
+  for (int l = 0; l < kDoubleLanes; ++l) {
+    all &= mask[l];
+  }
+  return all != 0;
+}
+
+// Line e of an expert-major lane scratch. Whole-vector loads and stores
+// only, so each load forwards from the store before it.
+DoubleLanes LoadLanes(const double* weights, int64_t e) {
+  DoubleLanes w = {};
+  std::memcpy(&w, weights + e * kDoubleLanes, sizeof(w));
+  return w;
+}
+
+void StoreLanes(double* weights, int64_t e, DoubleLanes w) {
+  std::memcpy(weights + e * kDoubleLanes, &w, sizeof(w));
+}
+
+struct LanePicks {
+  Int64Lanes expert = {};
+  DoubleLanes next_total = {};
+};
+
+// One categorical pick in each of the `live` low lanes of `weights` (E
+// lines of kDoubleLanes): r = u * total, then r -= w[e] in expert order; the
+// lane takes the first e with r < 0, or E - 1 if there is none, and zeroes
+// its weight there. The other lanes are padding and count as done from the
+// start. If `want_next_total`, the next pick's total -- the ordered sum of
+// the weights after the zeroing -- is summed as the scan passes.
+LanePicks PickLanes(double* weights, int64_t e_total, int live, DoubleLanes u,
+                    DoubleLanes total, bool want_next_total) {
+  Int64Lanes done = {};
+  for (int l = live; l < kDoubleLanes; ++l) {
+    done[l] = -1;
+  }
+  LanePicks picks{.expert = Int64Lanes{} + (e_total - 1)};
+  DoubleLanes r = u * total;
+  int64_t e = 0;
+  while (e < e_total && !AllLanes(done)) {
+    for (const int64_t end = std::min(e + kScanChunk, e_total); e < end;
+         ++e) {
+      DoubleLanes w = LoadLanes(weights, e);
+      r -= w;
+      const Int64Lanes now = (r < 0.0) & ~done;
+      w = std::bit_cast<DoubleLanes>(std::bit_cast<Int64Lanes>(w) & ~now);
+      StoreLanes(weights, e, w);
+      picks.next_total += w;
+      picks.expert = (now & e) | (~now & picks.expert);
+      done |= now;
+    }
+  }
+  if (!AllLanes(done)) {
+    // r landed on total: the pick is E - 1. The scan summed that weight
+    // before this zeroing, so the next total is summed afresh.
+    for (int l = 0; l < live; ++l) {
+      if (done[l] == 0) {
+        weights[(e_total - 1) * kDoubleLanes + l] = 0.0;
+      }
+    }
+    picks.next_total = DoubleLanes{};
+    e = 0;
+  }
+  if (want_next_total) {
+    for (; e < e_total; ++e) {
+      picks.next_total += LoadLanes(weights, e);
+    }
+  }
+  return picks;
+}
+
+}  // namespace
+
 SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
     : load_(std::move(load)), rng_(seed) {
   COMET_CHECK(!load_.empty());
   double sum = 0.0;
   for (double p : load_) {
-    COMET_CHECK_GE(p, 0.0);
     sum += p;
   }
   COMET_CHECK_GT(sum, 0.0);
+  // Every weight a pick reads is a normalized load entry or a zero, so this
+  // one check covers them all (an inf entry normalizes to NaN and fails).
   for (auto& p : load_) {
     p /= sum;
+    COMET_CHECK_GE(p, 0.0);
   }
-  weights_scratch_.reserve(load_.size());
+  lane_weights_.resize(load_.size() * fdlibm::kDoubleLanes);
+  draws_.resize(2 * load_.size() * fdlibm::kDoubleLanes);
 }
 
 RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
@@ -298,34 +388,67 @@ RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
 void SyntheticRouter::RouteInto(int64_t num_tokens, int64_t topk,
                                 int64_t shift, RoutingTable* table) {
   COMET_CHECK(table != nullptr);
-  const int64_t e_total = static_cast<int64_t>(load_.size());
+  const int64_t e_total = num_experts();
+  COMET_CHECK_GE(num_tokens, 0);
   COMET_CHECK_GT(topk, 0);
   COMET_CHECK_LE(topk, e_total);
   COMET_CHECK_GE(shift, 0);
+  // (e + shift) % E is unchanged, and e + shift < 2E cannot overflow.
+  shift %= e_total;
   table->tokens.resize(static_cast<size_t>(num_tokens));
-  for (int64_t m = 0; m < num_tokens; ++m) {
-    // Sample topk distinct experts without replacement. The shift rotates
-    // the STORED ids only, after sampling, so the rng consumption (and
-    // hence every later draw) is independent of the drift phase.
-    weights_scratch_.assign(load_.begin(), load_.end());
-    TokenRoute& route = table->tokens[static_cast<size_t>(m)];
-    route.experts.clear();
-    route.weights.clear();
-    for (int64_t k = 0; k < topk; ++k) {
-      const size_t e = rng_.Categorical(weights_scratch_);
-      route.experts.push_back(
-          (static_cast<int64_t>(e) + shift) % e_total);
-      weights_scratch_[e] = 0.0;
+  double* const weights = lane_weights_.data();
+  const size_t per_token = 2 * static_cast<size_t>(topk);
+  // Every block's first pick sees the load itself in every lane.
+  double load_total = 0.0;
+  for (double p : load_) {
+    load_total += p;
+  }
+  for (int64_t first = 0; first < num_tokens; first += kDoubleLanes) {
+    // Tokens [first, first + live) fill the low lanes; the rest are padding
+    // that reads in-domain values and whose picks go unused.
+    const int live =
+        static_cast<int>(std::min<int64_t>(kDoubleLanes, num_tokens - first));
+    rng_.FillUniform(std::span(draws_.data(), live * per_token));
+    for (int64_t e = 0; e < e_total; ++e) {
+      StoreLanes(weights, e, DoubleLanes{} + load_[static_cast<size_t>(e)]);
     }
+    DoubleLanes total = DoubleLanes{} + load_total;
+    for (int64_t k = 0; k < topk; ++k) {
+      for (int l = 0; l < live; ++l) {
+        COMET_CHECK_GT(total[l], 0.0)
+            << "categorical weights must not all be zero";
+      }
+      DoubleLanes u = {};
+      for (int l = 0; l < kDoubleLanes; ++l) {
+        u[l] = l < live ? draws_[l * per_token + static_cast<size_t>(k)] : 0.5;
+      }
+      const LanePicks picks =
+          PickLanes(weights, e_total, live, u, total, k + 1 < topk);
+      total = picks.next_total;
+      for (int l = 0; l < live; ++l) {
+        TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
+        if (k == 0) {
+          route.experts.clear();
+        }
+        const int64_t id = picks.expert[l] + shift;
+        route.experts.push_back(id < e_total ? id : id - e_total);
+      }
+    }
+
     // Random combine weights, renormalized.
-    float sum = 0.0f;
-    for (int64_t k = 0; k < topk; ++k) {
-      const float w = static_cast<float>(rng_.Uniform(0.5, 1.5));
-      route.weights.push_back(w);
-      sum += w;
-    }
-    for (auto& w : route.weights) {
-      w /= sum;
+    for (int l = 0; l < live; ++l) {
+      const double* combine = draws_.data() + l * per_token + topk;
+      TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
+      route.weights.clear();
+      float sum = 0.0f;
+      for (int64_t k = 0; k < topk; ++k) {
+        const float w = static_cast<float>(0.5 + 1.0 * combine[k]);
+        route.weights.push_back(w);
+        sum += w;
+      }
+      for (auto& w : route.weights) {
+        w /= sum;
+      }
     }
   }
 }

@@ -136,23 +136,40 @@ class ExpertChoiceGate {
 };
 
 // Load-controlled synthetic router.
+//
+// Draw order and bit contract. Token m draws, in this order, topk uniforms
+// for its expert picks and then topk for its combine weights, all by
+// Rng::NextDouble. Pick k starts from the load vector with the token's
+// earlier picks zeroed: total = the sum of those E weights in expert order
+// (zeros included), r = u * total, then r -= w[e] for e = 0, 1, ... and the
+// pick is the first e with r < 0, or E - 1 if there is none. Combine weight
+// k is static_cast<float>(0.5 + 1.0 * u), and the topk of them are divided
+// by their float sum. RouteInto evaluates fdlibm::kDoubleLanes tokens at
+// once, each lane performing exactly these double operations in this order,
+// so the tables and the generator state are the same at every vector width
+// (tests/synthetic_router_reference.h holds the one-token-at-a-time loop).
 class SyntheticRouter {
  public:
   // `load` is a probability vector over experts (see Rng::LoadVectorWithStd).
+  // It is normalized to sum 1; throws CheckError if the sum is not positive
+  // or any normalized entry is not >= 0 (a negative, NaN or inf entry).
   SyntheticRouter(std::vector<double> load, uint64_t seed);
 
   // Routes `num_tokens` tokens, each to `topk` distinct experts sampled
   // without replacement proportionally to the load vector; combine weights
-  // are random and renormalized.
+  // are random and renormalized. Throws CheckError if fewer than `topk`
+  // load entries are positive (a pick would find every weight zero).
   RoutingTable Route(int64_t num_tokens, int64_t topk);
 
   // In-place Route with a deterministic expert-id rotation: every sampled
   // expert e is stored as (e + shift) mod E. The serving plane uses the
   // shift to model drifting (diurnal) load: the same seeded draw sequence,
   // with the hot spot walking across experts as simulated time advances.
-  // shift == 0 consumes the rng exactly like Route (bit-identical tables).
-  // Allocation-free once `table` and the internal scratch are warm and topk
-  // fits TokenRoute's inline storage.
+  // The rng consumption does not depend on shift; shift == 0 gives Route's
+  // table. Requires num_tokens >= 0 and shift >= 0 (any size: it is reduced
+  // mod E first). Allocation-free once `table` is warm and topk fits
+  // TokenRoute's inline storage. After a CheckError the table and the
+  // generator are left unspecified.
   void RouteInto(int64_t num_tokens, int64_t topk, int64_t shift,
                  RoutingTable* table);
 
@@ -160,7 +177,12 @@ class SyntheticRouter {
 
  private:
   std::vector<double> load_;
-  std::vector<double> weights_scratch_;  // per-token sampling weights
+  // Pick weights of one block of tokens, expert-major: lane l of expert e
+  // at [e * kDoubleLanes + l]. Sized at construction.
+  std::vector<double> lane_weights_;
+  // One block's uniforms, token-major: topk pick draws then topk combine
+  // draws per token. Sized at construction for topk up to E.
+  std::vector<double> draws_;
   Rng rng_;
 };
 

@@ -56,6 +56,12 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
+void Rng::FillUniform(std::span<double> out) {
+  for (double& u : out) {
+    u = NextDouble();
+  }
+}
+
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   COMET_CHECK_LE(lo, hi);
   const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
@@ -142,24 +148,6 @@ void Rng::FillNormal(std::span<float> out, double mean, double stddev) {
       out[i++] = static_cast<float>(mean + stddev * sin_part[p]);
     }
   }
-}
-
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  COMET_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    COMET_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  COMET_CHECK_GT(total, 0.0) << "categorical weights must not all be zero";
-  double r = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;  // numeric edge: r landed exactly on total
 }
 
 std::vector<double> Rng::LoadVectorWithStd(size_t n, double target_std) {

@@ -4,8 +4,8 @@
 // experiment (routing tables, token values, imbalance patterns) is exactly
 // reproducible from a seed. The core generator is xoshiro256**, seeded via
 // splitmix64 as recommended by its authors; distribution helpers cover the
-// cases the benches need (uniform, normal, categorical, Dirichlet-like
-// expert-load vectors with a target standard deviation).
+// cases the benches need (uniform, normal, Dirichlet-like expert-load
+// vectors with a target standard deviation).
 //
 // Normals are Box-Muller over this repository's branch-free fdlibm log, sin
 // and cos (util/fdlibm.h), never the host libm, so every drawn value -- and
@@ -33,6 +33,11 @@ class Rng {
   // Uniform in [0, 1).
   double NextDouble();
 
+  // out[i] = NextDouble() for every i in order, with the generator step
+  // inlined (the synthetic router draws a block of tokens' uniforms at
+  // once). Never allocates.
+  void FillUniform(std::span<double> out);
+
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
@@ -51,10 +56,6 @@ class Rng {
   // would, but evaluating the pairs' log, sin and cos a vector at a time.
   // Never allocates.
   void FillNormal(std::span<float> out, double mean, double stddev);
-
-  // Samples an index in [0, weights.size()) proportionally to weights.
-  // Requires at least one strictly positive weight.
-  size_t Categorical(const std::vector<double>& weights);
 
   // Produces a probability vector of length n whose standard deviation
   // (treating the entries as a population) is approximately `target_std`.

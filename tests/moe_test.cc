@@ -20,7 +20,9 @@
 #include "moe/router.h"
 #include "moe/workload.h"
 #include "tests/fdlibm_reference.h"
+#include "tests/synthetic_router_reference.h"
 #include "util/check.h"
+#include "util/fdlibm.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -126,6 +128,178 @@ TEST(SyntheticRouter, SkewedLoadTracksTarget) {
   // achieved std is close to but usually under the target.
   EXPECT_NEAR(table.LoadStd(8), target, 0.02);
   EXPECT_GT(table.LoadStd(8), 0.015);
+}
+
+// The lane-wise RouteInto against the one-token-at-a-time reference
+// (synthetic_router_reference.h). Two calls in a row per case: equal tables
+// on the second call prove the first consumed the generator identically.
+// M covers a lone padded block (1, lanes - 1), an exact one (lanes), a
+// ragged tail (lanes + 1, 37) and many blocks (4096); loads with zero
+// entries leave fewer than topk positive weights for the larger topk,
+// where both must throw.
+TEST(SyntheticRouter, MatchesReferenceBitForBit) {
+  constexpr int64_t kLanes = fdlibm::kDoubleLanes;
+  int cases = 0;
+  int throwing_cases = 0;
+  // Load std per load kind; kind 3 is kind 2 with zero entries.
+  const double load_stds[] = {0.0, 0.032, 0.2, 0.2};
+  for (int64_t e_total : {1, 2, 3, 7, 8, 16, 60, 64, 65, 128}) {
+    for (int load_kind = 0; load_kind < 4; ++load_kind) {
+      Rng load_rng(static_cast<uint64_t>(e_total * 10 + load_kind));
+      std::vector<double> load = load_rng.LoadVectorWithStd(
+          static_cast<size_t>(e_total), load_stds[load_kind]);
+      int64_t positive = 0;
+      if (load_kind == 3) {  // every third expert gets no tokens
+        for (int64_t e = 1; e < e_total; e += 3) {
+          load[static_cast<size_t>(e)] = 0.0;
+        }
+      }
+      for (double p : load) {
+        positive += p > 0.0 ? 1 : 0;
+      }
+      for (int64_t topk = 1; topk <= std::min<int64_t>(e_total, 8); ++topk) {
+        for (int64_t m : {int64_t{0}, int64_t{1}, kLanes - 1, kLanes,
+                          kLanes + 1, int64_t{37}, int64_t{4096}}) {
+          const int64_t shifts[] = {0, 1, e_total - 1, 5 * e_total + 3};
+          for (int s = 0; s < 4; ++s) {
+            // The shift only rotates stored ids, so the long M = 4096 runs
+            // take one shift each, rotating through the four.
+            if (m == 4096 && s != (topk + load_kind) % 4) {
+              continue;
+            }
+            const int64_t shift = shifts[s];
+            SCOPED_TRACE("E=" + std::to_string(e_total) + " load=" +
+                         std::to_string(load_kind) + " topk=" +
+                         std::to_string(topk) + " M=" + std::to_string(m) +
+                         " shift=" + std::to_string(shift));
+            const uint64_t seed = static_cast<uint64_t>(cases) + 1;
+            SyntheticRouter router(load, seed);
+            synthetic_router_reference::SyntheticRouter reference(load, seed);
+            ++cases;
+            if (topk > positive && m > 0) {
+              RoutingTable got, want;
+              EXPECT_THROW(router.RouteInto(m, topk, shift, &got),
+                           CheckError);
+              EXPECT_THROW(reference.RouteInto(m, topk, shift, &want),
+                           CheckError);
+              ++throwing_cases;
+              continue;
+            }
+            RoutingTable got, want;
+            for (int call = 0; call < 2; ++call) {
+              router.RouteInto(m, topk, shift, &got);
+              reference.RouteInto(m, topk, shift, &want);
+              ASSERT_EQ(got.size(), m);
+              ASSERT_EQ(want.size(), m);
+              for (int64_t t = 0; t < m; ++t) {
+                const TokenRoute& g = got.tokens[static_cast<size_t>(t)];
+                const TokenRoute& w = want.tokens[static_cast<size_t>(t)];
+                ASSERT_EQ(g.experts, w.experts) << "call " << call << " token "
+                                                << t;
+                ASSERT_EQ(g.weights.size(), w.weights.size());
+                for (size_t k = 0; k < g.weights.size(); ++k) {
+                  ASSERT_EQ(std::bit_cast<uint32_t>(g.weights[k]),
+                            std::bit_cast<uint32_t>(w.weights[k]))
+                      << "call " << call << " token " << t << " pick " << k;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 2000);
+  EXPECT_GT(throwing_cases, 0);
+}
+
+// A pick whose r never goes negative takes expert E - 1. Random draws almost
+// never get there, but the smallest subnormal weight does: u * 2^-1074
+// rounds to 2^-1074 for u > 1/2, so subtracting the weight leaves r == 0.
+// {1, d, d} then falls through to an expert whose weight counts in the next
+// pick's total until the fall-through zeroes it; {1, d, 0} falls through to
+// an expert with no weight at all (a repeated expert, as the reference has).
+TEST(SyntheticRouter, MatchesReferenceWhenAPickFallsThrough) {
+  constexpr double kTiny = 0x1p-1074;
+  for (const std::vector<double>& load :
+       {std::vector<double>{1.0, kTiny, kTiny},
+        std::vector<double>{1.0, kTiny, 0.0}}) {
+    for (int64_t topk = 1; topk <= 3; ++topk) {
+      SyntheticRouter router(load, 23);
+      synthetic_router_reference::SyntheticRouter reference(load, 23);
+      RoutingTable got, want;
+      const int64_t m = 4096;
+      bool threw = false;
+      try {
+        reference.RouteInto(m, topk, 0, &want);
+      } catch (const CheckError&) {
+        threw = true;
+      }
+      if (threw) {
+        EXPECT_THROW(router.RouteInto(m, topk, 0, &got), CheckError);
+        continue;
+      }
+      router.RouteInto(m, topk, 0, &got);
+      int64_t fell_through = 0;
+      for (int64_t t = 0; t < m; ++t) {
+        const TokenRoute& g = got.tokens[static_cast<size_t>(t)];
+        ASSERT_EQ(g.experts, want.tokens[static_cast<size_t>(t)].experts);
+        ASSERT_EQ(g.weights, want.tokens[static_cast<size_t>(t)].weights);
+        fell_through += topk >= 2 && g.experts[1] == 2 ? 1 : 0;
+      }
+      if (topk >= 2) {
+        EXPECT_GT(fell_through, m / 4) << "topk " << topk;
+      }
+    }
+  }
+}
+
+// Pick frequencies follow the load (topk 1 is one categorical draw).
+TEST(SyntheticRouter, CategoricalFollowsWeights) {
+  SyntheticRouter router({1.0, 3.0}, 6);
+  const RoutingTable table = router.Route(20000, 1);
+  EXPECT_NEAR(static_cast<double>(table.ExpertLoads(2)[1]) / 20000, 0.75,
+              0.02);
+}
+
+TEST(SyntheticRouter, CategoricalRejectsAllZero) {
+  EXPECT_THROW(SyntheticRouter({0.0, 0.0}, 7), CheckError);
+  // The second pick finds every weight zero.
+  SyntheticRouter router({1.0, 0.0}, 7);
+  EXPECT_THROW(router.Route(1, 2), CheckError);
+}
+
+TEST(SyntheticRouter, RejectsNonFiniteOrNegativeLoad) {
+  EXPECT_THROW(SyntheticRouter({1.0, std::numeric_limits<double>::infinity()},
+                               1),
+               CheckError);
+  EXPECT_THROW(SyntheticRouter({1.0, std::nan("")}, 1), CheckError);
+  EXPECT_THROW(SyntheticRouter({1.0, -0.5}, 1), CheckError);
+}
+
+TEST(SyntheticRouter, RejectsNegativeTokenCount) {
+  SyntheticRouter router({1.0, 1.0}, 2);
+  RoutingTable table;
+  EXPECT_THROW(router.RouteInto(-1, 1, 0, &table), CheckError);
+  EXPECT_THROW(router.Route(-1, 1), CheckError);
+}
+
+// A shift near INT64_MAX is reduced mod E before it is added, so it routes
+// exactly like its residue.
+TEST(SyntheticRouter, HugeShiftRoutesLikeItsResidue) {
+  constexpr int64_t kExperts = 7;
+  const std::vector<double> load = Rng(4).LoadVectorWithStd(kExperts, 0.05);
+  SyntheticRouter huge(load, 9);
+  SyntheticRouter residue(load, 9);
+  RoutingTable a, b;
+  constexpr int64_t kShift = std::numeric_limits<int64_t>::max();
+  huge.RouteInto(100, 3, kShift, &a);
+  residue.RouteInto(100, 3, kShift % kExperts, &b);
+  a.Validate(kExperts, 3);
+  for (size_t t = 0; t < a.tokens.size(); ++t) {
+    EXPECT_EQ(a.tokens[t].experts, b.tokens[t].experts);
+    EXPECT_EQ(a.tokens[t].weights, b.tokens[t].weights);
+  }
 }
 
 TEST(RoutingTable, ValidateCatchesDuplicates) {

@@ -107,22 +107,22 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
 }
 
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(6);
-  const std::vector<double> weights = {1.0, 3.0};
-  int count1 = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.Categorical(weights) == 1) {
-      ++count1;
+// FillUniform is NextDouble a span at a time: the same doubles, and the
+// same generator state afterwards.
+TEST(Rng, FillUniformMatchesNextDouble) {
+  Rng fill(9);
+  Rng scalar(9);
+  std::vector<double> got;
+  for (size_t n = 0; n <= 70; ++n) {
+    got.assign(n, -1.0);
+    fill.FillUniform(got);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                std::bit_cast<uint64_t>(scalar.NextDouble()))
+          << "n " << n << " i " << i;
     }
+    ASSERT_EQ(fill.NextU64(), scalar.NextU64()) << "n " << n;
   }
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.02);
-}
-
-TEST(Rng, CategoricalRejectsAllZero) {
-  Rng rng(7);
-  EXPECT_THROW(rng.Categorical({0.0, 0.0}), CheckError);
 }
 
 TEST(Rng, LoadVectorZeroStdIsUniform) {
