@@ -8,8 +8,7 @@
 //
 // Benches self-register with REGISTER_BENCH (one per translation unit) so a
 // single `comet_bench` driver can list, filter and time all of them and emit
-// machine-readable JSON, while each figure keeps a thin standalone binary
-// built from the same object file.
+// machine-readable JSON.
 #pragma once
 
 #include <chrono>
@@ -72,10 +71,11 @@ struct BenchRegistrar {
   BenchRegistrar(const char* name, const char* description, BenchFn fn);
 };
 
-// CLI entry point of the `comet_bench` driver (the thin per-figure binaries
-// call RunSingleBench below instead).
+// CLI entry point of `comet_bench`.
 //   --list            print registered benches and exit
-//   --only SUBSTR     comma-separated substring filters
+//   --only FILTERS    comma-separated filters: a filter equal to a
+//                     registered name selects just that bench, any other
+//                     selects every bench whose name contains it
 //   --repeat N        run each selected bench N times
 //   --json PATH       write name/metric/value records as JSON
 //   --ranks R         EP world size for the functional multi-rank benches
@@ -134,9 +134,6 @@ void SetBenchMetricsOut(std::string path);
 bool BenchSkew();
 void SetBenchSkew(bool on);
 
-// Runs exactly one bench by full name (used by the per-figure binaries).
-int RunSingleBench(const std::string& name);
-
 // Declares + registers a bench in one go. One per translation unit:
 //
 //   REGISTER_BENCH(fig09_end_to_end, "Figure 9: end-to-end model latency") {
@@ -184,7 +181,7 @@ TimedLoop TimeIt(F&& fn, double min_time_s = 0.2) {
   return out;
 }
 
-// ---- paper-workload helpers (unchanged from the standalone binaries) -------
+// ---- paper-workload helpers ------------------------------------------------
 
 // Builds a timing-plane workload (no tensor materialization).
 inline MoeWorkload TimedWorkload(const ModelConfig& model,

@@ -113,8 +113,9 @@ void PrintUsage() {
   std::cout <<
       "usage: comet_bench [options]\n"
       "  --list           print registered benches and exit\n"
-      "  --only SUBSTR    run only benches whose name contains SUBSTR\n"
-      "                   (comma-separated for several filters)\n"
+      "  --only FILTERS   comma-separated filters: a registered name runs\n"
+      "                   just that bench, anything else every bench\n"
+      "                   whose name contains it\n"
       "  --repeat N       run each selected bench N times (default 1)\n"
       "  --median         collapse repeats to one median record per metric\n"
       "                   in the JSON output (repeat field becomes -1)\n"
@@ -208,17 +209,6 @@ std::vector<BenchInfo>& Registry() {
 BenchRegistrar::BenchRegistrar(const char* name, const char* description,
                                BenchFn fn) {
   Registry().push_back({name, description, fn});
-}
-
-int RunSingleBench(const std::string& name) {
-  for (const BenchInfo& info : Registry()) {
-    if (info.name == name) {
-      BenchReporter reporter;
-      return info.fn(reporter);
-    }
-  }
-  std::cerr << "comet_bench: unknown bench '" << name << "'\n";
-  return 1;
 }
 
 int BenchMain(int argc, char** argv) {
@@ -401,17 +391,24 @@ int BenchMain(int argc, char** argv) {
     return 0;
   }
 
+  // A filter that names a bench exactly selects only that bench (so
+  // `ext_multinode` does not also pick `ext_multinode_functional`); any
+  // other filter selects by substring.
+  auto is_name = [&](const std::string& f) {
+    return std::any_of(benches.begin(), benches.end(),
+                       [&](const BenchInfo& info) { return info.name == f; });
+  };
+  auto matches = [&](const BenchInfo& info, const std::string& f) {
+    return is_name(f) ? info.name == f
+                      : info.name.find(f) != std::string::npos;
+  };
   std::vector<BenchInfo> selected;
   for (const BenchInfo& info : benches) {
-    if (filters.empty()) {
+    if (filters.empty() ||
+        std::any_of(filters.begin(), filters.end(), [&](const std::string& f) {
+          return matches(info, f);
+        })) {
       selected.push_back(info);
-      continue;
-    }
-    for (const std::string& f : filters) {
-      if (info.name.find(f) != std::string::npos) {
-        selected.push_back(info);
-        break;
-      }
     }
   }
   if (selected.empty()) {

@@ -10,8 +10,9 @@
 //           the "before" picture of the old allocate-per-iteration path.
 //   steady: a mid-run window after warm-up. The zero-allocation contract
 //           says allocs/iter here is exactly 0; the bench FAILS (non-zero
-//           exit) if it is not, so a Release CI smoke of this binary pins
-//           the contract outside the test tier too.
+//           exit) if it is not, so a Release CI smoke of
+//           `comet_bench --only micro_serve_iter` pins the contract outside
+//           the test tier too.
 //
 // ns/iteration and iterations/s are host wall-clock (the serving loop is
 // real host work; only the modelled GPU time is simulated), so those two

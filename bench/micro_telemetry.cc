@@ -5,9 +5,9 @@
 // iteration) -- and reports the steady-state ns/iteration delta. The
 // telemetry plane's contract is that recording is a handful of relaxed
 // atomic stores per iteration: the target is <2% overhead, and the bench
-// FAILS (non-zero exit) if the ON runs allocate in steady state, since that
-// would break the zero-allocation contract alloc_test pins with telemetry
-// enabled.
+// FAILS (`comet_bench --only micro_telemetry` exits non-zero) if the ON runs
+// allocate in steady state, since that would break the zero-allocation
+// contract alloc_test pins with telemetry enabled.
 //
 // ns/iteration is host wall-clock and machine-dependent; allocs/iteration
 // and the served digests (checked equal OFF vs ON here) are exact.

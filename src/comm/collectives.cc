@@ -189,14 +189,6 @@ double InterNodeByteFraction(const ClusterSpec& cluster,
   return total > 0.0 ? inter / total : 0.0;
 }
 
-double UniformAllToAllCostUs(const ClusterSpec& cluster, double bytes_per_pair) {
-  std::vector<std::vector<double>> bytes(
-      static_cast<size_t>(cluster.world_size),
-      std::vector<double>(static_cast<size_t>(cluster.world_size),
-                          bytes_per_pair));
-  return AllToAllCostUs(cluster, bytes);
-}
-
 double RingAllGatherCostUs(const ClusterSpec& cluster, double bytes_per_rank) {
   const int w = cluster.world_size;
   if (w <= 1 || bytes_per_rank <= 0.0) {

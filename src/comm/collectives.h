@@ -33,9 +33,6 @@ double HierarchicalAllToAllCostUs(const ClusterSpec& cluster,
 double InterNodeByteFraction(const ClusterSpec& cluster,
                              const std::vector<std::vector<double>>& bytes);
 
-// Uniform all-to-all: every rank sends `bytes_per_pair` to every other rank.
-double UniformAllToAllCostUs(const ClusterSpec& cluster, double bytes_per_pair);
-
 // Ring all-gather of `bytes_per_rank` contributed by each rank.
 double RingAllGatherCostUs(const ClusterSpec& cluster, double bytes_per_rank);
 

@@ -7,6 +7,10 @@
 namespace comet {
 namespace {
 
+// Compute-efficiency penalty factor for vertical fusion (token I/O breaks
+// the TMA/MMA pipeline of every block).
+constexpr double kVerticalFusionPenalty = 0.15;
+
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 // Harmonic blend of per-class transfer rates: moving each byte class at its
@@ -194,7 +198,7 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
     ws.tasks.clear();
     const double tile_us =
         costs.gemm().TileTimeUs(n_embed, config.tile_m, config.tile_n) *
-        (1.0 + config.vertical_fusion_penalty);
+        (1.0 + kVerticalFusionPenalty);
     for (const TileRef& tile : schedule.tiles) {
       const size_t chunk = static_cast<size_t>(
           ws.chunk_base[static_cast<size_t>(tile.expert_local)] +
@@ -365,7 +369,7 @@ void PriceLayer1Fused(const RoutePlan& plan, const OpCostModel& costs,
                   link.per_block_bandwidth_scattered_bytes_per_us;
     for (size_t i = 0; i < schedule.tiles.size(); ++i) {
       ws.tasks.push_back(SlotTask{
-          0.0, tile_us * (1.0 + config.vertical_fusion_penalty) + per_tile_comm});
+          0.0, tile_us * (1.0 + kVerticalFusionPenalty) + per_tile_comm});
     }
     ScheduleInOrderInto(ws.tasks, config.total_blocks, 0.0, ws.slot_heap,
                         &ws.slot_schedule);

@@ -32,9 +32,6 @@ struct FusedKernelConfig {
   int64_t tile_n = 128;
   bool reschedule = true;
   bool vertical_fusion = false;  // ablation: no thread-block specialization
-  // Compute-efficiency penalty factor for vertical fusion (token I/O breaks
-  // the TMA/MMA pipeline of every block).
-  double vertical_fusion_penalty = 0.15;
 };
 
 struct FusedKernelResult {

@@ -314,17 +314,18 @@ struct LanePicks {
 
 // One categorical pick in each of the `live` low lanes of `weights` (E
 // lines of kDoubleLanes): r = u * total, then r -= w[e] in expert order; the
-// lane takes the first e with r < 0, or E - 1 if there is none, and zeroes
-// its weight there. The other lanes are padding and count as done from the
-// start. If `want_next_total`, the next pick's total -- the ordered sum of
-// the weights after the zeroing -- is summed as the scan passes.
+// lane takes the first e with r < 0, or if there is none the last e whose
+// weight is still positive, and zeroes its weight there. The other lanes
+// are padding and count as done from the start. If `want_next_total`, the
+// next pick's total -- the ordered sum of the weights after the zeroing --
+// is summed as the scan passes.
 LanePicks PickLanes(double* weights, int64_t e_total, int live, DoubleLanes u,
                     DoubleLanes total, bool want_next_total) {
   Int64Lanes done = {};
   for (int l = live; l < kDoubleLanes; ++l) {
     done[l] = -1;
   }
-  LanePicks picks{.expert = Int64Lanes{} + (e_total - 1)};
+  LanePicks picks;
   DoubleLanes r = u * total;
   int64_t e = 0;
   while (e < e_total && !AllLanes(done)) {
@@ -341,11 +342,17 @@ LanePicks PickLanes(double* weights, int64_t e_total, int live, DoubleLanes u,
     }
   }
   if (!AllLanes(done)) {
-    // r landed on total: the pick is E - 1. The scan summed that weight
-    // before this zeroing, so the next total is summed afresh.
+    // r landed on total: the pick is the last expert with weight left (the
+    // caller checked that the total is positive). The scan summed that
+    // weight before this zeroing, so the next total is summed afresh.
     for (int l = 0; l < live; ++l) {
       if (done[l] == 0) {
-        weights[(e_total - 1) * kDoubleLanes + l] = 0.0;
+        int64_t last = e_total - 1;
+        while (weights[last * kDoubleLanes + l] <= 0.0) {
+          --last;
+        }
+        weights[last * kDoubleLanes + l] = 0.0;
+        picks.expert[l] = last;
       }
     }
     picks.next_total = DoubleLanes{};

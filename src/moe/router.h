@@ -142,9 +142,10 @@ class ExpertChoiceGate {
 // Rng::NextDouble. Pick k starts from the load vector with the token's
 // earlier picks zeroed: total = the sum of those E weights in expert order
 // (zeros included), r = u * total, then r -= w[e] for e = 0, 1, ... and the
-// pick is the first e with r < 0, or E - 1 if there is none. Combine weight
-// k is static_cast<float>(0.5 + 1.0 * u), and the topk of them are divided
-// by their float sum. RouteInto evaluates fdlibm::kDoubleLanes tokens at
+// pick is the first e with r < 0, or if there is none (r landed on total)
+// the last e whose weight is still positive. Combine weight k is
+// static_cast<float>(0.5 + 1.0 * u), and the topk of them are divided by
+// their float sum. RouteInto evaluates fdlibm::kDoubleLanes tokens at
 // once, each lane performing exactly these double operations in this order,
 // so the tables and the generator state are the same at every vector width
 // (tests/synthetic_router_reference.h holds the one-token-at-a-time loop).

@@ -3,6 +3,12 @@
 #include "util/check.h"
 
 namespace comet {
+namespace {
+
+// Std of the materialized input activations.
+constexpr float kInputStddev = 1.0f;
+
+}  // namespace
 
 std::span<const float> MoeWorkload::TokenRow(int64_t t) const {
   const int home = placement.HomeGroupOfToken(t);
@@ -32,7 +38,7 @@ MoeWorkload MakeWorkloadWithWeights(
     for (int g = 0; g < parallel.ep; ++g) {
       inputs.push_back(Tensor::Randn(
           Shape{placement.tokens_per_group(), model.embedding}, rng,
-          options.input_stddev, options.dtype));
+          kInputStddev, options.dtype));
     }
   }
 

@@ -22,7 +22,6 @@ struct WorkloadOptions {
   double load_std = 0.0;
   ActivationKind activation = ActivationKind::kGelu;
   float weight_stddev = 0.05f;
-  float input_stddev = 1.0f;
   // Storage dtype of the materialized inputs and weights. At kBF16/kF16 the
   // workload is quantized at creation (RNE), so every executor consuming it
   // sees exactly the operands a low-precision training step would. Executors

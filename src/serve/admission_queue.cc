@@ -4,18 +4,7 @@
 
 namespace comet {
 
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kShedNewest:
-      return "shed-newest";
-    case AdmissionPolicy::kShedOldest:
-      return "shed-oldest";
-  }
-  return "unknown";
-}
-
-AdmissionQueue::AdmissionQueue(int64_t capacity, AdmissionPolicy policy)
-    : capacity_(capacity), policy_(policy) {
+AdmissionQueue::AdmissionQueue(int64_t capacity) : capacity_(capacity) {
   COMET_CHECK_GT(capacity_, 0);
   ring_.resize(static_cast<size_t>(capacity_));
 }
@@ -32,34 +21,19 @@ RequestSpec AdmissionQueue::PopFront() {
   return spec;
 }
 
-AdmissionQueue::Admit AdmissionQueue::TryPush(const RequestSpec& spec) {
-  Admit result;
+bool AdmissionQueue::TryPush(const RequestSpec& spec) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
+    if (closed_ || size_ == capacity_) {
       ++total_shed_;
-      return result;
+      return false;
     }
-    if (size_ < capacity_) {
-      PushBack(spec);
-      queued_tokens_ += spec.TotalTokens();
-      ++total_admitted_;
-      result.admitted = true;
-    } else if (policy_ == AdmissionPolicy::kShedOldest) {
-      result.evicted = PopFront();
-      PushBack(spec);
-      queued_tokens_ += spec.TotalTokens() - result.evicted->TotalTokens();
-      ++total_admitted_;
-      ++total_shed_;
-      result.admitted = true;
-    } else {
-      ++total_shed_;
-    }
+    PushBack(spec);
+    queued_tokens_ += spec.TotalTokens();
+    ++total_admitted_;
   }
-  if (result.admitted) {
-    ready_.notify_one();
-  }
-  return result;
+  ready_.notify_one();
+  return true;
 }
 
 std::optional<RequestSpec> AdmissionQueue::TryPop() {

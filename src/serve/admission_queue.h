@@ -1,16 +1,13 @@
-// Bounded MPMC admission queue with an explicit backpressure/shed policy.
+// Bounded MPMC admission queue that sheds the newest request when full.
 //
 // The queue sits between the load generator (producer) and the continuous
 // batcher (consumer). It is deliberately BOUNDED: an open-loop arrival
 // process does not slow down when the server falls behind, so without a
 // bound the queue -- and every queued request's latency -- grows without
-// limit. Overload has to go somewhere; the policy says where:
-//  * kShedNewest -- a full queue rejects the arriving request (classic
-//    admission control: protect the latency of work already admitted);
-//  * kShedOldest -- a full queue evicts its head to admit the newcomer
-//    (the oldest request has already blown its deadline; spend capacity on
-//    one that can still meet it).
-// Shed requests are counted and reported, never silently dropped.
+// limit. Overload has to go somewhere: a full queue rejects the arriving
+// request (classic admission control: protect the latency of work already
+// admitted). Shed requests are counted and reported, never silently
+// dropped.
 //
 // Thread safety: all operations are safe from any number of producer and
 // consumer threads (mutex + condvar; serve_test hammers it cross-thread
@@ -32,29 +29,14 @@
 
 namespace comet {
 
-enum class AdmissionPolicy {
-  kShedNewest,
-  kShedOldest,
-};
-
-const char* AdmissionPolicyName(AdmissionPolicy policy);
-
 class AdmissionQueue {
  public:
-  // Outcome of one TryPush.
-  struct Admit {
-    bool admitted = false;
-    // Set under kShedOldest when admitting evicted the head.
-    std::optional<RequestSpec> evicted;
-  };
-
-  AdmissionQueue(int64_t capacity, AdmissionPolicy policy);
+  explicit AdmissionQueue(int64_t capacity);
 
   // Non-blocking admission; never waits (the producer is an open-loop
-  // arrival process -- it cannot be paused). Exactly one request is shed
-  // when the queue is full: the newcomer (kShedNewest, admitted == false)
-  // or the head (kShedOldest, admitted == true + evicted set).
-  Admit TryPush(const RequestSpec& spec);
+  // arrival process -- it cannot be paused). Returns false, shedding the
+  // newcomer, when the queue is full or closed.
+  bool TryPush(const RequestSpec& spec);
 
   // Non-blocking pop in FIFO order.
   std::optional<RequestSpec> TryPop();
@@ -74,7 +56,6 @@ class AdmissionQueue {
   void Close();
 
   int64_t capacity() const { return capacity_; }
-  AdmissionPolicy policy() const { return policy_; }
   int64_t size() const;
   // Sum of RequestSpec::TotalTokens over the currently queued requests --
   // the dispatcher hook the cluster plane's least-loaded / power-of-two
@@ -93,7 +74,6 @@ class AdmissionQueue {
   RequestSpec PopFront();
 
   const int64_t capacity_;
-  const AdmissionPolicy policy_;
 
   mutable std::mutex mu_;
   std::condition_variable ready_;

@@ -470,22 +470,9 @@ class ClusterRun {
     }
   }
 
-  // Offers one copy of `t` to replica `pick`'s admission queue. Handles the
-  // shed-oldest eviction: the evicted request loses that copy, and losing its
-  // LAST copy is a terminal shed (admission control, not a failure --
-  // evictions are never retried, matching the single-server semantics).
+  // Offers one copy of `t` to replica `pick`'s admission queue.
   bool OfferTo(int pick, Track& t) {
-    const AdmissionQueue::Admit admit = replica(pick).Offer(t.spec);
-    if (admit.evicted.has_value()) {
-      Track& ev = track_.at(admit.evicted->id);
-      COMET_CHECK(!ev.done && !ev.lost);
-      std::erase(ev.copies, pick);
-      if (ev.copies.empty()) {
-        ++report_.shed;
-        ev.lost = true;
-      }
-    }
-    if (!admit.admitted) {
+    if (!replica(pick).Offer(t.spec)) {
       return false;
     }
     t.copies.push_back(pick);
@@ -526,9 +513,7 @@ class ClusterRun {
   // admission gets ONE speculative copy on the least-loaded other eligible
   // replica (chosen directly, NOT through the dispatcher, so hedging never
   // perturbs the rr cursor / p2c stream and placement decisions are
-  // identical with hedging on or off). Due requests hedge in ascending id,
-  // each re-checked at its turn: an earlier hedge's shed-oldest eviction may
-  // have taken its copy.
+  // identical with hedging on or off). Due requests hedge in ascending id.
   void DispatchHedges() {
     hedges_now_.clear();
     while (!hedge_due_.empty() && hedge_due_.begin()->first <= now_) {
@@ -540,10 +525,7 @@ class ClusterRun {
     }
     std::sort(hedges_now_.begin(), hedges_now_.end());
     for (const int64_t id : hedges_now_) {
-      Track& t = track_.at(id);
-      if (!HedgeStale(t.dispatched_us + options_.hedge_queue_wait_us, id)) {
-        Hedge(t);
-      }
+      Hedge(track_.at(id));
     }
   }
 

@@ -122,7 +122,7 @@ struct MoeServer::RunState {
            std::shared_ptr<const ExpertWeights> weights,
            std::shared_ptr<const ShardedExpertWeights> sharded,
            const RunBounds& bounds)
-      : queue(options.queue_capacity, options.queue_policy),
+      : queue(options.queue_capacity),
         batcher(BatcherOptions{.token_budget = options.token_budget,
                                .max_active = options.max_active}),
         tracker(options.adaptation, options.model.num_experts,
@@ -431,34 +431,26 @@ void MoeServer::BeginRun(RunBounds bounds) {
   run_->prev_rows_corrupted = heap.rows_corrupted;
 }
 
-AdmissionQueue::Admit MoeServer::Offer(const RequestSpec& spec) {
+bool MoeServer::Offer(const RequestSpec& spec) {
   COMET_CHECK(run_ != nullptr) << "Offer before BeginRun";
   ++run_->offered;
-  const AdmissionQueue::Admit admit = run_->queue.TryPush(spec);
-  if (!admit.admitted || admit.evicted.has_value()) {
+  const bool admitted = run_->queue.TryPush(spec);
+  if (!admitted) {
     ++run_->shed;
   }
   if (telemetry_.enabled()) {
     obs::ServerMetrics& m = telemetry_.metrics();
-    obs::SpanRing& spans = telemetry_.spans();
     m.requests_offered->Increment();
+    if (!admitted) {
+      m.requests_shed->Increment();
+    }
     const double t = spec.arrival_us;
-    if (admit.admitted) {
-      spans.Record(obs::SpanKind::kAdmit, t, t, static_cast<uint64_t>(spec.id),
-                   static_cast<double>(spec.TotalTokens()));
-    } else {
-      m.requests_shed->Increment();
-      spans.Record(obs::SpanKind::kShed, t, t, static_cast<uint64_t>(spec.id),
-                   static_cast<double>(spec.TotalTokens()));
-    }
-    if (admit.evicted.has_value()) {
-      m.requests_shed->Increment();
-      spans.Record(obs::SpanKind::kShed, t, t,
-                   static_cast<uint64_t>(admit.evicted->id),
-                   static_cast<double>(admit.evicted->TotalTokens()));
-    }
+    telemetry_.spans().Record(
+        admitted ? obs::SpanKind::kAdmit : obs::SpanKind::kShed, t, t,
+        static_cast<uint64_t>(spec.id),
+        static_cast<double>(spec.TotalTokens()));
   }
-  return admit;
+  return admitted;
 }
 
 bool MoeServer::HasWork() const {

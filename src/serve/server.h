@@ -106,7 +106,6 @@ struct ServeOptions {
   int64_t max_active = 32;
   // Bounded admission queue.
   int64_t queue_capacity = 256;
-  AdmissionPolicy queue_policy = AdmissionPolicy::kShedNewest;
   // Host-side cost added to every iteration on the simulated clock (kernel
   // launches amortized by COMET's fusion are priced inside the executor;
   // this is the serving loop's own scheduling overhead).
@@ -275,9 +274,10 @@ class MoeServer {
   // cluster plane calls this with defaults.
   void BeginRun(RunBounds bounds);
   void BeginRun() { BeginRun(RunBounds()); }
-  // Offers one request to the bounded admission queue. Counts offered and
-  // (per the queue's shed policy) shed. Requires BeginRun.
-  AdmissionQueue::Admit Offer(const RequestSpec& spec);
+  // Offers one request to the bounded admission queue. Counts it as offered,
+  // and as shed when the queue rejects it; returns whether it was admitted.
+  // Requires BeginRun.
+  bool Offer(const RequestSpec& spec);
   // True when the replica could pack a non-empty iteration (queued or live
   // in-flight work).
   bool HasWork() const;

@@ -1,7 +1,7 @@
 #include "sim/slot_pool.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "util/check.h"
 
@@ -40,49 +40,6 @@ SlotSchedule ScheduleInOrder(const std::vector<SlotTask>& tasks, int num_slots,
   SlotSchedule out;
   std::vector<double> slot_heap;
   ScheduleInOrderInto(tasks, num_slots, start_time_us, slot_heap, &out);
-  return out;
-}
-
-SlotSchedule ScheduleEarliestReady(const std::vector<SlotTask>& tasks,
-                                   int num_slots, double start_time_us) {
-  COMET_CHECK_GT(num_slots, 0);
-  SlotSchedule out;
-  out.tasks.resize(tasks.size());
-  if (tasks.empty()) {
-    out.makespan_us = start_time_us;
-    return out;
-  }
-
-  // Tasks sorted by (ready, index); consumed as they become ready.
-  std::vector<size_t> order(tasks.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return tasks[a].ready_us < tasks[b].ready_us;
-  });
-
-  std::priority_queue<double, std::vector<double>, std::greater<double>> slots;
-  for (int i = 0; i < num_slots; ++i) {
-    slots.push(start_time_us);
-  }
-  double makespan = start_time_us;
-  size_t next = 0;
-  while (next < order.size()) {
-    const size_t idx = order[next];
-    ++next;
-    const double slot_free = slots.top();
-    slots.pop();
-    const double start = std::max(slot_free, tasks[idx].ready_us);
-    if (start > slot_free) {
-      out.stall_us += start - slot_free;
-    }
-    const double end = start + tasks[idx].duration_us;
-    out.tasks[idx] = ScheduledTask{start, end};
-    makespan = std::max(makespan, end);
-    slots.push(end);
-  }
-  out.makespan_us = makespan;
   return out;
 }
 

@@ -1,20 +1,11 @@
 // Resource-constrained task scheduling over a fixed number of slots.
 //
 // A "slot" models one persistent thread block (or one SM) of a fused kernel.
-// Two issue disciplines are provided:
-//
-//  * In-order issue (`ScheduleInOrder`): tasks are dispatched to slots
-//    strictly in the given order; a slot that picks up a task whose inputs
-//    have not arrived spins until the task's ready time. This mirrors how a
-//    persistent GEMM kernel walks its tile queue and is why COMET's
-//    rescheduling (sorting tiles so that ready tiles come first) matters.
-//
-//  * Out-of-order issue (`ScheduleEarliestReady`): a freed slot picks the
-//    ready task with the smallest ready time (FIFO among ready). This is the
-//    idealized scheduler used for ablation comparison -- rescheduling
-//    recovers most of the gap between in-order and this oracle.
-//
-// Both disciplines are deterministic.
+// Tasks are dispatched to slots strictly in the given order; a slot that
+// picks up a task whose inputs have not arrived spins until the task's ready
+// time. This mirrors how a persistent GEMM kernel walks its tile queue and
+// is why COMET's rescheduling (sorting tiles so that ready tiles come first)
+// matters. Scheduling is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +26,7 @@ struct ScheduledTask {
 struct SlotSchedule {
   std::vector<ScheduledTask> tasks;  // parallel to the input vector
   double makespan_us = 0.0;          // latest end time (0 when no tasks)
-  // Total slot-time spent waiting for not-yet-ready tasks (in-order only;
-  // out-of-order waits only when nothing is ready).
+  // Total slot-time spent waiting for not-yet-ready tasks.
   double stall_us = 0.0;
 };
 
@@ -52,10 +42,5 @@ SlotSchedule ScheduleInOrder(const std::vector<SlotTask>& tasks, int num_slots,
 void ScheduleInOrderInto(const std::vector<SlotTask>& tasks, int num_slots,
                          double start_time_us, std::vector<double>& slot_heap,
                          SlotSchedule* out);
-
-// Dispatches the ready task with smallest (ready, index) whenever a slot
-// frees up.
-SlotSchedule ScheduleEarliestReady(const std::vector<SlotTask>& tasks,
-                                   int num_slots, double start_time_us = 0.0);
 
 }  // namespace comet

@@ -213,42 +213,45 @@ TEST(SyntheticRouter, MatchesReferenceBitForBit) {
   EXPECT_GT(throwing_cases, 0);
 }
 
-// A pick whose r never goes negative takes expert E - 1. Random draws almost
-// never get there, but the smallest subnormal weight does: u * 2^-1074
-// rounds to 2^-1074 for u > 1/2, so subtracting the weight leaves r == 0.
-// {1, d, d} then falls through to an expert whose weight counts in the next
-// pick's total until the fall-through zeroes it; {1, d, 0} falls through to
-// an expert with no weight at all (a repeated expert, as the reference has).
+// A pick whose r never goes negative takes the last expert that still has
+// weight. Random draws almost never get there, but the smallest subnormal
+// weight does: u * 2^-1074 rounds to 2^-1074 for u > 1/2, so subtracting the
+// weight leaves r == 0. A fixed fall-through expert (E - 1) would repeat an
+// expert on {1, d, d} at topk 3 and pick the unloaded expert 2 on
+// {1, d, 0}, so every table must validate and every pick must land on a
+// loaded expert.
 TEST(SyntheticRouter, MatchesReferenceWhenAPickFallsThrough) {
   constexpr double kTiny = 0x1p-1074;
   for (const std::vector<double>& load :
        {std::vector<double>{1.0, kTiny, kTiny},
         std::vector<double>{1.0, kTiny, 0.0}}) {
+    const int64_t loaded = load[2] > 0.0 ? 3 : 2;
     for (int64_t topk = 1; topk <= 3; ++topk) {
+      SCOPED_TRACE("load[2]=" + std::to_string(load[2]) +
+                   " topk=" + std::to_string(topk));
       SyntheticRouter router(load, 23);
       synthetic_router_reference::SyntheticRouter reference(load, 23);
       RoutingTable got, want;
       const int64_t m = 4096;
-      bool threw = false;
-      try {
-        reference.RouteInto(m, topk, 0, &want);
-      } catch (const CheckError&) {
-        threw = true;
-      }
-      if (threw) {
+      if (topk > loaded) {
+        EXPECT_THROW(reference.RouteInto(m, topk, 0, &want), CheckError);
         EXPECT_THROW(router.RouteInto(m, topk, 0, &got), CheckError);
         continue;
       }
+      reference.RouteInto(m, topk, 0, &want);
       router.RouteInto(m, topk, 0, &got);
-      int64_t fell_through = 0;
       for (int64_t t = 0; t < m; ++t) {
         const TokenRoute& g = got.tokens[static_cast<size_t>(t)];
         ASSERT_EQ(g.experts, want.tokens[static_cast<size_t>(t)].experts);
         ASSERT_EQ(g.weights, want.tokens[static_cast<size_t>(t)].weights);
-        fell_through += topk >= 2 && g.experts[1] == 2 ? 1 : 0;
+        for (int64_t e : g.experts) {
+          ASSERT_GT(load[static_cast<size_t>(e)], 0.0) << "token " << t;
+        }
       }
+      EXPECT_NO_THROW(got.Validate(3, topk));
+      // At least a quarter of the second picks (u > 3/4 on {1, d, d}).
       if (topk >= 2) {
-        EXPECT_GT(fell_through, m / 4) << "topk " << topk;
+        EXPECT_GT(reference.fall_throughs(), m / 8);
       }
     }
   }

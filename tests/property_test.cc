@@ -234,34 +234,32 @@ TEST_P(SlotPoolProperty, SchedulesAreFeasible) {
     for (int i = 0; i < n; ++i) {
       tasks.push_back(SlotTask{rng.Uniform(0.0, 50.0), rng.Uniform(0.1, 5.0)});
     }
-    for (auto* schedule_fn : {&ScheduleInOrder, &ScheduleEarliestReady}) {
-      const SlotSchedule s = (*schedule_fn)(tasks, slots, 0.0);
-      ASSERT_EQ(s.tasks.size(), tasks.size());
-      // (1) No task starts before it is ready.
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        EXPECT_GE(s.tasks[i].start_us, tasks[i].ready_us - 1e-9);
-        EXPECT_NEAR(s.tasks[i].end_us - s.tasks[i].start_us,
-                    tasks[i].duration_us, 1e-9);
-      }
-      // (2) At no time do more than `slots` tasks run concurrently: check
-      // at every start point.
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        int running = 0;
-        const double t = s.tasks[i].start_us;
-        for (size_t j = 0; j < tasks.size(); ++j) {
-          if (s.tasks[j].start_us <= t && t < s.tasks[j].end_us) {
-            ++running;
-          }
-        }
-        EXPECT_LE(running, slots);
-      }
-      // (3) Makespan is the max end time.
-      double max_end = 0.0;
-      for (const auto& st : s.tasks) {
-        max_end = std::max(max_end, st.end_us);
-      }
-      EXPECT_DOUBLE_EQ(s.makespan_us, max_end);
+    const SlotSchedule s = ScheduleInOrder(tasks, slots, 0.0);
+    ASSERT_EQ(s.tasks.size(), tasks.size());
+    // (1) No task starts before it is ready.
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_GE(s.tasks[i].start_us, tasks[i].ready_us - 1e-9);
+      EXPECT_NEAR(s.tasks[i].end_us - s.tasks[i].start_us,
+                  tasks[i].duration_us, 1e-9);
     }
+    // (2) At no time do more than `slots` tasks run concurrently: check
+    // at every start point.
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      int running = 0;
+      const double t = s.tasks[i].start_us;
+      for (size_t j = 0; j < tasks.size(); ++j) {
+        if (s.tasks[j].start_us <= t && t < s.tasks[j].end_us) {
+          ++running;
+        }
+      }
+      EXPECT_LE(running, slots);
+    }
+    // (3) Makespan is the max end time.
+    double max_end = 0.0;
+    for (const auto& st : s.tasks) {
+      max_end = std::max(max_end, st.end_us);
+    }
+    EXPECT_DOUBLE_EQ(s.makespan_us, max_end);
   }
 }
 

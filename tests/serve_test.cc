@@ -42,9 +42,9 @@ RequestSpec Req(int64_t id, int64_t prompt = 4, int64_t decode = 2,
 }
 
 TEST(AdmissionQueue, FifoOrder) {
-  AdmissionQueue q(8, AdmissionPolicy::kShedNewest);
+  AdmissionQueue q(8);
   for (int64_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(q.TryPush(Req(i)).admitted);
+    EXPECT_TRUE(q.TryPush(Req(i)));
   }
   EXPECT_EQ(q.size(), 5);
   for (int64_t i = 0; i < 5; ++i) {
@@ -56,12 +56,10 @@ TEST(AdmissionQueue, FifoOrder) {
 }
 
 TEST(AdmissionQueue, ShedNewestRejectsWhenFull) {
-  AdmissionQueue q(2, AdmissionPolicy::kShedNewest);
-  EXPECT_TRUE(q.TryPush(Req(0)).admitted);
-  EXPECT_TRUE(q.TryPush(Req(1)).admitted);
-  const auto third = q.TryPush(Req(2));
-  EXPECT_FALSE(third.admitted);
-  EXPECT_FALSE(third.evicted.has_value());
+  AdmissionQueue q(2);
+  EXPECT_TRUE(q.TryPush(Req(0)));
+  EXPECT_TRUE(q.TryPush(Req(1)));
+  EXPECT_FALSE(q.TryPush(Req(2)));
   EXPECT_EQ(q.size(), 2);
   EXPECT_EQ(q.total_admitted(), 2);
   EXPECT_EQ(q.total_shed(), 1);
@@ -70,33 +68,19 @@ TEST(AdmissionQueue, ShedNewestRejectsWhenFull) {
   EXPECT_EQ(q.TryPop()->id, 1);
 }
 
-TEST(AdmissionQueue, ShedOldestEvictsHead) {
-  AdmissionQueue q(2, AdmissionPolicy::kShedOldest);
-  EXPECT_TRUE(q.TryPush(Req(0)).admitted);
-  EXPECT_TRUE(q.TryPush(Req(1)).admitted);
-  const auto third = q.TryPush(Req(2));
-  EXPECT_TRUE(third.admitted);
-  ASSERT_TRUE(third.evicted.has_value());
-  EXPECT_EQ(third.evicted->id, 0);
-  EXPECT_EQ(q.total_shed(), 1);
-  // The survivors are the NEWEST two.
-  EXPECT_EQ(q.TryPop()->id, 1);
-  EXPECT_EQ(q.TryPop()->id, 2);
-}
-
 TEST(AdmissionQueue, CloseWakesBlockedConsumer) {
-  AdmissionQueue q(4, AdmissionPolicy::kShedNewest);
+  AdmissionQueue q(4);
   std::optional<RequestSpec> got = Req(99);
   std::thread consumer([&] { got = q.Pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   consumer.join();
   EXPECT_FALSE(got.has_value());
-  EXPECT_FALSE(q.TryPush(Req(1)).admitted) << "closed queue sheds everything";
+  EXPECT_FALSE(q.TryPush(Req(1))) << "closed queue sheds everything";
 }
 
 TEST(AdmissionQueue, RejectsNonPositiveCapacity) {
-  EXPECT_THROW(AdmissionQueue(0, AdmissionPolicy::kShedNewest), CheckError);
+  EXPECT_THROW(AdmissionQueue(0), CheckError);
 }
 
 // The MPMC contract under real threads (the TSan job runs this suite):
@@ -106,7 +90,7 @@ TEST(AdmissionQueue, MpmcConservationUnderContention) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 200;
-  AdmissionQueue q(16, AdmissionPolicy::kShedNewest);
+  AdmissionQueue q(16);
 
   std::vector<std::thread> threads;
   std::vector<std::vector<int64_t>> popped(kConsumers);

@@ -96,14 +96,6 @@ TEST(SlotPool, InOrderIssueStallsOnNotReadyTask) {
   EXPECT_GT(s.stall_us, 0.0);
 }
 
-TEST(SlotPool, EarliestReadyReordersAroundStall) {
-  const std::vector<SlotTask> tasks = {{10.0, 1.0}, {0.0, 1.0}};
-  const SlotSchedule s = ScheduleEarliestReady(tasks, 1);
-  EXPECT_DOUBLE_EQ(s.tasks[1].start_us, 0.0);
-  EXPECT_DOUBLE_EQ(s.tasks[0].start_us, 10.0);
-  EXPECT_DOUBLE_EQ(s.makespan_us, 11.0);
-}
-
 TEST(SlotPool, EmptyTaskList) {
   const SlotSchedule s = ScheduleInOrder({}, 4, 7.0);
   EXPECT_DOUBLE_EQ(s.makespan_us, 7.0);

@@ -19,8 +19,10 @@
 namespace comet::synthetic_router_reference {
 
 // Samples an index in [0, weights.size()) proportionally to weights.
-// Requires at least one strictly positive weight.
-inline size_t Categorical(Rng& rng, const std::vector<double>& weights) {
+// Requires at least one strictly positive weight. Counts the draws whose r
+// lands exactly on the total into `*fall_throughs`.
+inline size_t Categorical(Rng& rng, const std::vector<double>& weights,
+                          int64_t* fall_throughs) {
   COMET_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
@@ -35,7 +37,14 @@ inline size_t Categorical(Rng& rng, const std::vector<double>& weights) {
       return i;
     }
   }
-  return weights.size() - 1;  // numeric edge: r landed exactly on total
+  // Numeric edge: r landed exactly on total. Take the last index with
+  // weight, never a zero-weight (or already picked) one.
+  ++*fall_throughs;
+  size_t last = weights.size() - 1;
+  while (weights[last] <= 0.0) {
+    --last;
+  }
+  return last;
 }
 
 class SyntheticRouter {
@@ -72,7 +81,7 @@ class SyntheticRouter {
       route.experts.clear();
       route.weights.clear();
       for (int64_t k = 0; k < topk; ++k) {
-        const size_t e = Categorical(rng_, weights_scratch_);
+        const size_t e = Categorical(rng_, weights_scratch_, &fall_throughs_);
         route.experts.push_back(
             (static_cast<int64_t>(e) + shift) % e_total);
         weights_scratch_[e] = 0.0;
@@ -90,10 +99,14 @@ class SyntheticRouter {
     }
   }
 
+  // Picks so far whose draw fell through every weight.
+  int64_t fall_throughs() const { return fall_throughs_; }
+
  private:
   std::vector<double> load_;
   std::vector<double> weights_scratch_;  // per-token sampling weights
   Rng rng_;
+  int64_t fall_throughs_ = 0;
 };
 
 }  // namespace comet::synthetic_router_reference
