@@ -4,11 +4,15 @@
 // the baselines' cost composition or the fused-kernel models must keep
 // every bit. Each RunModel row pins `total_ms` and FNV-1a digests of the
 // MoE layer's `per_rank_us` and critical-rank timeline; each sweep row pins
-// a digest of its (comm_blocks, duration_us) samples.
+// a digest of its (comm_blocks, duration_us) samples; each fused-kernel row
+// pins one layer simulation's five numbers and a digest of its timeline.
 //
 // The configurations are the perfbench `paper_sweep` grid (Mixtral /
 // Qwen2-MoE / Phi-3.5-MoE x M {4096, 16384} x {EP8, TP2-EP4}) plus a
-// 16-GPU single-node world, a skewed load and a two-node cluster.
+// 16-GPU single-node world, a skewed load and a two-node cluster. The
+// fused-kernel rows cover the fine tiles of the granularity ablation
+// (down to tile 1), TP2-EP4, a two-node cluster, rescheduling off and
+// vertical fusion.
 //
 // Refreshing after an INTENDED change: a failing row prints its
 // replacement line; paste it over the old one and say why in the change.
@@ -27,6 +31,7 @@
 #include "baselines/tutel.h"
 #include "core/adaptive.h"
 #include "core/comet_executor.h"
+#include "core/fused_kernel.h"
 #include "moe/workload.h"
 #include "runtime/model_runner.h"
 
@@ -316,6 +321,122 @@ TEST(TimingGolden, SweepSamplesMatchPins) {
   std::vector<std::string> expected;
   for (const SweepPin& pin : kSweepPins) {
     expected.push_back(SweepLine(pin.row, pin.samples_fnv));
+  }
+  ExpectLines(actual, expected);
+}
+
+// One fused-kernel simulation (SimulateLayer{0,1}Fused on `rank`, 20
+// communication blocks). `nodes` as in RunSetup.
+struct FusedSetup {
+  int tp;
+  int ep;
+  int64_t tokens;
+  int64_t tile;
+  int nodes;
+  int rank;
+  bool reschedule;
+  bool vertical;
+};
+
+std::vector<FusedSetup> FusedSetups() {
+  std::vector<FusedSetup> out;
+  for (const int64_t tile : {8, 16, 32, 128}) {
+    out.push_back({1, 8, 16384, tile, 0, 0, true, false});
+  }
+  out.push_back({1, 8, 1024, 1, 0, 0, true, false});
+  out.push_back({2, 4, 16384, 16, 0, 1, true, false});
+  out.push_back({1, 8, 16384, 32, 2, 5, true, false});
+  out.push_back({1, 8, 16384, 128, 0, 3, false, false});
+  out.push_back({1, 8, 16384, 32, 0, 0, true, true});
+  return out;
+}
+
+struct FusedPin {
+  // "<tp>x<ep>/M<tokens>/tile<tile>/n<nodes>/rank<rank>/<flags>/layer<l>"
+  const char* row;
+  uint64_t duration_bits;
+  uint64_t compute_makespan_bits;
+  uint64_t comm_makespan_bits;
+  uint64_t stall_bits;
+  uint64_t comm_bytes_bits;
+  uint64_t timeline_fnv;
+};
+
+// clang-format off
+constexpr FusedPin kFusedPins[] = {
+    {"1x8/M16384/tile8/n0/rank0/resched/layer0", 0x40b31820b60f752dull, 0x40b31820b60f752dull, 0x408dd2a3055325edull, 0x0000000000000000ull, 0x417b420000000000ull, 0x5c771aeb8b396d15ull},
+    {"1x8/M16384/tile8/n0/rank0/resched/layer1", 0x40b28107a401fb30ull, 0x40b27d91ad04d930ull, 0x40b28107a401fb30ull, 0x0000000000000000ull, 0x417b420000000000ull, 0xf7e9d1bb7903e419ull},
+    {"1x8/M16384/tile16/n0/rank0/resched/layer0", 0x40a101b5bb4b4970ull, 0x40a101b5bb4b4970ull, 0x408dd2a3055325f4ull, 0x0000000000000000ull, 0x417b420000000000ull, 0x5fddaa0de705297bull},
+    {"1x8/M16384/tile16/n0/rank0/resched/layer1", 0x40a08552b6cd1439ull, 0x40a07aae0e0bbf70ull, 0x40a08552b6cd1439ull, 0x0000000000000000ull, 0x417b420000000000ull, 0x47d6e2a8806c1cfcull},
+    {"1x8/M16384/tile32/n0/rank0/resched/layer0", 0x409321ec72b4b263ull, 0x409321ec72b4b263ull, 0x408dd2a305532603ull, 0x0000000000000000ull, 0x417b420000000000ull, 0x0fb40a2005be222dull},
+    {"1x8/M16384/tile32/n0/rank0/resched/layer1", 0x4092ae300c6c242full, 0x40928a03cfcd3770ull, 0x4092ae300c6c242full, 0x0000000000000000ull, 0x417b420000000000ull, 0x8559826fe8b0c90dull},
+    {"1x8/M16384/tile128/n0/rank0/resched/layer0", 0x408f0e2675c230a0ull, 0x408f0e2675c230a0ull, 0x408dd2a30553261bull, 0x40df8d1907014465ull, 0x417b420000000000ull, 0xb0c51fc574184432ull},
+    {"1x8/M16384/tile128/n0/rank0/resched/layer1", 0x40901404c572764dull, 0x4087560137b1c151ull, 0x40901404c572764dull, 0x0000000000000000ull, 0x417b420000000000ull, 0xec63a6488caddba3ull},
+    {"1x8/M1024/tile1/n0/rank0/resched/layer0", 0x40c3a8e37d603413ull, 0x40c3a8e37d603413ull, 0x404fa812918b6664ull, 0x0000000000000000ull, 0x413c400000000000ull, 0xe1463b3a7a1a6ba8ull},
+    {"1x8/M1024/tile1/n0/rank0/resched/layer1", 0x40c30919ed388242ull, 0x40c3084b32b75929ull, 0x40c30919ed388242ull, 0x0000000000000000ull, 0x413c400000000000ull, 0xaabf9cd161782f71ull},
+    {"2x4/M16384/tile16/n0/rank1/resched/layer0", 0x40a1475e86feaad0ull, 0x40a1475e86feaad0ull, 0x4099c7525460aa40ull, 0x0000000000000000ull, 0x4187940000000000ull, 0x0f98b0c8d92fa6cbull},
+    {"2x4/M16384/tile16/n0/rank1/resched/layer1", 0x40a106db864d7341ull, 0x40a0f5b03e597714ull, 0x40a106db864d7341ull, 0x0000000000000000ull, 0x418f940000000000ull, 0xfb7deeaf9e9a8647ull},
+    {"1x8/M16384/tile32/n2/rank5/resched/layer0", 0x4097529ab4875890ull, 0x4097529ab4875890ull, 0x40970c6508dfea2dull, 0x40d7f958a266fb63ull, 0x417c240000000000ull, 0xa1d8f4cdb2601e16ull},
+    {"1x8/M16384/tile32/n2/rank5/resched/layer1", 0x40974ec5c261e3bfull, 0x40935125fc53244aull, 0x40974ec5c261e3bfull, 0x0000000000000000ull, 0x417c240000000000ull, 0x2f97f6c17c274235ull},
+    {"1x8/M16384/tile128/n0/rank3/canonical/layer0", 0x408f433373ad594full, 0x408f433373ad594full, 0x408e92e0300f4ab2ull, 0x40e023633fdc2982ull, 0x417bf20000000000ull, 0x7356e37d4afb00c3ull},
+    {"1x8/M16384/tile128/n0/rank3/canonical/layer1", 0x4099c9bd7117a2c5ull, 0x4087560137b1c151ull, 0x4099c9bd7117a2c5ull, 0x0000000000000000ull, 0x417bf20000000000ull, 0x41759a780f3f0442ull},
+    {"1x8/M16384/tile32/n0/rank0/vertical/layer0", 0x40f0158f64b43611ull, 0x40f0158f64b43611ull, 0x40f0158f64b43611ull, 0x0000000000000000ull, 0x417b420000000000ull, 0x3d91c3b1c724d1c3ull},
+    {"1x8/M16384/tile32/n0/rank0/vertical/layer1", 0x40947591e346b6dbull, 0x40947591e346b6dbull, 0x40947591e346b6dbull, 0x0000000000000000ull, 0x417b420000000000ull, 0x6f7dec6891afe95bull},
+};
+// clang-format on
+
+std::string FusedLine(const FusedPin& p) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf),
+                "    {\"%s\", 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull, 0x%016" PRIx64 "ull},",
+                p.row, p.duration_bits, p.compute_makespan_bits,
+                p.comm_makespan_bits, p.stall_bits, p.comm_bytes_bits,
+                p.timeline_fnv);
+  return buf;
+}
+
+TEST(TimingGolden, FusedKernelBitsMatchPins) {
+  std::vector<std::string> actual;
+  for (const FusedSetup& s : FusedSetups()) {
+    WorkloadOptions wopt;
+    wopt.materialize = false;
+    const MoeWorkload w = MakeWorkload(
+        Mixtral8x7B(), ParallelConfig{s.tp, s.ep}, s.tokens, wopt);
+    const ClusterSpec cluster =
+        s.nodes == 0 ? H800Cluster(s.tp * s.ep)
+                     : MultiNodeH800Cluster(s.nodes, s.tp * s.ep / s.nodes);
+    const OpCostModel costs(cluster);
+    FusedKernelConfig config;
+    config.total_blocks = cluster.gpu.num_sms;
+    config.comm_blocks = 20;
+    config.tile_m = s.tile;
+    config.tile_n = s.tile;
+    config.reschedule = s.reschedule;
+    config.vertical_fusion = s.vertical;
+    for (const int layer : {0, 1}) {
+      const FusedKernelResult r =
+          layer == 0 ? SimulateLayer0Fused(w.plan, s.rank, costs, config)
+                     : SimulateLayer1Fused(w.plan, s.rank, costs, config);
+      char row[128];
+      std::snprintf(row, sizeof(row),
+                    "%dx%d/M%" PRId64 "/tile%" PRId64 "/n%d/rank%d/%s/layer%d",
+                    s.tp, s.ep, s.tokens, s.tile, s.nodes, s.rank,
+                    s.vertical ? "vertical"
+                               : (s.reschedule ? "resched" : "canonical"),
+                    layer);
+      actual.push_back(FusedLine(FusedPin{
+          row, std::bit_cast<uint64_t>(r.duration_us),
+          std::bit_cast<uint64_t>(r.compute_makespan_us),
+          std::bit_cast<uint64_t>(r.comm_makespan_us),
+          std::bit_cast<uint64_t>(r.stall_us),
+          std::bit_cast<uint64_t>(r.comm_bytes), DigestTimeline(r.timeline)}));
+    }
+  }
+  std::vector<std::string> expected;
+  for (const FusedPin& pin : kFusedPins) {
+    expected.push_back(FusedLine(pin));
   }
   ExpectLines(actual, expected);
 }
