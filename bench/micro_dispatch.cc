@@ -182,13 +182,13 @@ REGISTER_BENCH(micro_dispatch, "Micro: routing, gate, heap rows, GELU, normal dr
                  w.plan.ForRank(0), 0, parallel.ep,
                  w.placement.HiddenPerTpRank(), 128, 128,
                  /*reschedule=*/true);
-             DoNotOptimize(schedule.tiles.data());
+             DoNotOptimize(schedule.runs.data());
            }));
     record("layer1_schedule_build", tokens, TimeIt([&] {
              const Layer1Schedule schedule =
                  BuildLayer1Schedule(w.plan.ForRank(0), model.embedding, 128,
                                      128, /*reschedule=*/true);
-             DoNotOptimize(schedule.tiles.data());
+             DoNotOptimize(schedule.runs.data());
            }));
   }
 

@@ -219,9 +219,9 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
     // Tiles write disjoint dz patches (activation backward included), so
     // the pool can run them in any completion order.
     ParallelFor(
-        0, static_cast<int64_t>(schedule_a.tiles.size()), 1,
+        0, TileCount(schedule_a), 1,
         [&](int64_t t) {
-          const TileRef& tile = schedule_a.tiles[static_cast<size_t>(t)];
+          const TileRef tile = TileAt(schedule_a, t);
           const size_t le = static_cast<size_t>(tile.expert_local);
           const int64_t expert = rank_plan.experts[le].expert;
           GemmNTTile(dy[le], w.sharded_weights->W1Shard(expert, lane), dz[le],
@@ -279,9 +279,9 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
       da[le] = Tensor(Shape{dz[le].rows(), n_embed}, dtype);
     }
     ParallelFor(
-        0, static_cast<int64_t>(schedule_b.tiles.size()), 1,
+        0, TileCount(schedule_b), 1,
         [&](int64_t t) {
-          const TileRef& tile = schedule_b.tiles[static_cast<size_t>(t)];
+          const TileRef tile = TileAt(schedule_b, t);
           const size_t le = static_cast<size_t>(tile.expert_local);
           const int64_t expert = rank_plan.experts[le].expert;
           GemmNTTile(dz[le], w.sharded_weights->W0Shard(expert, lane), da[le],

@@ -242,27 +242,24 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
     FusedKernelWorkspace& sim = rank.sim;
     sim.schedule_scratch.class_count.reserve(static_cast<size_t>(ep));
     sim.schedule_scratch.class_offset.reserve(static_cast<size_t>(ep));
-    sim.schedule_scratch.tiles_tmp.reserve(static_cast<size_t>(tiles_max));
+    sim.schedule_scratch.runs_tmp.reserve(static_cast<size_t>(chunks_max));
     sim.layer0.row_order.resize(static_cast<size_t>(slices_max));
     for (auto& order : sim.layer0.row_order) {
       order.reserve(static_cast<size_t>(max_rows));
     }
-    sim.layer0.tiles.reserve(static_cast<size_t>(tiles_max));
-    sim.layer1.tiles.reserve(static_cast<size_t>(tiles_max));
-    sim.chunk_base.reserve(static_cast<size_t>(slices_max));
-    sim.chunk_seen.reserve(static_cast<size_t>(chunks_max));
-    sim.chunk_intra.reserve(static_cast<size_t>(chunks_max));
-    sim.chunk_inter.reserve(static_cast<size_t>(chunks_max));
-    sim.chunk_arrival.reserve(static_cast<size_t>(chunks_max));
-    sim.chunk_order.reserve(static_cast<size_t>(chunks_max));
-    sim.tasks.reserve(static_cast<size_t>(tiles_max));
+    sim.layer0.runs.reserve(static_cast<size_t>(chunks_max));
+    sim.layer1.runs.reserve(static_cast<size_t>(chunks_max));
+    sim.run_intra.reserve(static_cast<size_t>(chunks_max));
+    sim.run_inter.reserve(static_cast<size_t>(chunks_max));
+    sim.run_arrival.reserve(static_cast<size_t>(chunks_max));
     sim.jobs.reserve(static_cast<size_t>(std::max(chunks_max, col_tiles1)));
-    sim.job_chunks.reserve(static_cast<size_t>(chunks_max));
+    sim.job_runs.reserve(static_cast<size_t>(chunks_max));
     sim.transfers.reserve(
         static_cast<size_t>(std::max(chunks_max, col_tiles1)));
-    sim.slot_heap.reserve(static_cast<size_t>(cluster.gpu.num_sms));
+    sim.slots.Reset(cluster.gpu.num_sms, 0.0);
     sim.panel_done.reserve(static_cast<size_t>(col_tiles1));
-    sim.slot_schedule.tasks.reserve(static_cast<size_t>(tiles_max));
+    rank.l0.timeline.Reserve(static_cast<size_t>(tiles_max + chunks_max));
+    rank.l1.timeline.Reserve(static_cast<size_t>(tiles_max + col_tiles1));
     rank.a_in.resize(static_cast<size_t>(slices_max));
     rank.h_mid.resize(static_cast<size_t>(slices_max));
     rank.y_out.resize(static_cast<size_t>(slices_max));
@@ -590,9 +587,9 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
     // Tiles write disjoint output patches: dispatch them across the pool in
     // any completion order without changing a single bit of the result.
     ParallelFor(
-        0, static_cast<int64_t>(schedule0.tiles.size()), 1,
+        0, TileCount(schedule0), 1,
         [&](int64_t t) {
-          const TileRef& tile = schedule0.tiles[static_cast<size_t>(t)];
+          const TileRef tile = TileAt(schedule0, t);
           RunTile(problem0, GemmTileCoord{tile.expert_local, tile.row_begin,
                                           tile.row_end, tile.col_begin,
                                           tile.col_end});
@@ -611,9 +608,9 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
       problem1.c.push_back(&rs.y_out[le]);
     }
     ParallelFor(
-        0, static_cast<int64_t>(schedule1.tiles.size()), 1,
+        0, TileCount(schedule1), 1,
         [&](int64_t t) {
-          const TileRef& tile = schedule1.tiles[static_cast<size_t>(t)];
+          const TileRef tile = TileAt(schedule1, t);
           RunTile(problem1, GemmTileCoord{tile.expert_local, tile.row_begin,
                                           tile.row_end, tile.col_begin,
                                           tile.col_end});

@@ -72,33 +72,21 @@ void ResetResult(FusedKernelResult* result, Timeline* timeline) {
   }
 }
 
-// Appends one interval per scheduled tile to `timeline`, if there is one.
-void AddTileIntervals(const SlotSchedule& sched, const char* label,
-                      OpCategory category, Timeline* timeline) {
-  if (timeline == nullptr) {
-    return;
+// Issues `count` tiles of `duration_us`, ready at `ready_us`, onto `slots`
+// in order, appending each tile's interval to `timeline` if there is one.
+// Returns the latest end (0 when count is 0).
+double IssueTiles(SlotPool& slots, int64_t count, double ready_us,
+                  double duration_us, const char* label, OpCategory category,
+                  Timeline* timeline) {
+  double last_end = 0.0;
+  for (int64_t c = 0; c < count; ++c) {
+    const ScheduledTask task = slots.Issue(ready_us, duration_us);
+    last_end = std::max(last_end, task.end_us);
+    if (timeline != nullptr) {
+      timeline->Add(label, category, 0, task.start_us, task.end_us);
+    }
   }
-  for (const ScheduledTask& task : sched.tasks) {
-    timeline->Add(label, category, 0, task.start_us, task.end_us);
-  }
-}
-
-// Lays out the flat chunk id space for `plan` and clears the per-chunk
-// accumulators.
-void PrepareChunks(const RankPlan& rank_plan, int64_t tile_m,
-                   FusedKernelWorkspace& ws) {
-  const size_t n_experts = rank_plan.experts.size();
-  ws.chunk_base.resize(n_experts);
-  int64_t total_chunks = 0;
-  for (size_t le = 0; le < n_experts; ++le) {
-    ws.chunk_base[le] = total_chunks;
-    const int64_t m = static_cast<int64_t>(rank_plan.experts[le].rows.size());
-    total_chunks += CeilDiv(m, tile_m);
-  }
-  ws.chunk_seen.assign(static_cast<size_t>(total_chunks), 0);
-  ws.chunk_intra.assign(static_cast<size_t>(total_chunks), 0.0);
-  ws.chunk_inter.assign(static_cast<size_t>(total_chunks), 0.0);
-  ws.chunk_order.clear();
+  return last_end;
 }
 
 }  // namespace
@@ -120,26 +108,24 @@ void PrepareLayer0Fused(const RoutePlan& plan, int rank,
                           ws.schedule_scratch, &ws.layer0);
   const Layer0Schedule& schedule = ws.layer0;
 
-  // Remote bytes per row chunk (split by fabric tier), in tile first-use
-  // order.
+  // Remote bytes per run (split by fabric tier), in run order; the runs
+  // with remote rows become the delivery jobs, in the same order.
   const ClusterSpec& cluster = costs.cluster();
   const int lane = placement.TpLaneOfRank(rank);
-  PrepareChunks(rank_plan, config.tile_m, ws);
+  const size_t n_runs = schedule.runs.size();
+  ws.run_intra.resize(n_runs);
+  ws.run_inter.resize(n_runs);
+  ws.jobs.clear();
+  ws.job_runs.clear();
   TierSplit total_split;
-  for (const TileRef& tile : schedule.tiles) {
-    const int64_t chunk =
-        ws.chunk_base[static_cast<size_t>(tile.expert_local)] +
-        tile.row_begin / config.tile_m;
-    if (ws.chunk_seen[static_cast<size_t>(chunk)]) {
-      continue;
-    }
-    ws.chunk_seen[static_cast<size_t>(chunk)] = 1;
-    const auto& rows = rank_plan.experts[static_cast<size_t>(tile.expert_local)].rows;
-    const auto& order = schedule.row_order[static_cast<size_t>(tile.expert_local)];
+  for (size_t i = 0; i < n_runs; ++i) {
+    const TileRun& run = schedule.runs[i];
+    const auto& rows = rank_plan.experts[static_cast<size_t>(run.expert_local)].rows;
+    const auto& order = schedule.row_order[static_cast<size_t>(run.expert_local)];
     TierSplit remote;
-    for (int64_t i = tile.row_begin; i < tile.row_end; ++i) {
+    for (int64_t r = run.row_begin; r < run.row_end; ++r) {
       const ExpertRow& row =
-          rows[static_cast<size_t>(order[static_cast<size_t>(i)])];
+          rows[static_cast<size_t>(order[static_cast<size_t>(r)])];
       if (row.source_group == group) {
         continue;
       }
@@ -150,26 +136,18 @@ void PrepareLayer0Fused(const RoutePlan& plan, int rank,
         remote.inter += row_bytes;
       }
     }
-    ws.chunk_intra[static_cast<size_t>(chunk)] = remote.intra;
-    ws.chunk_inter[static_cast<size_t>(chunk)] = remote.inter;
+    ws.run_intra[i] = remote.intra;
+    ws.run_inter[i] = remote.inter;
     total_split.intra += remote.intra;
     total_split.inter += remote.inter;
-    ws.chunk_order.push_back(chunk);
+    const double bytes = remote.intra + remote.inter;
+    if (bytes > 0.0) {
+      ws.jobs.push_back(TransferJob{0.0, bytes});
+      ws.job_runs.push_back(static_cast<int64_t>(i));
+    }
   }
   ws.remote_intra = total_split.intra;
   ws.remote_inter = total_split.inter;
-
-  // The chunks with remote rows, in first-use order, as delivery jobs.
-  ws.jobs.clear();
-  ws.job_chunks.clear();
-  for (const int64_t chunk : ws.chunk_order) {
-    const double bytes = ws.chunk_intra[static_cast<size_t>(chunk)] +
-                         ws.chunk_inter[static_cast<size_t>(chunk)];
-    if (bytes > 0.0) {
-      ws.jobs.push_back(TransferJob{0.0, bytes});
-      ws.job_chunks.push_back(chunk);
-    }
-  }
 }
 
 void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
@@ -180,6 +158,7 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
   const ClusterSpec& cluster = costs.cluster();
   const LinkSpec& link = cluster.link;
   const Layer0Schedule& schedule = ws.layer0;
+  const size_t n_runs = schedule.runs.size();
 
   COMET_CHECK_GT(config.total_blocks, 0);
   COMET_CHECK_GE(config.comm_blocks, 0);
@@ -195,16 +174,16 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
     // Every block fetches its own tile's rows inline: column tiles of the
     // same row chunk re-fetch the rows (the redundant-access problem of
     // vertical fusion), and the broken async pipeline slows the math itself.
-    ws.tasks.clear();
+    if (timeline != nullptr) {
+      timeline->Reserve(static_cast<size_t>(TileCount(schedule)));
+    }
     const double tile_us =
         costs.gemm().TileTimeUs(n_embed, config.tile_m, config.tile_n) *
         (1.0 + kVerticalFusionPenalty);
-    for (const TileRef& tile : schedule.tiles) {
-      const size_t chunk = static_cast<size_t>(
-          ws.chunk_base[static_cast<size_t>(tile.expert_local)] +
-          tile.row_begin / config.tile_m);
-      const double intra_bytes = ws.chunk_intra[chunk];
-      const double inter_bytes = ws.chunk_inter[chunk];
+    ws.slots.Reset(config.total_blocks, 0.0);
+    for (size_t i = 0; i < n_runs; ++i) {
+      const double intra_bytes = ws.run_intra[i];
+      const double inter_bytes = ws.run_inter[i];
       const double total = intra_bytes + inter_bytes;
       const double fetch =
           total > 0.0
@@ -216,32 +195,33 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
                                   .per_block_bandwidth_scattered_bytes_per_us}},
                             link.per_block_bandwidth_scattered_bytes_per_us)
               : 0.0;
-      ws.tasks.push_back(SlotTask{0.0, tile_us + fetch});
+      IssueTiles(ws.slots, schedule.col_tiles, 0.0, tile_us + fetch,
+                 "l0-tile", OpCategory::kLayer0Comp, timeline);
     }
-    ScheduleInOrderInto(ws.tasks, config.total_blocks, 0.0, ws.slot_heap,
-                        &ws.slot_schedule);
-    const SlotSchedule& sched = ws.slot_schedule;
-    result->compute_makespan_us = sched.makespan_us;
-    result->comm_makespan_us = sched.makespan_us;
-    result->stall_us = sched.stall_us;
-    result->duration_us = sched.makespan_us;
-    AddTileIntervals(sched, "l0-tile", OpCategory::kLayer0Comp, timeline);
+    result->compute_makespan_us = ws.slots.makespan_us();
+    result->comm_makespan_us = ws.slots.makespan_us();
+    result->stall_us = ws.slots.stall_us();
+    result->duration_us = ws.slots.makespan_us();
     return;
   }
 
   COMET_CHECK(total_comm_bytes == 0.0 || config.comm_blocks > 0)
       << "remote tokens but no communication blocks";
 
+  if (timeline != nullptr) {
+    timeline->Reserve(static_cast<size_t>(TileCount(schedule)) +
+                      ws.jobs.size());
+  }
   // Token delivery: FIFO channel at the aggregate rate of the nc blocks,
-  // tier-blended on multi-node clusters. Local chunks arrive at 0.
-  ws.chunk_arrival.assign(ws.chunk_intra.size(), 0.0);
+  // tier-blended on multi-node clusters. Local runs arrive at 0.
+  ws.run_arrival.assign(n_runs, 0.0);
   if (total_comm_bytes > 0.0) {
     const double bw =
         ScatteredChannelBandwidth(total_split, cluster, config.comm_blocks);
     BandwidthQueue channel(bw, TierLatencyUs(total_split, cluster));
     channel.ScheduleInto(ws.jobs, 0.0, &ws.transfers);
     for (size_t i = 0; i < ws.transfers.size(); ++i) {
-      ws.chunk_arrival[static_cast<size_t>(ws.job_chunks[i])] =
+      ws.run_arrival[static_cast<size_t>(ws.job_runs[i])] =
           ws.transfers[i].end_us;
       result->comm_makespan_us =
           std::max(result->comm_makespan_us, ws.transfers[i].end_us);
@@ -252,23 +232,19 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
     }
   }
 
-  // Compute side: in-order tile issue on the np GEMM blocks.
-  ws.tasks.clear();
+  // Compute side: in-order tile issue on the np GEMM blocks, each run's
+  // column tiles gated by the run's delivery.
   const double tile_us =
       costs.gemm().TileTimeUs(n_embed, config.tile_m, config.tile_n);
-  for (const TileRef& tile : schedule.tiles) {
-    const size_t chunk = static_cast<size_t>(
-        ws.chunk_base[static_cast<size_t>(tile.expert_local)] +
-        tile.row_begin / config.tile_m);
-    ws.tasks.push_back(SlotTask{ws.chunk_arrival[chunk], tile_us});
+  ws.slots.Reset(config.total_blocks - config.comm_blocks, 0.0);
+  for (size_t i = 0; i < n_runs; ++i) {
+    IssueTiles(ws.slots, schedule.col_tiles, ws.run_arrival[i], tile_us,
+               "l0-tile", OpCategory::kLayer0Comp, timeline);
   }
-  const int np = config.total_blocks - config.comm_blocks;
-  ScheduleInOrderInto(ws.tasks, np, 0.0, ws.slot_heap, &ws.slot_schedule);
-  const SlotSchedule& sched = ws.slot_schedule;
-  result->compute_makespan_us = sched.makespan_us;
-  result->stall_us = sched.stall_us;
-  result->duration_us = std::max(sched.makespan_us, result->comm_makespan_us);
-  AddTileIntervals(sched, "l0-tile", OpCategory::kLayer0Comp, timeline);
+  result->compute_makespan_us = ws.slots.makespan_us();
+  result->stall_us = ws.slots.stall_us();
+  result->duration_us =
+      std::max(result->compute_makespan_us, result->comm_makespan_us);
 }
 
 void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
@@ -359,48 +335,55 @@ void PriceLayer1Fused(const RoutePlan& plan, const OpCostModel& costs,
   const double tile_us =
       costs.gemm().TileTimeUs(k_depth, config.tile_m, config.tile_n);
   const int64_t panels = schedule.num_col_panels;
+  const int64_t tiles = TileCount(schedule);
 
   if (config.vertical_fusion) {
-    ws.tasks.clear();
-    const double per_tile_comm =
-        schedule.tiles.empty()
-            ? 0.0
-            : total_comm / static_cast<double>(schedule.tiles.size()) /
-                  link.per_block_bandwidth_scattered_bytes_per_us;
-    for (size_t i = 0; i < schedule.tiles.size(); ++i) {
-      ws.tasks.push_back(SlotTask{
-          0.0, tile_us * (1.0 + kVerticalFusionPenalty) + per_tile_comm});
+    if (timeline != nullptr) {
+      timeline->Reserve(static_cast<size_t>(tiles));
     }
-    ScheduleInOrderInto(ws.tasks, config.total_blocks, 0.0, ws.slot_heap,
-                        &ws.slot_schedule);
-    const SlotSchedule& sched = ws.slot_schedule;
-    result->compute_makespan_us = sched.makespan_us;
-    result->comm_makespan_us = sched.makespan_us;
-    result->duration_us = sched.makespan_us;
-    result->stall_us = sched.stall_us;
-    AddTileIntervals(sched, "l1-tile", OpCategory::kLayer1Comp, timeline);
+    const double per_tile_comm =
+        tiles == 0 ? 0.0
+                   : total_comm / static_cast<double>(tiles) /
+                         link.per_block_bandwidth_scattered_bytes_per_us;
+    ws.slots.Reset(config.total_blocks, 0.0);
+    IssueTiles(ws.slots, tiles, 0.0,
+               tile_us * (1.0 + kVerticalFusionPenalty) + per_tile_comm,
+               "l1-tile", OpCategory::kLayer1Comp, timeline);
+    result->compute_makespan_us = ws.slots.makespan_us();
+    result->comm_makespan_us = ws.slots.makespan_us();
+    result->duration_us = ws.slots.makespan_us();
+    result->stall_us = ws.slots.stall_us();
     return;
   }
 
   COMET_CHECK(total_comm == 0.0 || config.comm_blocks > 0)
       << "layer1 traffic but no communication blocks";
 
-  // Compute: all tiles ready at 0; order decides when panels complete.
-  ws.tasks.assign(schedule.tiles.size(), SlotTask{0.0, tile_us});
-  const int np = config.total_blocks - config.comm_blocks;
-  ScheduleInOrderInto(ws.tasks, np, 0.0, ws.slot_heap, &ws.slot_schedule);
-  const SlotSchedule& sched = ws.slot_schedule;
-  result->compute_makespan_us = sched.makespan_us;
-  result->stall_us = sched.stall_us;
-  AddTileIntervals(sched, "l1-tile", OpCategory::kLayer1Comp, timeline);
-
-  // Panel completion times gate the reduce + write/send of those columns.
-  ws.panel_done.assign(static_cast<size_t>(panels), 0.0);
-  for (size_t i = 0; i < schedule.tiles.size(); ++i) {
-    const int64_t p = schedule.tiles[i].col_begin / config.tile_n;
-    ws.panel_done[static_cast<size_t>(p)] =
-        std::max(ws.panel_done[static_cast<size_t>(p)], sched.tasks[i].end_us);
+  if (timeline != nullptr) {
+    timeline->Reserve(static_cast<size_t>(tiles + panels));
   }
+  // Compute: all tiles ready at 0; order decides when panels complete, and
+  // panel completion times gate the reduce + write/send of those columns.
+  const int64_t n_runs = static_cast<int64_t>(schedule.runs.size());
+  ws.slots.Reset(config.total_blocks - config.comm_blocks, 0.0);
+  ws.panel_done.assign(static_cast<size_t>(panels), 0.0);
+  if (schedule.panel_major) {
+    for (int64_t p = 0; p < panels; ++p) {
+      ws.panel_done[static_cast<size_t>(p)] =
+          IssueTiles(ws.slots, n_runs, 0.0, tile_us, "l1-tile",
+                     OpCategory::kLayer1Comp, timeline);
+    }
+  } else {
+    for (int64_t i = 0; i < n_runs; ++i) {
+      for (int64_t p = 0; p < panels; ++p) {
+        double& done = ws.panel_done[static_cast<size_t>(p)];
+        done = std::max(done, IssueTiles(ws.slots, 1, 0.0, tile_us, "l1-tile",
+                                         OpCategory::kLayer1Comp, timeline));
+      }
+    }
+  }
+  result->compute_makespan_us = ws.slots.makespan_us();
+  result->stall_us = ws.slots.stall_us();
 
   double comm_end = 0.0;
   if (total_comm > 0.0) {

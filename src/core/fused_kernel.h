@@ -48,20 +48,21 @@ struct FusedKernelResult {
 // Simulate*FusedInto variants below. Owned per rank by the executor; every
 // buffer grows to its high-water mark during warm-up and is then reused
 // allocation-free. After a call, `layer0` / `layer1` hold the schedule that
-// call priced; the executor's functional plane runs its tiles in exactly
-// that order. Row chunks (the token-delivery unit: tiles of one expert
-// sharing a row range) are addressed by the flat id
-// `chunk_base[expert_local] + row_begin / tile_m` instead of a map.
+// call priced; the executor's functional plane runs its tiles (TileAt) in
+// exactly that order. Everything here is sized by row chunks (runs), column
+// panels or slots -- nothing per tile: the price steps issue the tiles of
+// each run straight from the schedule onto `slots` and write each tile's
+// interval to the caller's timeline, if there is one.
 struct FusedKernelWorkspace {
   ScheduleScratch schedule_scratch;
   Layer0Schedule layer0;
   Layer1Schedule layer1;
-  std::vector<int64_t> chunk_base;    // per local expert: first flat chunk id
-  std::vector<char> chunk_seen;       // first-use dedup flag per chunk
-  std::vector<double> chunk_intra;    // remote bytes per chunk, intra-node
-  std::vector<double> chunk_inter;    // remote bytes per chunk, inter-node
-  std::vector<double> chunk_arrival;  // delivery time per chunk (0 = local)
-  std::vector<int64_t> chunk_order;   // chunk ids in tile first-use order
+  // Per layer0 run, in run order (each run is one row chunk, the
+  // token-delivery unit): remote bytes by fabric tier and delivery time
+  // (0 = all rows local).
+  std::vector<double> run_intra;
+  std::vector<double> run_inter;
+  std::vector<double> run_arrival;
   // Written by a prepare step, read by the price step after it: the rank's
   // remote bytes by fabric tier (layer0: rows in, layer1: EP return rows
   // out), and layer1's TP reduce-scatter share and whether it crosses nodes.
@@ -69,14 +70,12 @@ struct FusedKernelWorkspace {
   double remote_inter = 0.0;
   double reduce_scatter_bytes = 0.0;
   bool reduce_scatter_crosses_nodes = false;
-  std::vector<SlotTask> tasks;
-  std::vector<TransferJob> jobs;      // layer0: chunk deliveries (prepared);
+  std::vector<TransferJob> jobs;      // layer0: run deliveries (prepared);
                                       // layer1: panel sends (priced)
-  std::vector<int64_t> job_chunks;    // chunk id of each transfer job
+  std::vector<int64_t> job_runs;      // layer0: run index of each job
   std::vector<TransferResult> transfers;
-  std::vector<double> slot_heap;
+  SlotPool slots;
   std::vector<double> panel_done;
-  SlotSchedule slot_schedule;
 };
 
 // Simulates the layer0 fused kernel (dispatch + GroupGEMM) on `rank`.
@@ -109,17 +108,20 @@ void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
 // division points of one layer (the adaptive sweep).
 //
 // Prepare builds into `ws` everything that does not depend on
-// `config.comm_blocks`: the (rescheduled) tile schedule; for layer0 the row
-// chunk layout, each chunk's remote bytes by fabric tier and the delivery
-// jobs; for layer1 the EP return bytes by tier and the TP reduce-scatter
-// share. It reads `config`'s tile sizes and reschedule flag only.
+// `config.comm_blocks`, in O(rows + chunks): the (rescheduled) run
+// schedule; for layer0 each run's remote bytes by fabric tier and the
+// delivery jobs; for layer1 the EP return bytes by tier and the TP
+// reduce-scatter share. It reads `config`'s tile sizes and reschedule flag
+// only.
 //
 // Price simulates one division point on the prepared `ws`: the
 // communication channel of nc blocks and the in-order slot schedule of the
 // np = total_blocks - nc GEMM blocks. `config` must equal the prepare's in
 // every field but comm_blocks, which price validates. It leaves
 // `result->timeline` alone and writes the intervals to `timeline` (cleared
-// first) only when that is non-null. A price leaves the prepared state as
+// and reserved to the tile plus transfer count first) only when that is
+// non-null. It costs one slot issue per tile: O(1) each on every
+// rescheduled price but vertical fusion (see SlotPool). A price leaves the prepared state as
 // it found it, so one prepare serves any number of prices. The two
 // schedules live side by side, but the rest of the prepared state is
 // shared: price the layer prepared last.

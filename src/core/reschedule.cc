@@ -32,12 +32,11 @@ void BuildLayer0ScheduleInto(const RankPlan& plan, int ep_group, int ep,
 
   out->tile_m = tile_m;
   out->tile_n = tile_n;
+  out->out_cols = out_cols;
+  out->col_tiles = CeilDiv(out_cols, tile_n);
   // The local expert count is fixed for a given placement, so this resize
   // neither destroys inner vectors nor allocates once warmed.
   out->row_order.resize(plan.experts.size());
-  out->tiles.clear();
-
-  const int64_t col_tiles = CeilDiv(out_cols, tile_n);
 
   for (size_t le = 0; le < plan.experts.size(); ++le) {
     const auto& rows = plan.experts[le].rows;
@@ -70,7 +69,12 @@ void BuildLayer0ScheduleInto(const RankPlan& plan, int ep_group, int ep,
     }
   }
 
-  // Enumerate tiles over the permuted rows.
+  // Row chunks over the permuted rows, expert-major. A chunk's column tiles
+  // share its arrival class and sit next to each other in this order, so
+  // the stable sort below keeps them together and left to right: sorting
+  // runs gives the same tile sequence as sorting tiles.
+  std::vector<TileRun>& runs = reschedule ? scratch.runs_tmp : out->runs;
+  runs.clear();
   for (size_t le = 0; le < plan.experts.size(); ++le) {
     const auto& rows = plan.experts[le].rows;
     const auto& order = out->row_order[le];
@@ -86,11 +90,7 @@ void BuildLayer0ScheduleInto(const RankPlan& plan, int ep_group, int ep,
                     .source_group,
                 ep_group, ep));
       }
-      for (int64_t c = 0; c < col_tiles; ++c) {
-        out->tiles.push_back(
-            TileRef{static_cast<int64_t>(le), r, r_end, c * tile_n,
-                    std::min((c + 1) * tile_n, out_cols), arrival});
-      }
+      runs.push_back(TileRun{static_cast<int64_t>(le), r, r_end, arrival});
     }
   }
 
@@ -98,8 +98,8 @@ void BuildLayer0ScheduleInto(const RankPlan& plan, int ep_group, int ep,
     // Readiness-ordered issue via a stable counting sort on arrival_class
     // (same permutation as a stable comparison sort).
     scratch.class_count.assign(static_cast<size_t>(ep), 0);
-    for (const auto& tile : out->tiles) {
-      ++scratch.class_count[static_cast<size_t>(tile.arrival_class)];
+    for (const TileRun& run : runs) {
+      ++scratch.class_count[static_cast<size_t>(run.arrival_class)];
     }
     scratch.class_offset.assign(static_cast<size_t>(ep), 0);
     for (int c = 1; c < ep; ++c) {
@@ -107,14 +107,12 @@ void BuildLayer0ScheduleInto(const RankPlan& plan, int ep_group, int ep,
           scratch.class_offset[static_cast<size_t>(c - 1)] +
           scratch.class_count[static_cast<size_t>(c - 1)];
     }
-    scratch.tiles_tmp.resize(out->tiles.size());
-    for (const auto& tile : out->tiles) {
-      scratch.tiles_tmp[static_cast<size_t>(
-          scratch.class_offset[static_cast<size_t>(tile.arrival_class)]++)] =
-          tile;
+    out->runs.resize(runs.size());
+    for (const TileRun& run : runs) {
+      out->runs[static_cast<size_t>(
+          scratch.class_offset[static_cast<size_t>(run.arrival_class)]++)] =
+          run;
     }
-    // Swap keeps both buffers' capacities warm for the next rebuild.
-    out->tiles.swap(scratch.tiles_tmp);
   }
 }
 
@@ -137,33 +135,17 @@ void BuildLayer1ScheduleInto(const RankPlan& plan, int64_t out_cols,
 
   out->tile_m = tile_m;
   out->tile_n = tile_n;
+  out->out_cols = out_cols;
   out->num_col_panels = CeilDiv(out_cols, tile_n);
-  out->tiles.clear();
-
-  if (reschedule) {
-    // Column-panel-major across all experts (Figure 6).
-    for (int64_t c = 0; c < out->num_col_panels; ++c) {
-      for (size_t le = 0; le < plan.experts.size(); ++le) {
-        const int64_t m =
-            static_cast<int64_t>(plan.experts[le].rows.size());
-        for (int64_t r = 0; r < m; r += tile_m) {
-          out->tiles.push_back(TileRef{
-              static_cast<int64_t>(le), r, std::min(r + tile_m, m),
-              c * tile_n, std::min((c + 1) * tile_n, out_cols), 0});
-        }
-      }
-    }
-  } else {
-    // Canonical expert-major order.
-    for (size_t le = 0; le < plan.experts.size(); ++le) {
-      const int64_t m = static_cast<int64_t>(plan.experts[le].rows.size());
-      for (int64_t r = 0; r < m; r += tile_m) {
-        for (int64_t c = 0; c < out->num_col_panels; ++c) {
-          out->tiles.push_back(TileRef{
-              static_cast<int64_t>(le), r, std::min(r + tile_m, m),
-              c * tile_n, std::min((c + 1) * tile_n, out_cols), 0});
-        }
-      }
+  // Column-panel-major across all experts (Figure 6) when rescheduling;
+  // the canonical expert-major order otherwise.
+  out->panel_major = reschedule;
+  out->runs.clear();
+  for (size_t le = 0; le < plan.experts.size(); ++le) {
+    const int64_t m = static_cast<int64_t>(plan.experts[le].rows.size());
+    for (int64_t r = 0; r < m; r += tile_m) {
+      out->runs.push_back(
+          TileRun{static_cast<int64_t>(le), r, std::min(r + tile_m, m), 0});
     }
   }
 }

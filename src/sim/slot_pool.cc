@@ -1,45 +1,41 @@
 #include "sim/slot_pool.h"
 
-#include <algorithm>
-#include <functional>
-
-#include "util/check.h"
-
 namespace comet {
+namespace {
 
-void ScheduleInOrderInto(const std::vector<SlotTask>& tasks, int num_slots,
-                         double start_time_us, std::vector<double>& slot_heap,
-                         SlotSchedule* out) {
+// Spare buffer behind the window: the window slides this far before a
+// compaction copies it back to the front.
+constexpr size_t kSlide = 1024;
+
+}  // namespace
+
+void SlotPool::Reset(int num_slots, double start_time_us) {
   COMET_CHECK_GT(num_slots, 0);
-  out->tasks.resize(tasks.size());
-  out->makespan_us = start_time_us;
-  out->stall_us = 0.0;
-  if (tasks.empty()) {
-    return;
-  }
-  // Min-heap of slot free times (all-equal start is already a valid heap).
-  slot_heap.assign(static_cast<size_t>(num_slots), start_time_us);
-  double makespan = start_time_us;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    COMET_CHECK_GE(tasks[i].duration_us, 0.0);
-    const double slot_free = slot_heap.front();
-    std::pop_heap(slot_heap.begin(), slot_heap.end(), std::greater<double>());
-    const double start = std::max(slot_free, tasks[i].ready_us);
-    const double end = start + tasks[i].duration_us;
-    out->tasks[i] = ScheduledTask{start, end};
-    out->stall_us += start - slot_free;
-    makespan = std::max(makespan, end);
-    slot_heap.back() = end;
-    std::push_heap(slot_heap.begin(), slot_heap.end(), std::greater<double>());
-  }
-  out->makespan_us = makespan;
+  slots_ = static_cast<size_t>(num_slots);
+  free_.assign(slots_ + kSlide, start_time_us);
+  head_ = 0;
+  makespan_us_ = start_time_us;
+  stall_us_ = 0.0;
+}
+
+void SlotPool::Compact() {
+  std::copy(free_.begin() + static_cast<std::ptrdiff_t>(head_),
+            free_.begin() + static_cast<std::ptrdiff_t>(head_ + slots_ - 1),
+            free_.begin());
+  head_ = 0;
 }
 
 SlotSchedule ScheduleInOrder(const std::vector<SlotTask>& tasks, int num_slots,
                              double start_time_us) {
+  SlotPool pool;
+  pool.Reset(num_slots, start_time_us);
   SlotSchedule out;
-  std::vector<double> slot_heap;
-  ScheduleInOrderInto(tasks, num_slots, start_time_us, slot_heap, &out);
+  out.tasks.reserve(tasks.size());
+  for (const SlotTask& task : tasks) {
+    out.tasks.push_back(pool.Issue(task.ready_us, task.duration_us));
+  }
+  out.makespan_us = pool.makespan_us();
+  out.stall_us = pool.stall_us();
   return out;
 }
 

@@ -56,6 +56,12 @@ void Timeline::Add(std::string label, OpCategory category, int lane,
   Add(TimeInterval{std::move(label), category, lane, start_us, end_us});
 }
 
+void Timeline::Reserve(size_t n) {
+  if (n > intervals_.capacity()) {
+    intervals_.reserve(std::max(n, 2 * intervals_.capacity()));
+  }
+}
+
 void Timeline::Merge(const Timeline& other, double offset_us) {
   for (TimeInterval iv : other.intervals_) {
     iv.start_us += offset_us;

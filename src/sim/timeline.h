@@ -53,6 +53,11 @@ class Timeline {
   // SSO, so refilling within capacity is allocation-free).
   void Clear() { intervals_.clear(); }
 
+  // Makes room for `n` intervals in all, growing like push_back would (at
+  // least doubling), so a writer that knows its count reallocates at most
+  // once.
+  void Reserve(size_t n);
+
   const std::vector<TimeInterval>& intervals() const { return intervals_; }
   bool empty() const { return intervals_.empty(); }
 

@@ -13,10 +13,13 @@
 #include "core/reschedule.h"
 #include "exec/op_costs.h"
 #include "moe/workload.h"
+#include "tests/fused_schedule_reference.h"
 #include "util/check.h"
 
 namespace comet {
 namespace {
+
+using fused_schedule_reference::ExpandTiles;
 
 MoeWorkload SmallWorkload(int tp, int ep, int64_t tokens, double std = 0.0) {
   ModelConfig model;
@@ -69,11 +72,11 @@ TEST(Reschedule, Layer0TileOrderByArrivalClass) {
   const auto schedule = BuildLayer0Schedule(w.plan.ForRank(0), 0, 4, 1024, 32,
                                             32, true);
   int prev = -1;
-  for (const TileRef& tile : schedule.tiles) {
+  for (const TileRef& tile : ExpandTiles(schedule)) {
     EXPECT_GE(tile.arrival_class, prev);
     prev = tile.arrival_class;
   }
-  EXPECT_EQ(schedule.tiles.front().arrival_class, 0);
+  EXPECT_EQ(TileAt(schedule, 0).arrival_class, 0);
 }
 
 TEST(Reschedule, Layer0OffKeepsIdentityRowOrder) {
@@ -103,8 +106,9 @@ TEST(Reschedule, SchedulesCoverEveryTileExactlyOnce) {
       return cells;
     };
     const int64_t rows = w.plan.ForRank(0).TotalRows();
-    EXPECT_EQ(count_cells(s0.tiles), rows * w.placement.HiddenPerTpRank());
-    EXPECT_EQ(count_cells(s1.tiles), rows * 512);
+    EXPECT_EQ(count_cells(ExpandTiles(s0)),
+              rows * w.placement.HiddenPerTpRank());
+    EXPECT_EQ(count_cells(ExpandTiles(s1)), rows * 512);
   }
 }
 
@@ -114,7 +118,7 @@ TEST(Reschedule, Layer1ColumnPanelMajor) {
       BuildLayer1Schedule(w.plan.ForRank(0), 512, 32, 64, true);
   EXPECT_EQ(schedule.num_col_panels, 8);
   int64_t prev_panel = 0;
-  for (const TileRef& tile : schedule.tiles) {
+  for (const TileRef& tile : ExpandTiles(schedule)) {
     const int64_t panel = tile.col_begin / 64;
     EXPECT_GE(panel, prev_panel);
     prev_panel = panel;
@@ -126,10 +130,105 @@ TEST(Reschedule, Layer1OffIsExpertMajor) {
   const auto schedule =
       BuildLayer1Schedule(w.plan.ForRank(0), 512, 32, 64, false);
   int64_t prev_expert = 0;
-  for (const TileRef& tile : schedule.tiles) {
+  for (const TileRef& tile : ExpandTiles(schedule)) {
     EXPECT_GE(tile.expert_local, prev_expert);
     prev_expert = tile.expert_local;
   }
+}
+
+// The run schedules, expanded through TileAt, are exactly the per-tile
+// schedules the builders produced before runs (fused_schedule_reference.h):
+// same row orders, same tiles in the same order, on every rank.
+TEST(Reschedule, TileAtMatchesReferenceTiles) {
+  int64_t empty_experts = 0;
+  int64_t cases = 0;
+  for (const auto& [tp, ep] : {std::pair{1, 1}, std::pair{1, 2},
+                               std::pair{1, 8}, std::pair{2, 1},
+                               std::pair{2, 2}, std::pair{2, 8}}) {
+    // 24 tokens under a steep skew leave some experts without rows.
+    for (const auto& [tokens, std] :
+         {std::pair{int64_t{24}, 0.3}, std::pair{int64_t{256}, 0.0}}) {
+      const MoeWorkload w = SmallWorkload(tp, ep, tokens, std);
+      const int64_t out_cols0 = w.placement.HiddenPerTpRank();
+      const int64_t out_cols1 = w.model().embedding;
+      for (int rank = 0; rank < tp * ep; ++rank) {
+        const RankPlan& plan = w.plan.ForRank(rank);
+        const int group = w.placement.EpGroupOfRank(rank);
+        for (const auto& slice : plan.experts) {
+          empty_experts += slice.rows.empty() ? 1 : 0;
+        }
+        for (const int64_t tile : {1, 7, 8, 16, 128, 300}) {
+          for (const bool resched : {true, false}) {
+            SCOPED_TRACE("TP" + std::to_string(tp) + " EP" +
+                         std::to_string(ep) + " M" + std::to_string(tokens) +
+                         " rank " + std::to_string(rank) + " tile " +
+                         std::to_string(tile) +
+                         (resched ? " resched" : " canonical"));
+            // Rectangular tiles too: tile_m = tile, tile_n = tile + 3.
+            const int64_t tile_n = tile + 3;
+            fused_schedule_reference::ScheduleScratch ref_scratch;
+            fused_schedule_reference::Layer0Schedule ref0;
+            fused_schedule_reference::BuildLayer0ScheduleInto(
+                plan, group, ep, out_cols0, tile, tile_n, resched,
+                ref_scratch, &ref0);
+            fused_schedule_reference::Layer1Schedule ref1;
+            fused_schedule_reference::BuildLayer1ScheduleInto(
+                plan, out_cols1, tile, tile_n, resched, &ref1);
+            const Layer0Schedule s0 = BuildLayer0Schedule(
+                plan, group, ep, out_cols0, tile, tile_n, resched);
+            const Layer1Schedule s1 =
+                BuildLayer1Schedule(plan, out_cols1, tile, tile_n, resched);
+            EXPECT_EQ(s0.row_order, ref0.row_order);
+            EXPECT_EQ(s1.num_col_panels, ref1.num_col_panels);
+            for (const auto& [got, want] :
+                 {std::pair{ExpandTiles(s0), ref0.tiles},
+                  std::pair{ExpandTiles(s1), ref1.tiles}}) {
+              ASSERT_EQ(got.size(), want.size());
+              for (size_t t = 0; t < got.size(); ++t) {
+                ASSERT_TRUE(got[t].expert_local == want[t].expert_local &&
+                            got[t].row_begin == want[t].row_begin &&
+                            got[t].row_end == want[t].row_end &&
+                            got[t].col_begin == want[t].col_begin &&
+                            got[t].col_end == want[t].col_end &&
+                            got[t].arrival_class == want[t].arrival_class)
+                    << "tile " << t;
+              }
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty_experts, 0);
+  EXPECT_EQ(cases, 2 * (1 + 2 + 8 + 2 + 4 + 16) * 6 * 2);
+}
+
+// A prepared fine-tile layer0 schedule stores one run per row chunk, not
+// one entry per tile: the per-tile state is implicit.
+TEST(Reschedule, PreparedLayer0HoldsOneRunPerRowChunk) {
+  WorkloadOptions wopt;
+  wopt.materialize = false;
+  const MoeWorkload w =
+      MakeWorkload(Mixtral8x7B(), ParallelConfig{1, 8}, 16384, wopt);
+  const ClusterSpec cluster = H800Cluster(8);
+  const OpCostModel costs(cluster);
+  FusedKernelConfig config;
+  config.total_blocks = cluster.gpu.num_sms;
+  config.tile_m = 8;
+  config.tile_n = 8;
+  FusedKernelWorkspace ws;
+  PrepareLayer0Fused(w.plan, 0, costs, config, ws);
+  int64_t chunks = 0;
+  for (const auto& slice : w.plan.ForRank(0).experts) {
+    chunks += (static_cast<int64_t>(slice.rows.size()) + 7) / 8;
+  }
+  const int64_t col_tiles = (w.placement.HiddenPerTpRank() + 7) / 8;
+  EXPECT_EQ(static_cast<int64_t>(ws.layer0.runs.size()), chunks);
+  EXPECT_EQ(TileCount(ws.layer0), chunks * col_tiles);
+  EXPECT_EQ(static_cast<int64_t>(ws.run_intra.size()), chunks);
+  EXPECT_LE(static_cast<int64_t>(ws.jobs.size()), chunks);
+  EXPECT_GT(col_tiles, 1000);
 }
 
 // ---- fused kernel simulator ------------------------------------------------

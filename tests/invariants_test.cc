@@ -14,6 +14,7 @@
 #include "moe/router.h"
 #include "moe/workload.h"
 #include "sim/trace_export.h"
+#include "tests/fused_schedule_reference.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -115,9 +116,11 @@ TEST_P(ScheduleCoverage, ExactCoverAndValidPermutation) {
   }
 
   // Tiles partition (expert rows x out_cols) exactly: count cell coverage.
-  for (const auto* schedule_tiles : {&s0.tiles, &s1.tiles}) {
+  for (const std::vector<TileRef>& schedule_tiles :
+       {fused_schedule_reference::ExpandTiles(s0),
+        fused_schedule_reference::ExpandTiles(s1)}) {
     std::map<std::tuple<int64_t, int64_t, int64_t>, int> cover;
-    for (const TileRef& t : *schedule_tiles) {
+    for (const TileRef& t : schedule_tiles) {
       EXPECT_LT(t.row_begin, t.row_end);
       EXPECT_LT(t.col_begin, t.col_end);
       EXPECT_LE(t.col_end, out_cols);

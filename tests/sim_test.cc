@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/fluid_network_reference.h"
+#include "tests/fused_schedule_reference.h"
 #include "sim/bandwidth_queue.h"
 #include "sim/network.h"
 #include "sim/slot_pool.h"
@@ -110,6 +111,90 @@ TEST(SlotPool, RespectsStartTime) {
 
 TEST(SlotPool, RejectsZeroSlots) {
   EXPECT_THROW(ScheduleInOrder({{0.0, 1.0}}, 0), CheckError);
+}
+
+// The sorted pool against the binary-heap scheduler it replaced
+// (fused_schedule_reference.h): every start, end, stall and makespan bit,
+// over random task lists with non-monotone ready times and durations, ties,
+// zero durations, a nonzero start time and 1-132 slots. Lists run past the
+// pool's sliding window, so its compaction is covered too.
+TEST(SlotPool, MatchesHeapReferenceBitForBit) {
+  Rng rng(2025);
+  std::vector<double> heap;
+  SlotSchedule want;
+  int64_t stalled = 0;
+  for (int c = 0; c < 4000; ++c) {
+    const int slots = static_cast<int>(rng.UniformInt(1, 132));
+    const double start = rng.UniformInt(0, 2) == 0 ? 0.0 : rng.NextDouble() * 50.0;
+    const int64_t n = rng.UniformInt(0, c % 10 == 0 ? 3000 : 300);
+    // Kind 0: continuous times; 1: a small grid (ties everywhere);
+    // 2: nondecreasing ready times and one duration (the rescheduled
+    // fused-kernel shape, O(1) inserts).
+    const int64_t kind = rng.UniformInt(0, 2);
+    const double one_duration = static_cast<double>(rng.UniformInt(0, 4)) * 0.5;
+    std::vector<SlotTask> tasks(static_cast<size_t>(n));
+    double ready = 0.0;
+    for (SlotTask& task : tasks) {
+      if (kind == 0) {
+        task.ready_us = rng.NextDouble() * 100.0;
+        task.duration_us =
+            rng.UniformInt(0, 9) == 0 ? 0.0 : rng.NextDouble() * 10.0;
+      } else if (kind == 1) {
+        task.ready_us = static_cast<double>(rng.UniformInt(0, 8)) * 0.5;
+        task.duration_us = static_cast<double>(rng.UniformInt(0, 3)) * 0.25;
+      } else {
+        ready += rng.UniformInt(0, 3) == 0 ? rng.NextDouble() : 0.0;
+        task.ready_us = ready;
+        task.duration_us = one_duration;
+      }
+    }
+    fused_schedule_reference::ScheduleInOrderInto(tasks, slots, start, heap,
+                                                  &want);
+    const SlotSchedule got = ScheduleInOrder(tasks, slots, start);
+    ASSERT_EQ(got.tasks.size(), want.tasks.size());
+    for (size_t i = 0; i < got.tasks.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.tasks[i].start_us),
+                std::bit_cast<uint64_t>(want.tasks[i].start_us))
+          << "case " << c << " task " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.tasks[i].end_us),
+                std::bit_cast<uint64_t>(want.tasks[i].end_us))
+          << "case " << c << " task " << i;
+    }
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.makespan_us),
+              std::bit_cast<uint64_t>(want.makespan_us))
+        << "case " << c;
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.stall_us),
+              std::bit_cast<uint64_t>(want.stall_us))
+        << "case " << c;
+    stalled += want.stall_us > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(stalled, 1000);
+}
+
+// One pool reused across Resets of different sizes schedules like a fresh
+// one each time.
+TEST(SlotPool, ReusedPoolMatchesFreshSchedules) {
+  Rng rng(11);
+  SlotPool pool;
+  for (int c = 0; c < 50; ++c) {
+    const int slots = static_cast<int>(rng.UniformInt(1, 132));
+    std::vector<SlotTask> tasks(static_cast<size_t>(rng.UniformInt(0, 2500)));
+    for (SlotTask& task : tasks) {
+      task = SlotTask{rng.NextDouble() * 20.0, rng.NextDouble()};
+    }
+    const SlotSchedule fresh = ScheduleInOrder(tasks, slots, 1.0);
+    pool.Reset(slots, 1.0);
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      const ScheduledTask got =
+          pool.Issue(tasks[i].ready_us, tasks[i].duration_us);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.end_us),
+                std::bit_cast<uint64_t>(fresh.tasks[i].end_us));
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(pool.makespan_us()),
+              std::bit_cast<uint64_t>(fresh.makespan_us));
+    EXPECT_EQ(std::bit_cast<uint64_t>(pool.stall_us()),
+              std::bit_cast<uint64_t>(fresh.stall_us));
+  }
 }
 
 // ---- bandwidth queue ---------------------------------------------------------
