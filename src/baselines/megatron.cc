@@ -35,7 +35,8 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
     const int stream = sim.AddStream("compute");
     auto launch = [&](const char* label, OpCategory cat, double dur) {
       if (flavor_.host_api_overhead_us > 0.0) {
-        sim.HostWork(std::string("api:") + label, flavor_.host_api_overhead_us);
+        sim.HostWork(InternLabel(std::string("api:") + label),
+                     flavor_.host_api_overhead_us);
       }
       return sim.Launch(stream, label, cat, dur);
     };

@@ -17,7 +17,7 @@ int StreamSim::AddStream(const std::string& name) {
   return static_cast<int>(stream_free_us_.size()) - 1;
 }
 
-KernelId StreamSim::Launch(int stream, std::string label, OpCategory category,
+KernelId StreamSim::Launch(int stream, const char* label, OpCategory category,
                            double duration_us,
                            const std::vector<KernelId>& deps) {
   COMET_CHECK_GE(stream, 0);
@@ -28,8 +28,8 @@ KernelId StreamSim::Launch(int stream, std::string label, OpCategory category,
   const double issue_begin = host_time_us_;
   host_time_us_ += launch_overhead_us_;
   if (launch_overhead_us_ > 0.0) {
-    timeline_.Add("launch:" + label, OpCategory::kHost, -1, issue_begin,
-                  host_time_us_);
+    timeline_.Add(InternLabel(std::string("launch:") + label),
+                  OpCategory::kHost, -1, issue_begin, host_time_us_);
   }
 
   double start = std::max(host_time_us_, stream_free_us_[static_cast<size_t>(stream)]);
@@ -44,15 +44,15 @@ KernelId StreamSim::Launch(int stream, std::string label, OpCategory category,
 
   kernel_start_.push_back(start);
   kernel_end_.push_back(end);
-  timeline_.Add(std::move(label), category, stream, start, end);
+  timeline_.Add(label, category, stream, start, end);
   return static_cast<KernelId>(kernel_end_.size()) - 1;
 }
 
-void StreamSim::HostWork(std::string label, double duration_us) {
+void StreamSim::HostWork(const char* label, double duration_us) {
   COMET_CHECK_GE(duration_us, 0.0);
   const double begin = host_time_us_;
   host_time_us_ += duration_us;
-  timeline_.Add(std::move(label), OpCategory::kHost, -1, begin, host_time_us_);
+  timeline_.Add(label, OpCategory::kHost, -1, begin, host_time_us_);
 }
 
 double StreamSim::KernelEnd(KernelId id) const {

@@ -31,12 +31,13 @@ class StreamSim {
   // Enqueues a kernel on `stream`. The kernel starts when (a) the host has
   // issued it, (b) the stream is free, and (c) all `deps` have completed.
   // `duration_us` >= 0. Returns the kernel id usable as a dependency.
-  KernelId Launch(int stream, std::string label, OpCategory category,
+  // Labels are stored by pointer (see Timeline::Add).
+  KernelId Launch(int stream, const char* label, OpCategory category,
                   double duration_us, const std::vector<KernelId>& deps = {});
 
   // Adds pure host time (framework/API overhead) that delays later launches,
   // recorded under OpCategory::kHost.
-  void HostWork(std::string label, double duration_us);
+  void HostWork(const char* label, double duration_us);
 
   double KernelEnd(KernelId id) const;
   double KernelStart(KernelId id) const;

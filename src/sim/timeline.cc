@@ -1,7 +1,9 @@
 #include "sim/timeline.h"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/check.h"
 #include "util/table.h"
@@ -45,15 +47,19 @@ bool IsCompCategory(OpCategory category) {
          category == OpCategory::kGating;
 }
 
-void Timeline::Add(TimeInterval interval) {
-  COMET_CHECK_LE(interval.start_us, interval.end_us)
-      << "interval '" << interval.label << "' ends before it starts";
-  intervals_.push_back(std::move(interval));
+const char* InternLabel(std::string_view label) {
+  static std::mutex mu;
+  // Node-based: an element's characters never move once inserted.
+  static std::unordered_set<std::string> labels;
+  std::lock_guard<std::mutex> lock(mu);
+  return labels.emplace(label).first->c_str();
 }
 
-void Timeline::Add(std::string label, OpCategory category, int lane,
+void Timeline::Add(const char* label, OpCategory category, int lane,
                    double start_us, double end_us) {
-  Add(TimeInterval{std::move(label), category, lane, start_us, end_us});
+  COMET_CHECK_LE(start_us, end_us)
+      << "interval '" << label << "' ends before it starts";
+  intervals_.push_back(TimeInterval{label, category, lane, start_us, end_us});
 }
 
 void Timeline::Reserve(size_t n) {
@@ -66,7 +72,9 @@ void Timeline::Merge(const Timeline& other, double offset_us) {
   for (TimeInterval iv : other.intervals_) {
     iv.start_us += offset_us;
     iv.end_us += offset_us;
-    Add(std::move(iv));
+    COMET_CHECK_LE(iv.start_us, iv.end_us)
+        << "interval '" << iv.label << "' ends before it starts";
+    intervals_.push_back(iv);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace comet {
@@ -29,8 +30,13 @@ std::string OpCategoryName(OpCategory category);
 bool IsCommCategory(OpCategory category);
 bool IsCompCategory(OpCategory category);
 
+// Returns a NUL-terminated copy of `label` that lives as long as the
+// process; equal labels share one copy. Thread-safe. For labels composed at
+// run time: Timeline::Add stores its label by pointer.
+const char* InternLabel(std::string_view label);
+
 struct TimeInterval {
-  std::string label;
+  std::string_view label;  // static storage: a literal or InternLabel's
   OpCategory category = OpCategory::kOther;
   int lane = 0;  // visual/logical lane, e.g. stream id or block-group id
   double start_us = 0.0;
@@ -41,16 +47,17 @@ struct TimeInterval {
 
 class Timeline {
  public:
-  void Add(TimeInterval interval);
-  void Add(std::string label, OpCategory category, int lane, double start_us,
+  // `label` must outlive the timeline: a string literal, or InternLabel's
+  // copy of a composed label.
+  void Add(const char* label, OpCategory category, int lane, double start_us,
            double end_us);
 
   // Appends all intervals of `other`, shifted by `offset_us`.
   void Merge(const Timeline& other, double offset_us = 0.0);
 
   // Forgets every interval but keeps capacity: the executors rebuild their
-  // timeline into the same storage every iteration (all interval labels fit
-  // SSO, so refilling within capacity is allocation-free).
+  // timeline into the same storage every iteration (labels are static, so
+  // refilling within capacity is allocation-free).
   void Clear() { intervals_.clear(); }
 
   // Makes room for `n` intervals in all, growing like push_back would (at

@@ -309,7 +309,7 @@ TEST(TraceInvariants, OneEventPerInterval) {
     const int n = static_cast<int>(rng.UniformInt(0, 40));
     for (int i = 0; i < n; ++i) {
       const double start = rng.Uniform(0.0, 100.0);
-      tl.Add("op" + std::to_string(i), OpCategory::kOther,
+      tl.Add(InternLabel("op" + std::to_string(i)), OpCategory::kOther,
              static_cast<int>(rng.UniformInt(0, 4)), start,
              start + rng.Uniform(0.1, 5.0));
     }
