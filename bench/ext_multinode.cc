@@ -44,12 +44,20 @@ REGISTER_BENCH(ext_multinode, "Extension: multi-node expert parallelism over Inf
 
     const auto dispatch_bytes = w.plan.DispatchBytes(
         static_cast<double>(model.embedding) * 2.0);
+    const double speedup = base / run.duration_us;
+    const double inter_frac = InterNodeByteFraction(cluster, dispatch_bytes);
+    const double hidden = run.timeline.HiddenCommFraction();
     table.AddRow({std::to_string(nodes), std::to_string(world),
                   FormatUsAsMs(base), FormatUsAsMs(tut),
-                  FormatUsAsMs(run.duration_us),
-                  FormatSpeedup(base / run.duration_us),
-                  FormatPercent(InterNodeByteFraction(cluster, dispatch_bytes)),
-                  FormatPercent(run.timeline.HiddenCommFraction())});
+                  FormatUsAsMs(run.duration_us), FormatSpeedup(speedup),
+                  FormatPercent(inter_frac), FormatPercent(hidden)});
+    const std::string prefix = "nodes=" + std::to_string(nodes) + "/";
+    reporter.Report(prefix + "megatron_ms", base / 1000.0, "ms");
+    reporter.Report(prefix + "tutel_ms", tut / 1000.0, "ms");
+    reporter.Report(prefix + "comet_ms", run.duration_us / 1000.0, "ms");
+    reporter.Report(prefix + "speedup_vs_megatron", speedup, "x");
+    reporter.Report(prefix + "inter_node_byte_pct", inter_frac * 100.0, "%");
+    reporter.Report(prefix + "hidden_comm_pct", hidden * 100.0, "%");
   }
   std::cout << table.Render() << "\n";
 
@@ -73,6 +81,9 @@ REGISTER_BENCH(ext_multinode, "Extension: multi-node expert parallelism over Inf
     a2a.AddRow({std::to_string(nodes), std::to_string(world),
                 FormatUsAsMs(direct), FormatUsAsMs(hier),
                 FormatSpeedup(direct / hier)});
+    const std::string prefix = "a2a/nodes=" + std::to_string(nodes) + "/";
+    reporter.Report(prefix + "direct_ms", direct / 1000.0, "ms");
+    reporter.Report(prefix + "hierarchical_ms", hier / 1000.0, "ms");
   }
   std::cout << a2a.Render() << "\n";
   PrintPaperNote(

@@ -4,6 +4,7 @@
 // a sweep the bench suite can afford.
 #include "bench/bench_common.h"
 #include "core/adaptive.h"
+#include "core/fused_kernel.h"
 #include "sim/bandwidth_queue.h"
 #include "sim/network.h"
 #include "sim/stream_sim.h"
@@ -73,6 +74,21 @@ REGISTER_BENCH(micro_sim, "Micro: timing-plane simulator throughput") {
                                .Sweep(MoePipelineStage::kLayer0, w.plan, 0,
                                       costs, base)
                                .size());
+           }));
+
+    // One fine-tile fused-kernel simulation per layer, timeline included,
+    // as paper_sweep and the granularity ablation run them.
+    FusedKernelConfig fine = base;
+    fine.comm_blocks = 20;
+    fine.tile_m = 8;
+    fine.tile_n = 8;
+    record("fused_layer0", "tile=8", TimeIt([&] {
+             DoNotOptimize(
+                 SimulateLayer0Fused(w.plan, 0, costs, fine).duration_us);
+           }));
+    record("fused_layer1", "tile=8", TimeIt([&] {
+             DoNotOptimize(
+                 SimulateLayer1Fused(w.plan, 0, costs, fine).duration_us);
            }));
   }
 

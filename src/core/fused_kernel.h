@@ -90,8 +90,9 @@ FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,
                                       const FusedKernelConfig& config);
 
 // Allocation-free rebuild variants: identical numbers and timeline to the
-// functions above, built into `result` (timeline cleared and refilled; all
-// labels fit SSO) using `ws` for every intermediate. Each is its layer's
+// functions above, built into `result` (timeline cleared and refilled;
+// labels are static, so refilling within capacity is allocation-free) using
+// `ws` for every intermediate. Each is its layer's
 // prepare step followed by its price step.
 void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
                              const OpCostModel& costs,
