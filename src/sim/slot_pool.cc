@@ -12,7 +12,12 @@ constexpr size_t kSlide = 1024;
 void SlotPool::Reset(int num_slots, double start_time_us) {
   COMET_CHECK_GT(num_slots, 0);
   slots_ = static_cast<size_t>(num_slots);
-  free_.assign(slots_ + kSlide, start_time_us);
+  // Only the window needs values; the space behind it is written before it
+  // is read.
+  if (free_.size() < slots_ + kSlide) {
+    free_.resize(slots_ + kSlide);
+  }
+  std::fill_n(free_.begin(), slots_, start_time_us);
   head_ = 0;
   makespan_us_ = start_time_us;
   stall_us_ = 0.0;
