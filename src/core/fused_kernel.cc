@@ -11,8 +11,6 @@ namespace {
 // the TMA/MMA pipeline of every block).
 constexpr double kVerticalFusionPenalty = 0.15;
 
-int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
 // Harmonic blend of per-class transfer rates: moving each byte class at its
 // own rate back-to-back through one channel yields total/sum(bytes_i/rate_i).
 double HarmonicBlend(std::initializer_list<std::pair<double, double>> classes,

@@ -12,6 +12,11 @@
 // (Figure 6): once panel 0 of every expert is computed, the reduce/send of
 // those T_N columns starts while panel 1 is still being computed. Without
 // rescheduling the consumer waits for the last expert to finish.
+//
+// Both schedules are stored as row-chunk runs, not tiles: a row chunk's
+// column tiles share everything the timing plane prices, so a schedule
+// costs O(chunks) memory however fine the tiles, and TileAt recovers any
+// tile in O(1) for the functional plane.
 #pragma once
 
 #include <algorithm>

@@ -36,7 +36,7 @@ bool IsCompCategory(OpCategory category);
 const char* InternLabel(std::string_view label);
 
 struct TimeInterval {
-  std::string_view label;  // static storage: a literal or InternLabel's
+  std::string_view label;  // a string literal or an InternLabel copy
   OpCategory category = OpCategory::kOther;
   int lane = 0;  // visual/logical lane, e.g. stream id or block-group id
   double start_us = 0.0;
