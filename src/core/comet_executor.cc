@@ -347,10 +347,14 @@ void CometExecutor::RunTimedInto(const MoeWorkload& workload,
         config0.comm_blocks = last_nc0_;
         FusedKernelConfig config1 = base;
         config1.comm_blocks = last_nc1_;
-        SimulateLayer0FusedInto(plan, static_cast<int>(r), costs, config0,
-                                rank.sim, &rank.l0);
-        SimulateLayer1FusedInto(plan, static_cast<int>(r), costs, config1,
-                                rank.sim, &rank.l1);
+        PrepareLayer0Fused(plan, static_cast<int>(r), costs, config0,
+                           rank.sim);
+        PriceLayer0Fused(plan, costs, config0, rank.sim, &rank.l0,
+                         &rank.l0.timeline);
+        PrepareLayer1Fused(plan, static_cast<int>(r), costs, config1,
+                           rank.sim);
+        PriceLayer1Fused(plan, costs, config1, rank.sim, &rank.l1,
+                         &rank.l1.timeline);
         rank.gate = costs.GatingUs(placement.tokens_per_group(),
                                    placement.model().embedding,
                                    placement.model().num_experts);

@@ -245,21 +245,13 @@ void PriceLayer0Fused(const RoutePlan& plan, const OpCostModel& costs,
       std::max(result->compute_makespan_us, result->comm_makespan_us);
 }
 
-void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result) {
-  PrepareLayer0Fused(plan, rank, costs, config, ws);
-  PriceLayer0Fused(plan, costs, config, ws, result, &result->timeline);
-}
-
 FusedKernelResult SimulateLayer0Fused(const RoutePlan& plan, int rank,
                                       const OpCostModel& costs,
                                       const FusedKernelConfig& config) {
   FusedKernelWorkspace ws;
   FusedKernelResult result;
-  SimulateLayer0FusedInto(plan, rank, costs, config, ws, &result);
+  PrepareLayer0Fused(plan, rank, costs, config, ws);
+  PriceLayer0Fused(plan, costs, config, ws, &result, &result.timeline);
   return result;
 }
 
@@ -427,21 +419,13 @@ void PriceLayer1Fused(const RoutePlan& plan, const OpCostModel& costs,
   result->duration_us = std::max(result->compute_makespan_us, comm_end);
 }
 
-void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result) {
-  PrepareLayer1Fused(plan, rank, costs, config, ws);
-  PriceLayer1Fused(plan, costs, config, ws, result, &result->timeline);
-}
-
 FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,
                                       const OpCostModel& costs,
                                       const FusedKernelConfig& config) {
   FusedKernelWorkspace ws;
   FusedKernelResult result;
-  SimulateLayer1FusedInto(plan, rank, costs, config, ws, &result);
+  PrepareLayer1Fused(plan, rank, costs, config, ws);
+  PriceLayer1Fused(plan, costs, config, ws, &result, &result.timeline);
   return result;
 }
 

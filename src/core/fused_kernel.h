@@ -44,15 +44,14 @@ struct FusedKernelResult {
   Timeline timeline;
 };
 
-// Reusable workspace for the prepare / price steps and the
-// Simulate*FusedInto variants below. Owned per rank by the executor; every
-// buffer grows to its high-water mark during warm-up and is then reused
-// allocation-free. After a call, `layer0` / `layer1` hold the schedule that
-// call priced; the executor's functional plane runs its tiles (TileAt) in
-// exactly that order. Everything here is sized by row chunks (runs), column
-// panels or slots -- nothing per tile: the price steps issue the tiles of
-// each run straight from the schedule onto `slots` and write each tile's
-// interval to the caller's timeline, if there is one.
+// Reusable workspace for the prepare / price steps below. Owned per rank
+// by the executor; every buffer grows to its high-water mark during warm-up
+// and is then reused allocation-free. After a call, `layer0` / `layer1`
+// hold the schedule that call priced; the executor's functional plane runs
+// its tiles (TileAt) in exactly that order. Everything here is sized by row
+// chunks (runs), column panels or slots -- nothing per tile: the price
+// steps issue the tiles of each run straight from the schedule onto `slots`
+// and write each tile's interval to the caller's timeline, if there is one.
 struct FusedKernelWorkspace {
   ScheduleScratch schedule_scratch;
   Layer0Schedule layer0;
@@ -89,24 +88,12 @@ FusedKernelResult SimulateLayer1Fused(const RoutePlan& plan, int rank,
                                       const OpCostModel& costs,
                                       const FusedKernelConfig& config);
 
-// Allocation-free rebuild variants: identical numbers and timeline to the
-// functions above, built into `result` (timeline cleared and refilled;
-// labels are static, so refilling within capacity is allocation-free) using
-// `ws` for every intermediate. Each is its layer's
-// prepare step followed by its price step.
-void SimulateLayer0FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result);
-void SimulateLayer1FusedInto(const RoutePlan& plan, int rank,
-                             const OpCostModel& costs,
-                             const FusedKernelConfig& config,
-                             FusedKernelWorkspace& ws,
-                             FusedKernelResult* result);
-
-// The two steps of a fused-kernel simulation, for callers that price many
-// division points of one layer (the adaptive sweep).
+// The two steps of a fused-kernel simulation. Simulate*Fused above is its
+// layer's prepare step followed by its price step into a fresh workspace.
+// Callers that reuse one workspace (the executor's per-rank workspaces, the
+// adaptive sweep pricing many division points of one layer) call the steps
+// directly: pricing into `&result->timeline` clears and refills it, and the
+// labels are static, so refilling within capacity is allocation-free.
 //
 // Prepare builds into `ws` everything that does not depend on
 // `config.comm_blocks`, in O(rows + chunks): the (rescheduled) run

@@ -29,10 +29,6 @@ struct GemmShape {
   int64_t m = 0;
   int64_t n = 0;
   int64_t k = 0;
-
-  double Flops() const { return 2.0 * static_cast<double>(m) *
-                                static_cast<double>(n) *
-                                static_cast<double>(k); }
 };
 
 class GemmCostModel {

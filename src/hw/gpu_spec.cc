@@ -5,17 +5,6 @@
 
 namespace comet {
 
-std::string LinkTypeName(LinkType type) {
-  switch (type) {
-    case LinkType::kNvLink:
-      return "NVLink";
-    case LinkType::kPcie:
-      return "PCIe";
-  }
-  COMET_CHECK(false) << "unknown link type";
-  return "";
-}
-
 double GpuSpec::FlopsPerUsPerSm() const {
   COMET_CHECK_GT(num_sms, 0);
   return peak_flops_per_us / static_cast<double>(num_sms);
@@ -47,10 +36,6 @@ bool ClusterSpec::SameNode(int a, int b) const {
   return NodeOfRank(a) == NodeOfRank(b);
 }
 
-const LinkSpec& ClusterSpec::LinkBetween(int a, int b) const {
-  return (IsMultiNode() && !SameNode(a, b)) ? inter_link : link;
-}
-
 ClusterSpec H800Cluster(int world_size) {
   COMET_CHECK_GT(world_size, 0);
   ClusterSpec cluster;
@@ -67,7 +52,6 @@ ClusterSpec H800Cluster(int world_size) {
   gpu.kernel_launch_us = 8.0;
 
   LinkSpec& link = cluster.link;
-  link.type = LinkType::kNvLink;
   // H800 NVLink: 400 GB/s bidirectional per GPU -> ~160 GB/s sustained
   // unidirectional for in-kernel transfers.
   link.bandwidth_bytes_per_us = GBps(160.0);
@@ -100,7 +84,6 @@ ClusterSpec L20Cluster(int world_size) {
   gpu.kernel_launch_us = 8.0;
 
   LinkSpec& link = cluster.link;
-  link.type = LinkType::kPcie;
   // The paper measures ~25 GB/s GPU-to-GPU through PCIe bridges.
   link.bandwidth_bytes_per_us = GBps(25.0);
   link.collective_bandwidth_bytes_per_us = GBps(11.0);
@@ -121,7 +104,6 @@ ClusterSpec MultiNodeH800Cluster(int num_nodes, int gpus_per_node) {
   cluster.gpus_per_node = gpus_per_node;
 
   LinkSpec& ib = cluster.inter_link;
-  ib.type = LinkType::kPcie;  // closest enum: a non-NVLink fabric
   // NDR InfiniBand, one 400 Gb/s HCA per GPU: ~45 GB/s sustained
   // unidirectional for RDMA; collectives land lower, and the per-hop
   // latency is microseconds rather than NVLink's sub-2us.

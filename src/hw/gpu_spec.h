@@ -13,16 +13,8 @@
 
 namespace comet {
 
-enum class LinkType {
-  kNvLink,
-  kPcie,
-};
-
-std::string LinkTypeName(LinkType type);
-
 // Point-to-point interconnect between two GPUs in a node.
 struct LinkSpec {
-  LinkType type = LinkType::kNvLink;
   // Wire-rate per-GPU unidirectional bandwidth in bytes/us (all peers
   // combined). GPU-initiated in-kernel transfers (NVSHMEM puts from fused
   // kernels) can approach this rate.
@@ -92,8 +84,6 @@ struct ClusterSpec {
   int NumNodes() const;
   int NodeOfRank(int rank) const;
   bool SameNode(int a, int b) const;
-  // The link traffic between ranks `a` and `b` travels over.
-  const LinkSpec& LinkBetween(int a, int b) const;
 };
 
 // Presets calibrated to the paper's testbeds.

@@ -14,15 +14,15 @@ std::string ModelConfig::ToString() const {
 }
 
 ModelConfig Mixtral8x7B() {
-  return ModelConfig{"Mixtral-8x7B", 32, 8, 2, 4096, 14336, 32};
+  return ModelConfig{"Mixtral-8x7B", 32, 8, 2, 4096, 14336};
 }
 
 ModelConfig Qwen2Moe() {
-  return ModelConfig{"Qwen2-MoE-2.7B", 24, 64, 4, 2048, 1408, 16};
+  return ModelConfig{"Qwen2-MoE-2.7B", 24, 64, 4, 2048, 1408};
 }
 
 ModelConfig Phi35Moe() {
-  return ModelConfig{"Phi-3.5-MoE", 32, 16, 2, 4096, 6400, 32};
+  return ModelConfig{"Phi-3.5-MoE", 32, 16, 2, 4096, 6400};
 }
 
 std::string ParallelConfig::ToString() const {
@@ -89,22 +89,8 @@ int Placement::EpGroupOfExpert(int64_t expert) const {
   return static_cast<int>(expert / ExpertsPerGroup());
 }
 
-int Placement::FirstRankOfExpert(int64_t expert) const {
-  return EpGroupOfExpert(expert) * parallel_.tp;
-}
-
-bool Placement::RankOwnsExpert(int rank, int64_t expert) const {
-  return EpGroupOfRank(rank) == EpGroupOfExpert(expert);
-}
-
 int64_t Placement::LocalExpertIndex(int64_t expert) const {
   return expert % ExpertsPerGroup();
-}
-
-int64_t Placement::GlobalExpertIndex(int rank, int64_t local) const {
-  COMET_CHECK_GE(local, 0);
-  COMET_CHECK_LT(local, ExpertsPerGroup());
-  return static_cast<int64_t>(EpGroupOfRank(rank)) * ExpertsPerGroup() + local;
 }
 
 int64_t Placement::HiddenPerTpRank() const {

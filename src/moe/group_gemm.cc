@@ -376,28 +376,6 @@ void GemmNT(const Tensor& a, const Tensor& b, Tensor& c) {
   });
 }
 
-void GemmTNTile(const Tensor& a, const Tensor& b, Tensor& c,
-                int64_t row_begin, int64_t row_end, int64_t col_begin,
-                int64_t col_end) {
-  COMET_CHECK_EQ(a.shape().rank(), 2u);
-  COMET_CHECK_EQ(b.shape().rank(), 2u);
-  COMET_CHECK_EQ(c.shape().rank(), 2u);
-  const int64_t m = a.rows();
-  const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  COMET_CHECK_EQ(b.rows(), m);
-  COMET_CHECK_EQ(c.rows(), k);
-  COMET_CHECK_EQ(c.cols(), n);
-  COMET_CHECK_GE(row_begin, 0);
-  COMET_CHECK_LE(row_end, k);
-  COMET_CHECK_GE(col_begin, 0);
-  COMET_CHECK_LE(col_end, n);
-
-  GemmTNTileImpl(a.data().data(), b.data().data(), c.data().data(), m, k, n,
-                 row_begin, row_end, col_begin, col_end);
-  QuantizeStore(c, row_begin, row_end, col_begin, col_end);
-}
-
 void GemmTN(const Tensor& a, const Tensor& b, Tensor& c) {
   COMET_CHECK_EQ(a.shape().rank(), 2u);
   COMET_CHECK_EQ(b.shape().rank(), 2u);

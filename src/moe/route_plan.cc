@@ -12,16 +12,6 @@ int64_t RankPlan::TotalRows() const {
   return total;
 }
 
-int64_t RankPlan::ExpertRowOffset(int64_t local) const {
-  COMET_CHECK_GE(local, 0);
-  COMET_CHECK_LT(local, static_cast<int64_t>(experts.size()));
-  int64_t offset = 0;
-  for (int64_t e = 0; e < local; ++e) {
-    offset += static_cast<int64_t>(experts[static_cast<size_t>(e)].rows.size());
-  }
-  return offset;
-}
-
 RoutePlan::RoutePlan(const Placement& placement, const RoutingTable& routing) {
   Rebuild(placement, routing);
 }

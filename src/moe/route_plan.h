@@ -66,8 +66,6 @@ struct RankPlan {
   std::vector<ExpertSlice> experts;
 
   int64_t TotalRows() const;
-  // Row offset of local expert `local` in the group's packed shared tensor.
-  int64_t ExpertRowOffset(int64_t local) const;
 };
 
 // Minimal (m, n, k) triple; mirrors hw's GemmShape but lives here so moe does

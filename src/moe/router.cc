@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "moe/group_gemm.h"
 #include "util/check.h"
@@ -220,61 +219,6 @@ void GateNetwork::RouteInto(const Tensor& tokens, int64_t topk,
       w /= selected_sum;
     }
   }
-}
-
-ExpertChoiceGate::ExpertChoiceGate(Tensor gate_weight)
-    : gate_weight_(std::move(gate_weight)) {
-  COMET_CHECK_EQ(gate_weight_.shape().rank(), 2u);
-}
-
-int64_t ExpertChoiceGate::num_experts() const { return gate_weight_.cols(); }
-
-RoutingTable ExpertChoiceGate::Route(const Tensor& tokens,
-                                     int64_t avg_topk) const {
-  const int64_t e_total = num_experts();
-  const int64_t m = tokens.rows();
-  COMET_CHECK_GT(avg_topk, 0);
-  COMET_CHECK_LE(avg_topk, e_total);
-  const int64_t capacity = std::max<int64_t>(
-      1, m * avg_topk / e_total);  // tokens each expert admits
-
-  // Token-major softmax probabilities over experts.
-  Tensor scores;
-  GateProbabilities(tokens, gate_weight_, &scores);
-  const float* probs = scores.data().data();
-  const auto prob = [&](int64_t t, int64_t e) {
-    return probs[t * e_total + e];
-  };
-
-  // Each expert takes its top-`capacity` tokens by probability.
-  RoutingTable table;
-  table.tokens.resize(static_cast<size_t>(m));
-  for (int64_t e = 0; e < e_total; ++e) {
-    std::vector<int64_t> order(static_cast<size_t>(m));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      return prob(a, e) > prob(b, e);
-    });
-    for (int64_t i = 0; i < std::min(capacity, m); ++i) {
-      const int64_t t = order[static_cast<size_t>(i)];
-      table.tokens[static_cast<size_t>(t)].experts.push_back(e);
-      table.tokens[static_cast<size_t>(t)].weights.push_back(prob(t, e));
-    }
-  }
-
-  // Renormalize per-token combine weights.
-  for (auto& token : table.tokens) {
-    float sum = 0.0f;
-    for (float w : token.weights) {
-      sum += w;
-    }
-    if (sum > 0.0f) {
-      for (auto& w : token.weights) {
-        w /= sum;
-      }
-    }
-  }
-  return table;
 }
 
 namespace {

@@ -5,8 +5,9 @@
 namespace comet {
 namespace {
 
-// Std of the materialized input activations.
+// Std of the materialized input activations and expert weights.
 constexpr float kInputStddev = 1.0f;
+constexpr float kWeightStddev = 0.05f;
 
 }  // namespace
 
@@ -45,8 +46,7 @@ MoeWorkload MakeWorkloadWithWeights(
   RoutePlan plan(placement, routing);
   return MoeWorkload{std::move(placement), std::move(routing),
                      std::move(plan),      std::move(inputs),
-                     std::move(weights),   std::move(sharded),
-                     options.activation};
+                     std::move(weights),   std::move(sharded)};
 }
 
 MoeWorkload MakeWorkload(const ModelConfig& model,
@@ -60,7 +60,7 @@ MoeWorkload MakeWorkload(const ModelConfig& model,
     // variants of one seed share the same underlying draw (the bf16 weights
     // ARE the rounded f32 weights -- what the precision tier compares).
     weights = std::make_shared<ExpertWeights>(ExpertWeights::Random(
-        model, weight_rng, options.weight_stddev, options.dtype));
+        model, weight_rng, kWeightStddev, options.dtype));
     sharded = std::make_shared<ShardedExpertWeights>(*weights, parallel.tp);
   }
   return MakeWorkloadWithWeights(model, parallel, total_tokens,

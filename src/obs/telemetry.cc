@@ -102,8 +102,8 @@ Telemetry::Telemetry(const TelemetryOptions& options)
 
 void Telemetry::BeginRun() {
   registry_.ResetValues();
-  if (options_.enabled && spans_.capacity() != options_.span_capacity) {
-    spans_.Reserve(options_.span_capacity);
+  if (options_.enabled && spans_.capacity() != kSpanCapacity) {
+    spans_.Reserve(kSpanCapacity);
   } else {
     spans_.Clear();
   }

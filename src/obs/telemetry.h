@@ -17,11 +17,12 @@
 
 namespace comet::obs {
 
+// Span-ring capacity, records per replica; overwrite-oldest (with a drop
+// counter) beyond it. Reserved at BeginRun.
+inline constexpr int64_t kSpanCapacity = 1 << 15;
+
 struct TelemetryOptions {
   bool enabled = false;
-  // Span-ring capacity, records per replica; overwrite-oldest (with a drop
-  // counter) beyond it. Reserved at BeginRun.
-  int64_t span_capacity = 1 << 15;
 };
 
 // Handles for every server-side instrument point, registered once per

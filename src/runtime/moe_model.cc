@@ -12,19 +12,18 @@ MoeModel::MoeModel(const ModelConfig& model, const ParallelConfig& parallel,
     : model_(model),
       parallel_(parallel),
       total_tokens_(total_tokens),
-      options_(options),
       comm_plan_(PlanCommBuffer(total_tokens, model.embedding)) {
   COMET_CHECK_GT(model_.layers, 0);
   COMET_CHECK_GT(total_tokens_, 0);
   COMET_CHECK_EQ(total_tokens_ % parallel_.ep, 0)
       << "tokens must shard evenly across EP groups";
-  Rng rng(options_.seed * 7919 + 13);
+  Rng rng(options.seed * 7919 + 13);
   weights_.reserve(static_cast<size_t>(model_.layers));
   sharded_.reserve(static_cast<size_t>(model_.layers));
   gate_weights_.reserve(static_cast<size_t>(model_.layers));
   for (int64_t l = 0; l < model_.layers; ++l) {
     auto w = std::make_shared<ExpertWeights>(
-        ExpertWeights::Random(model_, rng, options_.weight_stddev));
+        ExpertWeights::Random(model_, rng));
     sharded_.push_back(
         std::make_shared<ShardedExpertWeights>(*w, parallel_.tp));
     weights_.push_back(std::move(w));
@@ -73,17 +72,11 @@ MoeWorkload MoeModel::LayerWorkload(
                      std::move(plan),
                      activations,
                      weights_[static_cast<size_t>(layer)],
-                     sharded_[static_cast<size_t>(layer)],
-                     options_.activation};
+                     sharded_[static_cast<size_t>(layer)]};
 }
 
-std::vector<Tensor> MoeModel::Step(int64_t layer,
-                                   const std::vector<Tensor>& in,
-                                   std::vector<Tensor> layer_out) const {
-  (void)layer;
-  if (!options_.residual) {
-    return layer_out;
-  }
+std::vector<Tensor> MoeModel::AddResidual(const std::vector<Tensor>& in,
+                                          std::vector<Tensor> layer_out) {
   for (size_t g = 0; g < layer_out.size(); ++g) {
     auto out = layer_out[g].data();
     const auto res = in[g].data();
@@ -102,7 +95,7 @@ std::vector<Tensor> MoeModel::Forward(MoeLayerExecutor& executor,
     const MoeWorkload w = LayerWorkload(l, current);
     LayerExecution run = executor.Run(w, cluster, ExecMode::kFunctional);
     COMET_CHECK_EQ(run.outputs.size(), current.size());
-    current = Step(l, current, std::move(run.outputs));
+    current = AddResidual(current, std::move(run.outputs));
   }
   return current;
 }
@@ -112,7 +105,7 @@ std::vector<Tensor> MoeModel::ReferenceForward(
   std::vector<Tensor> current = inputs;
   for (int64_t l = 0; l < model_.layers; ++l) {
     const MoeWorkload w = LayerWorkload(l, current);
-    current = Step(l, current, ShardedReferenceMoeLayer(w));
+    current = AddResidual(current, ShardedReferenceMoeLayer(w));
   }
   return current;
 }

@@ -25,9 +25,6 @@ namespace comet {
 
 struct MoeModelOptions {
   uint64_t seed = 1;
-  bool residual = true;  // out_l = in_l + moe_l(in_l)
-  float weight_stddev = 0.05f;
-  ActivationKind activation = ActivationKind::kGelu;
 };
 
 class MoeModel {
@@ -56,13 +53,13 @@ class MoeModel {
   std::vector<Tensor> ReferenceForward(const std::vector<Tensor>& inputs) const;
 
  private:
-  std::vector<Tensor> Step(int64_t layer, const std::vector<Tensor>& in,
-                           std::vector<Tensor> layer_out) const;
+  // out_l = in_l + moe_l(in_l), group by group.
+  static std::vector<Tensor> AddResidual(const std::vector<Tensor>& in,
+                                         std::vector<Tensor> layer_out);
 
   ModelConfig model_;
   ParallelConfig parallel_;
   int64_t total_tokens_;
-  MoeModelOptions options_;
   CommBufferPlan comm_plan_;
   // Per layer.
   std::vector<std::shared_ptr<const ExpertWeights>> weights_;

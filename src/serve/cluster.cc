@@ -22,21 +22,15 @@ MoeCluster::MoeCluster(ClusterOptions options, ClusterSpec replica_cluster)
       cluster_metrics_(obs::ClusterMetrics::Register(cluster_registry_)) {
   COMET_CHECK_GT(options_.replicas, 0);
   COMET_CHECK_LE(options_.replicas, 64) << "DispatchDecision::accepting_mask";
-  COMET_CHECK_GE(options_.global_queue_tokens, 0);
   COMET_CHECK_GE(options_.recovery_warmup_us, 0.0)
       << "ClusterOptions::recovery_warmup_us";
   COMET_CHECK_GE(options_.retry_budget, 0) << "ClusterOptions::retry_budget";
   COMET_CHECK_GT(options_.retry_backoff_us, 0.0)
       << "ClusterOptions::retry_backoff_us";
-  COMET_CHECK_GE(options_.retry_jitter_frac, 0.0)
-      << "ClusterOptions::retry_jitter_frac";
-  COMET_CHECK_LE(options_.retry_jitter_frac, 1.0)
-      << "ClusterOptions::retry_jitter_frac";
   COMET_CHECK_GE(options_.hedge_queue_wait_us, 0.0)
       << "ClusterOptions::hedge_queue_wait_us";
   ValidateFaultPlan(options_.faults, options_.replicas);
-  // Validates HealthOptions loudly at construction even when health is
-  // disabled -- a malformed config should never ride along silently.
+  // Validates HealthOptions at construction rather than first at Run.
   ReplicaHealth probe(options_.replicas, options_.health);
   (void)probe;
   replicas_.reserve(static_cast<size_t>(options_.replicas));
@@ -89,6 +83,12 @@ struct Slot {
   BreakerState breaker_seen = BreakerState::kClosed;  // last traced state
 };
 
+// kRetryBackoff jitter: the k-th retry waits
+// retry_backoff_us * 2^(k-1) * (1 + kRetryJitterFrac * U), U drawn per retry
+// from the run's own retry stream seeded with kRetrySeed.
+constexpr double kRetryJitterFrac = 0.5;
+constexpr uint64_t kRetrySeed = 11;
+
 // Trace kinds of fault instants, indexed by FaultKind (kRecover records a
 // kReplicaRecover of its own), and of breaker transitions, indexed by
 // BreakerState.
@@ -119,11 +119,10 @@ class ClusterRun {
         archived_spans_(archived_spans),
         arrivals_(arrivals),
         num_replicas_(static_cast<int>(replicas.size())),
-        health_on_(options.health_enabled),
         tel_(options.server.telemetry.enabled),
         dispatcher_(options.placement, num_replicas_, options.placement_seed),
         health_(num_replicas_, options.health),
-        retry_rng_(options.retry_seed),
+        retry_rng_(kRetrySeed),
         slots_(replicas.size()),
         loads_(replicas.size()),
         eligible_(replicas.size()) {
@@ -173,10 +172,8 @@ class ClusterRun {
       report_.throughput_tokens_per_s =
           static_cast<double>(report_.batched_tokens) / (now_ / 1e6);
     }
-    if (health_on_) {
-      report_.breaker_opens = health_.total_opens();
-      report_.probes = health_.total_probes();
-    }
+    report_.breaker_opens = health_.total_opens();
+    report_.probes = health_.total_probes();
     const int64_t lost =
         report_.shed + report_.failed_in_flight + report_.retries_exhausted;
     COMET_CHECK_EQ(report_.offered,
@@ -346,9 +343,7 @@ class ClusterRun {
         }
       }
       t.copies.assign(1, r);
-      if (health_on_) {
-        health_.ObserveSuccess(r, now_);
-      }
+      health_.ObserveSuccess(r, now_);
       RequestRecord& won = report_.completed.emplace_back(rec);
       // Recovery-plane annotations (not digested: retries and hedges change
       // latency, never bits). The track is terminal, so both are final.
@@ -393,26 +388,6 @@ class ClusterRun {
   void Arrive(const RequestSpec& spec) {
     Track& t = track_[spec.id];
     t.spec = spec;
-    if (options_.global_queue_tokens > 0) {
-      int64_t global_load = 0;
-      for (int r = 0; r < num_replicas_; ++r) {
-        if (slot(r).alive) {
-          global_load += replica(r).LoadTokens();
-        }
-      }
-      if (global_load >= options_.global_queue_tokens) {
-        ++report_.shed;  // global admission bound: shed outright
-        t.lost = true;
-        if (options_.record_dispatch_log) {
-          DispatchDecision d;
-          d.request_id = spec.id;
-          d.session = spec.session;
-          d.time_us = now_;
-          report_.dispatch_log.push_back(d);
-        }
-        return;
-      }
-    }
     t.attempts = 1;
     DispatchPrimary(t, /*redispatch=*/false, /*retry=*/false);
   }
@@ -436,8 +411,7 @@ class ClusterRun {
       if (redispatch) {
         ++report_.redispatched;
       }
-      const bool probe =
-          health_on_ && health_.state(pick, now_) == BreakerState::kHalfOpen;
+      const bool probe = health_.state(pick, now_) == BreakerState::kHalfOpen;
       admitted = OfferTo(pick, t);
       if (admitted) {
         t.dispatched_us = now_;
@@ -488,8 +462,7 @@ class ClusterRun {
       t.lost = true;
       return;
     }
-    const double jitter =
-        1.0 + options_.retry_jitter_frac * retry_rng_.NextDouble();
+    const double jitter = 1.0 + kRetryJitterFrac * retry_rng_.NextDouble();
     const double delay = options_.retry_backoff_us *
                          std::pow(2.0, static_cast<double>(t.attempts - 1)) *
                          jitter;
@@ -620,9 +593,7 @@ class ClusterRun {
       ++report_.corruptions_detected;
     }
     dispatcher_.ForgetReplica(r);
-    if (health_on_) {
-      health_.ForceOpen(r, now_);
-    }
+    health_.ForceOpen(r, now_);
     for (const RequestSpec& spec : replica(r).DrainInFlight()) {
       Track& t = track_.at(spec.id);
       COMET_CHECK(!t.done && !t.lost);
@@ -650,7 +621,7 @@ class ClusterRun {
   // (state() is a pure read at `now`), so telemetry cannot perturb the
   // trajectory.
   void RecordBreakerTransitions() {
-    if (!tel_ || !health_on_) {
+    if (!tel_) {
       return;
     }
     for (int r = 0; r < num_replicas_; ++r) {
@@ -697,8 +668,7 @@ class ClusterRun {
     for (int r = 0; r < num_replicas_; ++r) {
       const size_t i = static_cast<size_t>(r);
       loads_[i] = replica(r).LoadTokens();
-      eligible_[i] =
-          slot(r).accepting && (!health_on_ || health_.AllowDispatch(r, now_));
+      eligible_[i] = slot(r).accepting && health_.AllowDispatch(r, now_);
     }
   }
 
@@ -746,7 +716,6 @@ class ClusterRun {
   std::vector<std::vector<obs::SpanRecord>>& archived_spans_;
   const std::vector<RequestSpec>& arrivals_;
   const int num_replicas_;
-  const bool health_on_;
   const bool tel_;
 
   Dispatcher dispatcher_;
@@ -754,8 +723,8 @@ class ClusterRun {
   Rng retry_rng_;
   std::vector<Slot> slots_;
   // What every placement decision sees, refreshed in place per decision:
-  // each replica's load, and whether it is accepting AND (health on)
-  // allowed by its circuit breaker.
+  // each replica's load, and whether it is accepting AND allowed by its
+  // circuit breaker.
   std::vector<int64_t> loads_;
   std::vector<bool> eligible_;
 
@@ -783,9 +752,9 @@ ClusterReport MoeCluster::Run(const std::vector<RequestSpec>& arrivals) {
     server->BeginRun();
   }
   cluster_registry_.ResetValues();
-  const obs::TelemetryOptions& tel = options_.server.telemetry;
-  if (tel.enabled && cluster_events_.capacity() != tel.span_capacity) {
-    cluster_events_.Reserve(tel.span_capacity);
+  if (options_.server.telemetry.enabled &&
+      cluster_events_.capacity() != obs::kSpanCapacity) {
+    cluster_events_.Reserve(obs::kSpanCapacity);
   } else {
     cluster_events_.Clear();
   }

@@ -75,9 +75,6 @@ struct ClusterOptions {
   uint64_t placement_seed = 1;
   FaultPlan faults;
   InFlightPolicy in_flight = InFlightPolicy::kRedispatch;
-  // Global admission bound: when > 0, an arrival is shed outright if the
-  // sum of LoadTokens() over live replicas is already >= this. 0 disables.
-  int64_t global_queue_tokens = 0;
 
   // ---- recovery plane ------------------------------------------------------
   // Simulated warm-up a kRecover replica pays before re-entering the
@@ -87,21 +84,17 @@ struct ClusterOptions {
   // (>= 0; 0 = a failed in-flight request is immediately retries_exhausted).
   int retry_budget = 2;
   // Backoff before the k-th retry (k = 1, 2, ...):
-  //   retry_backoff_us * 2^(k-1) * (1 + retry_jitter_frac * U)
-  // with U drawn per retry from the dedicated retry stream (retry_seed) --
+  //   retry_backoff_us * 2^(k-1) * (1 + 0.5 * U)
+  // with U drawn per retry from a dedicated retry stream of fixed seed --
   // seeded jitter on the SIMULATED clock, deterministic at any thread
-  // count. retry_backoff_us > 0; retry_jitter_frac in [0, 1].
+  // count. retry_backoff_us > 0.
   double retry_backoff_us = 500.0;
-  double retry_jitter_frac = 0.5;
-  uint64_t retry_seed = 11;
   // Hedged dispatch: when > 0, a request that has waited this long without
   // starting execution gets ONE speculative second copy on the least-loaded
   // other eligible replica; first completion wins, the loser is cancelled
   // and its executed tokens counted as wasted_tokens. 0 disables.
   double hedge_queue_wait_us = 0.0;
-  // Health-aware placement (circuit breaker; see serve/health.h). With
-  // health off, eligibility is the accepting set alone (PR 6 behavior).
-  bool health_enabled = true;
+  // Health-aware placement (circuit breaker; see serve/health.h).
   HealthOptions health;
 
   // Record a DispatchDecision per dispatch (and per dispatch-level shed)

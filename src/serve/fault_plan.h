@@ -43,22 +43,6 @@ enum class FaultKind {
   kRecover,
 };
 
-inline const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFail:
-      return "fail";
-    case FaultKind::kDrain:
-      return "drain";
-    case FaultKind::kWedge:
-      return "wedge";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kRecover:
-      return "recover";
-  }
-  return "unknown";
-}
-
 struct FaultEvent {
   // Simulated time at which the fault fires (applied at the first
   // scheduling point with now >= time_us).
@@ -87,18 +71,6 @@ enum class InFlightPolicy {
   // Same digest guarantee as kRedispatch: retries change latency, not bits.
   kRetryBackoff,
 };
-
-inline const char* InFlightPolicyName(InFlightPolicy policy) {
-  switch (policy) {
-    case InFlightPolicy::kRedispatch:
-      return "redispatch";
-    case InFlightPolicy::kCountAsViolation:
-      return "count-as-violation";
-    case InFlightPolicy::kRetryBackoff:
-      return "retry-backoff";
-  }
-  return "unknown";
-}
 
 // The full schedule. Events must be sorted by time_us (ties fire in vector
 // order); MoeCluster validates at construction via ValidateFaultPlan.

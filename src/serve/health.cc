@@ -9,20 +9,10 @@ namespace comet {
 ReplicaHealth::ReplicaHealth(int num_replicas, HealthOptions options)
     : options_(options) {
   COMET_CHECK_GT(num_replicas, 0);
-  COMET_CHECK_GT(options_.ewma_alpha, 0.0) << "HealthOptions::ewma_alpha";
-  COMET_CHECK_LE(options_.ewma_alpha, 1.0) << "HealthOptions::ewma_alpha";
-  COMET_CHECK_GT(options_.open_threshold, 0.0)
-      << "HealthOptions::open_threshold";
-  COMET_CHECK_LE(options_.open_threshold, 1.0)
-      << "HealthOptions::open_threshold";
   COMET_CHECK_GT(options_.probe_backoff_us, 0.0)
       << "HealthOptions::probe_backoff_us";
-  COMET_CHECK_GE(options_.backoff_multiplier, 1.0)
-      << "HealthOptions::backoff_multiplier";
-  COMET_CHECK_GE(options_.max_backoff_us, options_.probe_backoff_us)
-      << "HealthOptions::max_backoff_us must cover probe_backoff_us";
-  COMET_CHECK_GT(options_.half_open_probes, 0)
-      << "HealthOptions::half_open_probes";
+  COMET_CHECK_LE(options_.probe_backoff_us, kMaxBackoffUs)
+      << "HealthOptions::probe_backoff_us";
   reps_.resize(static_cast<size_t>(num_replicas));
 }
 
@@ -34,10 +24,10 @@ size_t ReplicaHealth::Check(int r) const {
 
 void ReplicaHealth::Open(Rep& rep, double now_us) {
   double backoff = options_.probe_backoff_us;
-  for (int i = 0; i < rep.streak && backoff < options_.max_backoff_us; ++i) {
-    backoff *= options_.backoff_multiplier;
+  for (int i = 0; i < rep.streak && backoff < kMaxBackoffUs; ++i) {
+    backoff *= kBackoffMultiplier;
   }
-  backoff = std::min(backoff, options_.max_backoff_us);
+  backoff = std::min(backoff, kMaxBackoffUs);
   rep.open = true;
   rep.open_until = now_us + backoff;
   rep.probes_in_flight = 0;
@@ -47,7 +37,7 @@ void ReplicaHealth::Open(Rep& rep, double now_us) {
 
 void ReplicaHealth::ObserveSuccess(int r, double now_us) {
   Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - options_.ewma_alpha) * rep.ewma;
+  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma;
   if (rep.open && HalfOpen(rep, now_us)) {
     // Probe success: close and forgive the streak.
     rep.open = false;
@@ -59,16 +49,16 @@ void ReplicaHealth::ObserveSuccess(int r, double now_us) {
 
 void ReplicaHealth::ObserveFailure(int r, double now_us) {
   Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - options_.ewma_alpha) * rep.ewma + options_.ewma_alpha;
+  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma + kEwmaAlpha;
   const bool half_open = rep.open && HalfOpen(rep, now_us);
-  if (half_open || (!rep.open && rep.ewma >= options_.open_threshold)) {
+  if (half_open || (!rep.open && rep.ewma >= kOpenThreshold)) {
     Open(rep, now_us);
   }
 }
 
 void ReplicaHealth::ForceOpen(int r, double now_us) {
   Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - options_.ewma_alpha) * rep.ewma + options_.ewma_alpha;
+  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma + kEwmaAlpha;
   Open(rep, now_us);
 }
 
@@ -76,7 +66,7 @@ bool ReplicaHealth::AllowDispatch(int r, double now_us) const {
   const Rep& rep = reps_[Check(r)];
   if (!rep.open) return true;
   if (!HalfOpen(rep, now_us)) return false;
-  return rep.probes_in_flight < options_.half_open_probes;
+  return rep.probes_in_flight < kHalfOpenProbes;
 }
 
 void ReplicaHealth::OnProbeDispatched(int r, double now_us) {

@@ -10,7 +10,7 @@
 // bounded number of probe requests; a probe success closes the breaker and
 // resets the backoff, a probe failure re-opens it with a longer wait.
 //
-//        success               ewma >= open_threshold
+//        success               ewma >= kOpenThreshold
 //   +--> kClosed ------------------------------------+
 //   |                                                v
 //   |    probe success                       kOpen (no dispatch,
@@ -31,38 +31,27 @@
 namespace comet {
 
 struct HealthOptions {
-  // EWMA smoothing: ewma <- (1 - alpha) * ewma + alpha * outcome, where
-  // outcome is 1.0 for a failure, 0.0 for a success. In (0, 1].
-  double ewma_alpha = 0.3;
-  // Failure EWMA at or above this opens the breaker. In (0, 1]. The default
-  // (0.5 with alpha 0.3) opens after ~2 consecutive failures from healthy.
-  double open_threshold = 0.5;
-  // Simulated-us wait before an open breaker goes half-open. Doubles (by
-  // backoff_multiplier) on each consecutive re-open, capped at
-  // max_backoff_us; a successful probe resets the streak.
+  // Simulated-us wait before an open breaker goes half-open. Doubles on
+  // each consecutive re-open, capped at ReplicaHealth::kMaxBackoffUs; a
+  // successful probe resets the streak. In (0, kMaxBackoffUs].
   double probe_backoff_us = 2'000.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_us = 1e8;
-  // Probes allowed in flight while half-open.
-  int half_open_probes = 1;
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-inline const char* BreakerStateName(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 class ReplicaHealth {
  public:
+  // EWMA smoothing: ewma <- (1 - alpha) * ewma + alpha * outcome, where
+  // outcome is 1.0 for a failure, 0.0 for a success.
+  static constexpr double kEwmaAlpha = 0.3;
+  // Failure EWMA at or above this opens the breaker: with alpha 0.3, about
+  // 2 consecutive failures from healthy.
+  static constexpr double kOpenThreshold = 0.5;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr double kMaxBackoffUs = 1e8;
+  // Probes allowed in flight while half-open.
+  static constexpr int kHalfOpenProbes = 1;
+
   ReplicaHealth(int num_replicas, HealthOptions options);
 
   // A request completed on `r`. Closes a half-open breaker (probe success),

@@ -29,7 +29,7 @@
 //
 // Allocation: the executor's PrepareServing workspaces plus run-level
 // reservations (a FixedPool of LiveRequests, a persistent MoeWorkload and
-// LayerExecution, ring-buffered admission, in-place Pack/Complete) make the
+// LayerExecution, ring-buffered admission, PackInto/CompleteInto) make the
 // steady-state StepIteration perform zero heap allocations once warm --
 // alloc_test pins this with an interposed operator-new counter (see
 // docs/ARCHITECTURE.md, "The allocation plane").

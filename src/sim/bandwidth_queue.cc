@@ -12,13 +12,6 @@ BandwidthQueue::BandwidthQueue(double bandwidth_bytes_per_us, double latency_us)
   COMET_CHECK_GE(latency_us_, 0.0);
 }
 
-std::vector<TransferResult> BandwidthQueue::Schedule(
-    const std::vector<TransferJob>& jobs, double start_time_us) const {
-  std::vector<TransferResult> out;
-  ScheduleInto(jobs, start_time_us, &out);
-  return out;
-}
-
 void BandwidthQueue::ScheduleInto(const std::vector<TransferJob>& jobs,
                                   double start_time_us,
                                   std::vector<TransferResult>* out) const {
@@ -39,7 +32,8 @@ void BandwidthQueue::ScheduleInto(const std::vector<TransferJob>& jobs,
 
 double BandwidthQueue::Makespan(const std::vector<TransferJob>& jobs,
                                 double start_time_us) const {
-  const auto results = Schedule(jobs, start_time_us);
+  std::vector<TransferResult> results;
+  ScheduleInto(jobs, start_time_us, &results);
   double t = start_time_us;
   for (const auto& r : results) {
     t = std::max(t, r.end_us);

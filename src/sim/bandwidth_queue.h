@@ -29,12 +29,9 @@ class BandwidthQueue {
  public:
   BandwidthQueue(double bandwidth_bytes_per_us, double latency_us);
 
-  // Schedules jobs in order; returns per-job completion intervals.
-  std::vector<TransferResult> Schedule(const std::vector<TransferJob>& jobs,
-                                       double start_time_us = 0.0) const;
-
-  // Allocation-free variant: rebuilds `out` in place (steady-state free once
-  // its capacity covers the largest job count).
+  // Schedules jobs in order into per-job completion intervals. Rebuilds
+  // `out` in place (allocation-free once its capacity covers the largest
+  // job count).
   void ScheduleInto(const std::vector<TransferJob>& jobs, double start_time_us,
                     std::vector<TransferResult>* out) const;
 

@@ -39,13 +39,10 @@ class StreamSim {
   // recorded under OpCategory::kHost.
   void HostWork(const char* label, double duration_us);
 
-  double KernelEnd(KernelId id) const;
   double KernelStart(KernelId id) const;
 
   // Time at which all enqueued kernels have finished.
   double Finish() const;
-  // Host-side time after the last issued launch.
-  double HostTime() const { return host_time_us_; }
 
   const Timeline& timeline() const { return timeline_; }
 

@@ -1,11 +1,9 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace comet {
 
@@ -138,17 +136,6 @@ void Tensor::FillRandn(Rng& rng, float stddev) {
   Quantize();
 }
 
-Tensor Tensor::GatherRows(const Tensor& src, const std::vector<int64_t>& indices) {
-  COMET_CHECK_EQ(src.shape().rank(), 2u);
-  Tensor out(Shape{static_cast<int64_t>(indices.size()), src.cols()},
-             src.dtype());
-  // Destination rows are disjoint; fan the copies across the pool.
-  ParallelFor(0, static_cast<int64_t>(indices.size()), 32, [&](int64_t i) {
-    out.SetRow(i, src.row(indices[static_cast<size_t>(i)]));
-  });
-  return out;
-}
-
 void Tensor::SetRow(int64_t r, std::span<const float> src_row) {
   auto dst = row(r);
   COMET_CHECK_EQ(dst.size(), src_row.size());
@@ -184,23 +171,6 @@ bool Tensor::AllClose(const Tensor& a, const Tensor& b, float rtol, float atol) 
     }
   }
   return true;
-}
-
-std::string Tensor::DebugString(int64_t max_elements) const {
-  std::ostringstream os;
-  os << "Tensor" << shape_.ToString() << " " << DTypeName(dtype_) << " {";
-  const int64_t n = std::min<int64_t>(max_elements, NumElements());
-  for (int64_t i = 0; i < n; ++i) {
-    if (i > 0) {
-      os << ", ";
-    }
-    os << data_[static_cast<size_t>(i)];
-  }
-  if (n < NumElements()) {
-    os << ", ...";
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace comet

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tensor/dtype.h"
@@ -97,9 +96,6 @@ class Tensor {
   // same rng state.
   void FillRandn(Rng& rng, float stddev = 1.0f);
 
-  // Gathers rows of `src` at `indices` into a new tensor (rank-2).
-  static Tensor GatherRows(const Tensor& src, const std::vector<int64_t>& indices);
-
   // Copies `src_row` (a row span) into row `r` of this tensor.
   void SetRow(int64_t r, std::span<const float> src_row);
 
@@ -111,8 +107,6 @@ class Tensor {
   // True if all elements differ by at most atol + rtol * |b|.
   static bool AllClose(const Tensor& a, const Tensor& b, float rtol = 1e-5f,
                        float atol = 1e-6f);
-
-  std::string DebugString(int64_t max_elements = 16) const;
 
  private:
   Shape shape_;

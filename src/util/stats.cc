@@ -9,64 +9,6 @@
 
 namespace comet {
 
-void OnlineStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  if (count_ < 1) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void SampleSet::Add(double x) {
-  samples_.push_back(x);
-  sorted_valid_ = false;
-}
-
-void SampleSet::EnsureSorted() const {
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-}
-
-double SampleSet::Mean() const {
-  COMET_CHECK(!samples_.empty());
-  double s = 0.0;
-  for (double x : samples_) {
-    s += x;
-  }
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::Stddev() const { return PopulationStddev(samples_); }
-
-double SampleSet::Min() const {
-  EnsureSorted();
-  COMET_CHECK(!sorted_.empty());
-  return sorted_.front();
-}
-
-double SampleSet::Max() const {
-  EnsureSorted();
-  COMET_CHECK(!sorted_.empty());
-  return sorted_.back();
-}
-
 size_t Histogram::BucketIndex(double v) {
   // !(v > 1.0) also routes NaN into bucket 0 instead of hitting the
   // float->integer cast below (which would be UB).
@@ -143,21 +85,6 @@ Histogram Histogram::FromBuckets(std::span<const uint64_t> buckets,
   return out;
 }
 
-double SampleSet::Percentile(double p) const {
-  EnsureSorted();
-  COMET_CHECK(!sorted_.empty());
-  COMET_CHECK_GE(p, 0.0);
-  COMET_CHECK_LE(p, 100.0);
-  if (sorted_.size() == 1) {
-    return sorted_[0];
-  }
-  const double pos = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
 namespace {
 
 // Nearest-rank lookup over an already-sorted sample vector.
@@ -177,11 +104,6 @@ double NearestRankSorted(std::span<const double> sorted, double p) {
 }
 
 }  // namespace
-
-double SampleSet::PercentileExact(double p) const {
-  EnsureSorted();
-  return NearestRankSorted(sorted_, p);
-}
 
 double PercentileNearestRank(std::span<const double> values, double p) {
   std::vector<double> sorted(values.begin(), values.end());

@@ -9,14 +9,4 @@ namespace comet {
 // Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> Split(const std::string& s, char delim);
 
-// Joins `parts` with `delim`.
-std::string Join(const std::vector<std::string>& parts, const std::string& delim);
-
-// True if `s` starts with / ends with the given prefix/suffix.
-bool StartsWith(const std::string& s, const std::string& prefix);
-bool EndsWith(const std::string& s, const std::string& suffix);
-
-// Strips ASCII whitespace from both ends.
-std::string Trim(const std::string& s);
-
 }  // namespace comet

@@ -7,35 +7,14 @@
 // converters so call sites never do raw arithmetic on magic constants).
 #pragma once
 
-#include <cstdint>
-
 namespace comet {
 
-// ----- time ---------------------------------------------------------------
-constexpr double kUsPerMs = 1000.0;
-constexpr double kUsPerSecond = 1e6;
-
-constexpr double MsToUs(double ms) { return ms * kUsPerMs; }
-constexpr double UsToMs(double us) { return us / kUsPerMs; }
-constexpr double SecondsToUs(double s) { return s * kUsPerSecond; }
-
-// ----- sizes ----------------------------------------------------------------
-constexpr double kBytesPerKiB = 1024.0;
 constexpr double kBytesPerMiB = 1024.0 * 1024.0;
-constexpr double kBytesPerGiB = 1024.0 * 1024.0 * 1024.0;
-
-constexpr double MiB(double x) { return x * kBytesPerMiB; }
-constexpr double GiB(double x) { return x * kBytesPerGiB; }
 
 // ----- rates ---------------------------------------------------------------
 // Bandwidth unit: bytes per microsecond. 1 GB/s == 1e9 B / 1e6 us == 1e3 B/us.
 constexpr double GBps(double gb_per_s) { return gb_per_s * 1e3; }
 // Compute unit: flops per microsecond. 1 TFLOP/s == 1e12 / 1e6 == 1e6 f/us.
 constexpr double TFlops(double tflops) { return tflops * 1e6; }
-
-// Transfer time (us) for `bytes` at `bytes_per_us`, excluding fixed latency.
-constexpr double TransferUs(double bytes, double bytes_per_us) {
-  return bytes_per_us > 0.0 ? bytes / bytes_per_us : 0.0;
-}
 
 }  // namespace comet

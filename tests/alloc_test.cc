@@ -500,7 +500,6 @@ ClusterOptions ChaosClusterOptions(int num_threads, double span_us) {
   co.in_flight = InFlightPolicy::kRetryBackoff;
   co.retry_budget = 2;
   co.retry_backoff_us = 60.0;
-  co.retry_jitter_frac = 0.5;
   co.hedge_queue_wait_us = 80.0;
   co.health.probe_backoff_us = 200.0;
   co.recovery_warmup_us = 100.0;

@@ -619,17 +619,6 @@ TEST(ClusterFaults, WedgedReplicaFailsFastAndIsCounted) {
   EXPECT_LT(wall_ms, 10'000.0);
 }
 
-TEST(ClusterFaults, GlobalAdmissionBoundShedsOverload) {
-  const auto arrivals = LoadGenerator(BurstLoadOptions(32)).GenerateAll();
-  ClusterOptions options = BaseClusterOptions(2, PlacementPolicy::kRoundRobin);
-  options.global_queue_tokens = 16;  // far below the burst's total tokens
-  const ClusterReport report =
-      MoeCluster(options, H800Cluster(2)).Run(arrivals);
-  EXPECT_GT(report.shed, 0);
-  EXPECT_EQ(static_cast<int64_t>(report.completed.size()) + report.shed,
-            report.offered);
-}
-
 // More replicas finish the same overload sooner: the simplest end-to-end
 // sanity that dispatching actually spreads load.
 TEST(ClusterFaults, FleetFinishesOverloadFasterThanOneReplica) {
@@ -662,10 +651,6 @@ TEST(ClusterOptionsValidation, RejectsBadConfigs) {
   unsorted.faults.events.push_back({200.0, 0, FaultKind::kFail});
   unsorted.faults.events.push_back({100.0, 1, FaultKind::kDrain});
   EXPECT_THROW(MoeCluster(unsorted, H800Cluster(2)), CheckError);
-
-  ClusterOptions negative = BaseClusterOptions(2, PlacementPolicy::kRoundRobin);
-  negative.global_queue_tokens = -1;
-  EXPECT_THROW(MoeCluster(negative, H800Cluster(2)), CheckError);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@ TEST(ClusterPresets, H800Basics) {
   EXPECT_EQ(c.world_size, 8);
   EXPECT_EQ(c.gpu.num_sms, 132);
   EXPECT_GT(c.gpu.peak_flops_per_us, 0.0);
-  EXPECT_EQ(c.link.type, LinkType::kNvLink);
   // In-kernel wire rate beats kernel-level collectives.
   EXPECT_GT(c.link.bandwidth_bytes_per_us,
             c.link.collective_bandwidth_bytes_per_us);
@@ -26,14 +25,8 @@ TEST(ClusterPresets, H800Basics) {
 TEST(ClusterPresets, L20IsBandwidthLimited) {
   const ClusterSpec h = H800Cluster(8);
   const ClusterSpec l = L20Cluster(8);
-  EXPECT_EQ(l.link.type, LinkType::kPcie);
   EXPECT_LT(l.link.bandwidth_bytes_per_us, h.link.bandwidth_bytes_per_us);
   EXPECT_LT(l.gpu.peak_flops_per_us, h.gpu.peak_flops_per_us);
-}
-
-TEST(ClusterPresets, LinkTypeNames) {
-  EXPECT_EQ(LinkTypeName(LinkType::kNvLink), "NVLink");
-  EXPECT_EQ(LinkTypeName(LinkType::kPcie), "PCIe");
 }
 
 TEST(GpuSpec, PerSmThroughput) {

@@ -65,18 +65,6 @@ TEST(MoeModel, RoutingIsContentDependentAcrossLayers) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(MoeModel, ResidualChangesOutputs) {
-  MoeModelOptions with_res;
-  MoeModelOptions without;
-  without.residual = false;
-  const MoeModel a(StackModel(2), ParallelConfig{1, 2}, 16, with_res);
-  const MoeModel b(StackModel(2), ParallelConfig{1, 2}, 16, without);
-  const auto inputs = a.MakeInputs(8);
-  const auto ra = a.ReferenceForward(inputs);
-  const auto rb = b.ReferenceForward(inputs);
-  EXPECT_GT(Tensor::MaxAbsDiff(ra[0], rb[0]), 0.0f);
-}
-
 TEST(MoeModel, CommBufferIndependentOfDepthAndExperts) {
   const MoeModel shallow(StackModel(1), ParallelConfig{1, 2}, 64);
   ModelConfig wide = StackModel(8);

@@ -63,11 +63,7 @@ TEST(Placement, RankAndGroupArithmetic) {
   EXPECT_EQ(p.RankOf(2, 1), 5);
   EXPECT_EQ(p.ExpertsPerGroup(), 2);
   EXPECT_EQ(p.EpGroupOfExpert(5), 2);
-  EXPECT_EQ(p.FirstRankOfExpert(5), 4);
-  EXPECT_TRUE(p.RankOwnsExpert(5, 5));
-  EXPECT_FALSE(p.RankOwnsExpert(0, 5));
   EXPECT_EQ(p.LocalExpertIndex(5), 1);
-  EXPECT_EQ(p.GlobalExpertIndex(5, 1), 5);
   EXPECT_EQ(p.HiddenPerTpRank(), 14336 / 2);
   EXPECT_EQ(p.HomeGroupOfToken(700), 2);
   EXPECT_EQ(p.FirstTokenOfGroup(2), 512);
@@ -977,47 +973,6 @@ TEST(CapacityFactor, FullyDroppedTokenOutputsZero) {
   }
 }
 
-// ---- expert-choice routing ------------------------------------------------------
-
-TEST(ExpertChoice, LoadsPerfectlyBalanced) {
-  Rng rng(9);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{16, 8}, rng));
-  const Tensor tokens = Tensor::Randn(Shape{64, 16}, rng);
-  const RoutingTable table = gate.Route(tokens, 2);
-  // capacity = 64 * 2 / 8 = 16 tokens per expert, exactly.
-  const auto loads = table.ExpertLoads(8);
-  for (int64_t l : loads) {
-    EXPECT_EQ(l, 16);
-  }
-  EXPECT_DOUBLE_EQ(table.LoadStd(8), 0.0);
-}
-
-TEST(ExpertChoice, WeightsNormalizedAndDistinct) {
-  Rng rng(10);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{8, 4}, rng));
-  const Tensor tokens = Tensor::Randn(Shape{32, 8}, rng);
-  const RoutingTable table = gate.Route(tokens, 2);
-  // A token may be chosen by up to all 4 experts; validate with topk = E.
-  table.Validate(4, 4);
-}
-
-TEST(ExpertChoice, SomeTokensMayGetNoExpert) {
-  // With strong skew, unpopular tokens can end up unrouted -- the documented
-  // trade-off of expert choice.
-  Rng rng(11);
-  ExpertChoiceGate gate(Tensor::Randn(Shape{8, 4}, rng, 2.0f));
-  const Tensor tokens = Tensor::Randn(Shape{64, 8}, rng, 2.0f);
-  const RoutingTable table = gate.Route(tokens, 1);
-  int64_t unrouted = 0;
-  int64_t pairs = 0;
-  for (const auto& t : table.tokens) {
-    unrouted += t.experts.empty() ? 1 : 0;
-    pairs += static_cast<int64_t>(t.experts.size());
-  }
-  EXPECT_EQ(pairs, 64);  // every expert filled its quota
-  EXPECT_GT(unrouted, 0);
-}
-
 // ---- gate scoring: bit-exact against the scalar loop -----------------------------
 
 // Token t's gate probabilities as a per-element scalar loop computes them:
@@ -1078,46 +1033,6 @@ RoutingTable ScalarTopKRoute(const Tensor& tokens, const Tensor& gate,
   return table;
 }
 
-// Expert choice over the scalar probabilities: each expert stably takes its
-// top-capacity tokens, then every token's weights are renormalized.
-RoutingTable ScalarExpertChoiceRoute(const Tensor& tokens, const Tensor& gate,
-                                     int64_t avg_topk) {
-  const int64_t m = tokens.rows();
-  const int64_t e_total = gate.cols();
-  const int64_t capacity = std::max<int64_t>(1, m * avg_topk / e_total);
-  std::vector<std::vector<float>> probs;
-  for (int64_t t = 0; t < m; ++t) {
-    probs.push_back(ScalarGateProbs(tokens, gate, t));
-  }
-  RoutingTable table;
-  table.tokens.resize(static_cast<size_t>(m));
-  for (int64_t e = 0; e < e_total; ++e) {
-    std::vector<int64_t> order(static_cast<size_t>(m));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-      return probs[static_cast<size_t>(a)][static_cast<size_t>(e)] >
-             probs[static_cast<size_t>(b)][static_cast<size_t>(e)];
-    });
-    for (int64_t i = 0; i < std::min(capacity, m); ++i) {
-      const size_t t = static_cast<size_t>(order[static_cast<size_t>(i)]);
-      table.tokens[t].experts.push_back(e);
-      table.tokens[t].weights.push_back(probs[t][static_cast<size_t>(e)]);
-    }
-  }
-  for (TokenRoute& token : table.tokens) {
-    float sum = 0.0f;
-    for (float w : token.weights) {
-      sum += w;
-    }
-    if (sum > 0.0f) {
-      for (float& w : token.weights) {
-        w /= sum;
-      }
-    }
-  }
-  return table;
-}
-
 void ExpectSameBits(const RoutingTable& got, const RoutingTable& want,
                     const std::string& where) {
   ASSERT_EQ(got.tokens.size(), want.tokens.size()) << where;
@@ -1134,6 +1049,8 @@ void ExpectSameBits(const RoutingTable& got, const RoutingTable& want,
   }
 }
 
+// Both gate entry points -- Route, and RouteInto reusing its scratch --
+// against the scalar loop.
 TEST(GateScoring, BothGatesMatchTheScalarLoopBitForBit) {
   const int previous_threads = GlobalThreadCount();
   SetGlobalThreadCount(8);
@@ -1149,7 +1066,6 @@ TEST(GateScoring, BothGatesMatchTheScalarLoopBitForBit) {
         for (int64_t e : {1, 3, 8, 17}) {
           const Tensor gate = Tensor::Randn(Shape{n, e}, rng, 0.5f);
           const GateNetwork network(gate);
-          const ExpertChoiceGate choice(gate);
           const int64_t topk = std::min<int64_t>(e, 2);
           for (int64_t m : {0, 1, 5, 33}) {
             const Tensor tokens = Tensor::Randn(Shape{m, n}, rng, 1.0f, dtype);
@@ -1157,12 +1073,11 @@ TEST(GateScoring, BothGatesMatchTheScalarLoopBitForBit) {
                 "threads=" + std::to_string(threads) + " " +
                 DTypeName(dtype) + " N=" + std::to_string(n) +
                 " E=" + std::to_string(e) + " m=" + std::to_string(m);
+            const RoutingTable want = ScalarTopKRoute(tokens, gate, topk);
             network.RouteInto(tokens, topk, scratch, &routed);
-            ExpectSameBits(routed, ScalarTopKRoute(tokens, gate, topk),
-                           "RouteInto " + where);
-            ExpectSameBits(choice.Route(tokens, topk),
-                           ScalarExpertChoiceRoute(tokens, gate, topk),
-                           "ExpertChoice " + where);
+            ExpectSameBits(routed, want, "RouteInto " + where);
+            ExpectSameBits(network.Route(tokens, topk), want,
+                           "Route " + where);
           }
         }
       }

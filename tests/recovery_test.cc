@@ -386,30 +386,6 @@ TEST(RetryBackoff, ZeroBudgetExhaustsAndChargesSlo) {
           static_cast<double>(report.offered));
 }
 
-// The retry stream is its own seeded Rng: a different retry_seed moves
-// WHEN retries land (latency), never WHAT they compute (bits).
-TEST(RetryBackoff, JitterSeedMovesLatencyNeverBits) {
-  const auto arrivals = LoadGenerator(BurstLoadOptions()).GenerateAll();
-  double duration = 0.0;
-  CleanDigests(arrivals, &duration);
-
-  auto run_with_seed = [&](uint64_t seed) {
-    ClusterOptions options =
-        BaseClusterOptions(2, PlacementPolicy::kLeastLoaded);
-    options.in_flight = InFlightPolicy::kRetryBackoff;
-    options.retry_budget = 4;
-    options.retry_seed = seed;
-    options.faults.events.push_back({duration * 0.4, 0, FaultKind::kFail});
-    return MoeCluster(options, H800Cluster(2)).Run(arrivals);
-  };
-  const ClusterReport a = run_with_seed(11);
-  const ClusterReport b = run_with_seed(12345);
-  ASSERT_EQ(static_cast<int64_t>(a.completed.size()), a.offered);
-  ASSERT_EQ(static_cast<int64_t>(b.completed.size()), b.offered);
-  EXPECT_EQ(a.combined_digest, b.combined_digest)
-      << "retry jitter must never reach the data plane";
-}
-
 // Hedging under a burst: long queue waits trigger speculative second
 // copies. Exactly one completion per request, losers cancelled with their
 // executed tokens charged to wasted_tokens, and the bits are exactly the
@@ -538,18 +514,14 @@ TEST(CircuitBreaker, ForceOpenOverridesEwma) {
 
 // Randomized property trials: whatever the op sequence, the breaker's
 // observable contract holds -- open refuses, closed admits, EWMA stays in
-// [0,1], backoff is bounded by max_backoff_us, a half-open probe success
-// always closes and resets the streak.
+// [0,1], backoff is bounded by ReplicaHealth::kMaxBackoffUs, a half-open
+// probe success always closes and resets the streak.
 TEST(CircuitBreaker, RandomizedContractTrials) {
   for (int trial = 0; trial < 200; ++trial) {
     SCOPED_TRACE(std::string("trial=") + std::to_string(trial));
     Rng rng(7000 + static_cast<uint64_t>(trial));
     HealthOptions options;
-    options.ewma_alpha = 0.1 + 0.8 * rng.NextDouble();
-    options.open_threshold = 0.2 + 0.7 * rng.NextDouble();
     options.probe_backoff_us = 500.0 + 3000.0 * rng.NextDouble();
-    options.backoff_multiplier = 1.0 + 2.0 * rng.NextDouble();
-    options.max_backoff_us = options.probe_backoff_us * 8.0;
     const int replicas = static_cast<int>(rng.UniformInt(1, 3));
     ReplicaHealth health(replicas, options);
     double now = 0.0;
@@ -581,7 +553,8 @@ TEST(CircuitBreaker, RandomizedContractTrials) {
         EXPECT_LE(ewma, 1.0);
         if (s == BreakerState::kOpen) {
           EXPECT_FALSE(health.AllowDispatch(q, now));
-          EXPECT_LE(health.open_until(q), now + options.max_backoff_us);
+          EXPECT_LE(health.open_until(q),
+                    now + ReplicaHealth::kMaxBackoffUs);
         }
         if (s == BreakerState::kClosed) {
           EXPECT_TRUE(health.AllowDispatch(q, now));
@@ -795,16 +768,6 @@ TEST(RobustnessValidation, ClusterRejectsBadRecoveryKnobs) {
                           H800Cluster(2)),
                CheckError);
   EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
-                 o.retry_jitter_frac = -0.1;
-               }),
-                          H800Cluster(2)),
-               CheckError);
-  EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
-                 o.retry_jitter_frac = 1.5;
-               }),
-                          H800Cluster(2)),
-               CheckError);
-  EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
                  o.recovery_warmup_us = -1.0;
                }),
                           H800Cluster(2)),
@@ -814,21 +777,9 @@ TEST(RobustnessValidation, ClusterRejectsBadRecoveryKnobs) {
                }),
                           H800Cluster(2)),
                CheckError);
-  // Health options are validated even when health is DISABLED: a malformed
-  // config must never ride along silently.
+  // Health options are validated at construction, not first at Run.
   EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
-                 o.health_enabled = false;
-                 o.health.ewma_alpha = 0.0;
-               }),
-                          H800Cluster(2)),
-               CheckError);
-  EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
-                 o.health.backoff_multiplier = 0.5;
-               }),
-                          H800Cluster(2)),
-               CheckError);
-  EXPECT_THROW(MoeCluster(make([](ClusterOptions& o) {
-                 o.health.half_open_probes = 0;
+                 o.health.probe_backoff_us = 0.0;
                }),
                           H800Cluster(2)),
                CheckError);

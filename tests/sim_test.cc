@@ -201,7 +201,8 @@ TEST(SlotPool, ReusedPoolMatchesFreshSchedules) {
 
 TEST(BandwidthQueue, SerializesBytesButPipelinesLatency) {
   BandwidthQueue q(/*bw=*/100.0, /*latency=*/1.0);
-  const auto r = q.Schedule({{0.0, 1000.0}, {0.0, 500.0}});
+  std::vector<TransferResult> r;
+  q.ScheduleInto({{0.0, 1000.0}, {0.0, 500.0}}, 0.0, &r);
   EXPECT_DOUBLE_EQ(r[0].end_us, 11.0);   // 1000/100 drained, +1 in flight
   EXPECT_DOUBLE_EQ(r[1].start_us, 10.0);  // injects as soon as bytes drain
   EXPECT_DOUBLE_EQ(r[1].end_us, 16.0);
@@ -216,7 +217,8 @@ TEST(BandwidthQueue, LatencyPaidOncePerBurstTail) {
 
 TEST(BandwidthQueue, WaitsForReadyTime) {
   BandwidthQueue q(100.0, 0.0);
-  const auto r = q.Schedule({{50.0, 100.0}});
+  std::vector<TransferResult> r;
+  q.ScheduleInto({{50.0, 100.0}}, 0.0, &r);
   EXPECT_DOUBLE_EQ(r[0].start_us, 50.0);
   EXPECT_DOUBLE_EQ(r[0].end_us, 51.0);
 }

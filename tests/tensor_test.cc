@@ -109,15 +109,6 @@ TEST(Tensor, RowOpsRequireRank2) {
   EXPECT_THROW(t.rows(), CheckError);
 }
 
-TEST(Tensor, GatherRows) {
-  const Tensor t = Tensor::Iota(Shape{4, 2});
-  const Tensor g = Tensor::GatherRows(t, {3, 0, 3});
-  EXPECT_EQ(g.rows(), 3);
-  EXPECT_EQ(g.at({0, 0}), 6.0f);
-  EXPECT_EQ(g.at({1, 0}), 0.0f);
-  EXPECT_EQ(g.at({2, 1}), 7.0f);
-}
-
 TEST(Tensor, SetAndAccumulateRow) {
   Tensor t = Tensor::Zeros(Shape{2, 3});
   const std::vector<float> src = {1.0f, 2.0f, 3.0f};
@@ -145,12 +136,6 @@ TEST(Tensor, RandnIsSeedDeterministic) {
   const Tensor a = Tensor::Randn(Shape{8, 8}, r1);
   const Tensor b = Tensor::Randn(Shape{8, 8}, r2);
   EXPECT_EQ(Tensor::MaxAbsDiff(a, b), 0.0f);
-}
-
-TEST(Tensor, DebugStringTruncates) {
-  const Tensor t = Tensor::Iota(Shape{100});
-  const std::string s = t.DebugString(4);
-  EXPECT_NE(s.find("..."), std::string::npos);
 }
 
 // ---- in-place workspace API (the serving plane's zero-alloc contract) ------

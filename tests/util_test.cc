@@ -99,12 +99,12 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(5);
-  OnlineStats stats;
+  std::vector<double> samples;
   for (int i = 0; i < 20000; ++i) {
-    stats.Add(rng.Normal(3.0, 2.0));
+    samples.push_back(rng.Normal(3.0, 2.0));
   }
-  EXPECT_NEAR(stats.mean(), 3.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  EXPECT_NEAR(SummarizeLatency(samples).mean, 3.0, 0.1);
+  EXPECT_NEAR(PopulationStddev(samples), 2.0, 0.1);
 }
 
 // FillUniform is NextDouble a span at a time: the same doubles, and the
@@ -359,36 +359,6 @@ TEST(Rng, BoxMullerKernelsMatchFdlibmReference) {
 
 // ---- stats -----------------------------------------------------------------
 
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
-TEST(SampleSet, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-  EXPECT_NEAR(s.Median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.Percentile(90), 90.1, 0.2);
-}
-
-TEST(SampleSet, PercentileOfSingleton) {
-  SampleSet s;
-  s.Add(7.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(0), 7.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 7.0);
-}
-
 TEST(Stats, PercentileNearestRankOddCount) {
   // Sorted: {10, 20, 30, 40, 50}. rank = ceil(p/100 * 5).
   const std::vector<double> v{30.0, 10.0, 50.0, 20.0, 40.0};
@@ -467,20 +437,6 @@ TEST(Stats, PercentileNearestRankRejectsBadInput) {
                CheckError);
   EXPECT_THROW(PercentileNearestRank(std::vector<double>{1.0}, 101.0),
                CheckError);
-}
-
-TEST(Stats, SampleSetPercentileExactAgreesWithFreeFunction) {
-  SampleSet s;
-  std::vector<double> v;
-  Rng rng(7);
-  for (int i = 0; i < 31; ++i) {
-    const double x = rng.Uniform(0.0, 1.0);
-    s.Add(x);
-    v.push_back(x);
-  }
-  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(s.PercentileExact(p), PercentileNearestRank(v, p));
-  }
 }
 
 TEST(Stats, SummarizeLatency) {
@@ -639,12 +595,9 @@ TEST(Format, Helpers) {
 // ---- units -----------------------------------------------------------------
 
 TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(MsToUs(1.5), 1500.0);
-  EXPECT_DOUBLE_EQ(UsToMs(2500.0), 2.5);
   EXPECT_DOUBLE_EQ(GBps(1.0), 1000.0);         // 1 GB/s = 1000 B/us
   EXPECT_DOUBLE_EQ(TFlops(1.0), 1e6);          // 1 TFLOP/s = 1e6 flop/us
-  EXPECT_DOUBLE_EQ(TransferUs(2000.0, 1000.0), 2.0);
-  EXPECT_DOUBLE_EQ(MiB(1.0), 1048576.0);
+  EXPECT_DOUBLE_EQ(kBytesPerMiB, 1048576.0);
 }
 
 // ---- metadata store --------------------------------------------------------
@@ -691,15 +644,6 @@ TEST(StringUtil, SplitAndJoin) {
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(Join({"x", "y", "z"}, ", "), "x, y, z");
-}
-
-TEST(StringUtil, PrefixSuffixTrim) {
-  EXPECT_TRUE(StartsWith("comet-core", "comet"));
-  EXPECT_FALSE(StartsWith("co", "comet"));
-  EXPECT_TRUE(EndsWith("layer0.cc", ".cc"));
-  EXPECT_EQ(Trim("  pad  "), "pad");
-  EXPECT_EQ(Trim(""), "");
 }
 
 }  // namespace
