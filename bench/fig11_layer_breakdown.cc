@@ -42,6 +42,10 @@ REGISTER_BENCH(fig11_layer_breakdown, "Figure 11: MoE layer time breakdown + hid
                   FormatUsAsMs(tl.UnionTime(OpCategory::kHost)),
                   FormatUsAsMs(run.duration_us),
                   FormatPercent(tl.HiddenCommFraction())});
+    const std::string prefix = exec->name() + "/";
+    reporter.Report(prefix + "layer_ms", run.duration_us / 1000.0, "ms");
+    reporter.Report(prefix + "hidden_comm_pct",
+                    tl.HiddenCommFraction() * 100.0, "%");
   }
   std::cout << table.Render() << "\n";
   PrintPaperNote(

@@ -50,12 +50,17 @@ REGISTER_BENCH(fig14_l20_cluster, "Figure 14 (right): bandwidth-limited 8x L20 c
     table.AddRow(std::move(row));
   }
   std::cout << table.Render();
-  std::cout << "\nspeedup vs baselines: min "
-            << FormatSpeedup(*std::min_element(speedups.begin(), speedups.end()))
-            << ", mean " << FormatSpeedup(GeometricMean(speedups)) << ", max "
-            << FormatSpeedup(*std::max_element(speedups.begin(),
-                                               speedups.end()))
-            << "\n\n";
+  const double min_speedup =
+      *std::min_element(speedups.begin(), speedups.end());
+  const double mean_speedup = GeometricMean(speedups);
+  const double max_speedup =
+      *std::max_element(speedups.begin(), speedups.end());
+  std::cout << "\nspeedup vs baselines: min " << FormatSpeedup(min_speedup)
+            << ", mean " << FormatSpeedup(mean_speedup) << ", max "
+            << FormatSpeedup(max_speedup) << "\n\n";
+  reporter.Report("speedup_min", min_speedup, "x");
+  reporter.Report("speedup_mean", mean_speedup, "x");
+  reporter.Report("speedup_max", max_speedup, "x");
   PrintPaperNote("average speedup of Comet on the L20 cluster ranges from "
                  "1.19x to 1.46x vs the baselines.");
   return 0;
