@@ -79,8 +79,10 @@ int main() {
 
     std::string spread;
     for (size_t r = 0; r < report.per_replica_completed.size(); ++r) {
-      spread += (r > 0 ? " " : "") +
-                std::to_string(report.per_replica_completed[r]);
+      if (r > 0) {
+        spread += " ";
+      }
+      spread += std::to_string(report.per_replica_completed[r]);
     }
     table.AddRow({PlacementPolicyName(policy),
                   FormatDouble(report.ttft_us.p99, 1),
