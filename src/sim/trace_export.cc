@@ -19,7 +19,7 @@ std::string ToChromeTraceJson(const Timeline& timeline,
         "\"args\":{\"name\":\""
      << JsonEscape(process_name) << "\"}}";
   for (const TimeInterval& iv : timeline.intervals()) {
-    // Lane -1 (host) maps to tid 0; device lanes start at 1.
+    // Lane -1 (host) maps to tid 1; device lane L maps to tid L + 2.
     const int tid = iv.lane + 2;
     os << ",{\"name\":\"" << JsonEscape(iv.label) << "\",\"cat\":\""
        << JsonEscape(OpCategoryName(iv.category)) << "\",\"ph\":\"X\""
