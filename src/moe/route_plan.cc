@@ -21,7 +21,8 @@ void RoutePlan::Reserve(const Placement& placement,
   COMET_CHECK_GE(max_rows_per_expert, 0);
   COMET_CHECK_GE(max_replicas, 0);
   max_replicas_ = max_replicas;
-  routing_.tokens.reserve(static_cast<size_t>(placement.total_tokens()));
+  const size_t e_total = static_cast<size_t>(placement.model().num_experts);
+  expert_pairs_.assign(e_total, 0);
   const int ep = placement.parallel().ep;
   per_group_.resize(static_cast<size_t>(ep));
   for (RankPlan& plan : per_group_) {
@@ -32,8 +33,6 @@ void RoutePlan::Reserve(const Placement& placement,
     }
   }
   if (max_replicas_ > 0) {
-    const size_t e_total =
-        static_cast<size_t>(placement.model().num_experts);
     split_counter_.assign(e_total, 0);
     replica_group_of_expert_.assign(e_total, -1);
     replica_slice_of_expert_.assign(e_total, -1);
@@ -49,9 +48,10 @@ void RoutePlan::Rebuild(const Placement& placement,
                         const RoutingTable& routing,
                         std::span<const ReplicaAssignment> replicas) {
   placement_ = placement;
-  routing_ = routing;
-  COMET_CHECK_EQ(routing_.size(), placement_.total_tokens());
-  routing_.Validate(placement_.model().num_experts, placement_.model().topk);
+  COMET_CHECK_EQ(routing.size(), placement_.total_tokens());
+  // Also range-checks every expert id, so the placement loop below indexes
+  // without further checks.
+  routing.Validate(placement_.model().num_experts, placement_.model().topk);
 
   const int ep = placement_.parallel().ep;
   const int64_t epg = placement_.ExpertsPerGroup();
@@ -74,10 +74,9 @@ void RoutePlan::Rebuild(const Placement& placement,
     }
   }
 
+  const size_t e_total = static_cast<size_t>(placement_.model().num_experts);
   const bool split_active = max_replicas_ > 0;
   if (split_active) {
-    const size_t e_total =
-        static_cast<size_t>(placement_.model().num_experts);
     split_counter_.assign(e_total, 0);
     replica_group_of_expert_.assign(e_total, -1);
     replica_slice_of_expert_.assign(e_total, -1);
@@ -109,17 +108,42 @@ void RoutePlan::Rebuild(const Placement& placement,
         << "replica assignments require Reserve with max_replicas > 0";
   }
 
+  // Count the pairs per expert and reserve every slice once to its exact
+  // row count (a replicated expert's home slice keeps the even ordinals,
+  // its replica slice the odd ones).
+  expert_pairs_.assign(e_total, 0);
+  for (const TokenRoute& route : routing.tokens) {
+    for (const int64_t e : route.experts) {
+      ++expert_pairs_[static_cast<size_t>(e)];
+    }
+  }
+  for (size_t e = 0; e < e_total; ++e) {
+    const int64_t pairs = expert_pairs_[e];
+    const int64_t g = static_cast<int64_t>(e) / epg;
+    int64_t home_rows = pairs;
+    if (split_active && replica_slice_of_expert_[e] >= 0) {
+      home_rows = pairs - pairs / 2;
+      per_group_[static_cast<size_t>(replica_group_of_expert_[e])]
+          .experts[static_cast<size_t>(replica_slice_of_expert_[e])]
+          .rows.reserve(static_cast<size_t>(pairs / 2));
+    }
+    per_group_[static_cast<size_t>(g)]
+        .experts[static_cast<size_t>(static_cast<int64_t>(e) - g * epg)]
+        .rows.reserve(static_cast<size_t>(home_rows));
+  }
+
   // Walk tokens in global order; rows land per-expert in token order, which
   // is source-group order because tokens are block-sharded. A replicated
   // expert's pairs alternate home/replica by ordinal (the deterministic
   // 50/50 traffic split).
+  const int64_t tokens_per_group = placement_.tokens_per_group();
   for (int64_t t = 0; t < placement_.total_tokens(); ++t) {
-    const TokenRoute& route = routing_.tokens[static_cast<size_t>(t)];
-    const int home = placement_.HomeGroupOfToken(t);
+    const TokenRoute& route = routing.tokens[static_cast<size_t>(t)];
+    const int home = static_cast<int>(t / tokens_per_group);
     for (size_t k = 0; k < route.experts.size(); ++k) {
       const int64_t e = route.experts[k];
-      int g = placement_.EpGroupOfExpert(e);
-      int64_t local = placement_.LocalExpertIndex(e);
+      int64_t g = e / epg;
+      int64_t local = e - g * epg;
       if (split_active &&
           replica_slice_of_expert_[static_cast<size_t>(e)] >= 0 &&
           (split_counter_[static_cast<size_t>(e)]++ & 1) != 0) {

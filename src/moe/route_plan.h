@@ -9,6 +9,11 @@
 // order. COMET's rescheduling permutes this order per rank; the baselines
 // consume it as-is.
 //
+// The plan holds no copy of the routing table it was built from, nor any
+// pointer to it: a row carries everything the executors read (token, slot,
+// source group, combine weight), so the caller's table need not outlive the
+// plan, and a workload holding both can be moved or copied freely.
+//
 // Communication accounting (all lane-matched: group s lane l talks to group
 // g lane l):
 //  * layer0 dispatch: one row per (pair, lane) crossing groups,
@@ -81,6 +86,9 @@ class RoutePlan {
   // Empty plan; call Rebuild before use. Exists so a serving loop can hold
   // the plan as a persistent workspace member.
   RoutePlan() = default;
+  // Builds the plan for `routing`, which it reads but does not keep: the
+  // table may be destroyed or overwritten as soon as the constructor (or any
+  // Rebuild) returns.
   RoutePlan(const Placement& placement, const RoutingTable& routing);
 
   // Pre-sizes internal capacity for `placement`'s EP shape with up to
@@ -93,9 +101,10 @@ class RoutePlan {
                int max_replicas = 0);
 
   // Rebuilds the plan in place for a new routing (and possibly a new token
-  // count), retaining all per-expert row capacity. Allocation-free once
-  // capacities are warm (Reserve, or a previous Rebuild of equal size) and
-  // every route fits TokenRoute's inline storage.
+  // count), retaining all per-expert row capacity. Each slice is reserved
+  // once to its exact row count before rows are placed. Allocation-free once
+  // capacities are warm (Reserve, or a previous Rebuild that placed at least
+  // as many rows on every slice).
   void Rebuild(const Placement& placement, const RoutingTable& routing);
 
   // Replica-aware Rebuild: `replicas` holds at most one ACTIVE assignment
@@ -113,7 +122,6 @@ class RoutePlan {
   int max_replicas() const { return max_replicas_; }
 
   const Placement& placement() const { return placement_; }
-  const RoutingTable& routing() const { return routing_; }
 
   const RankPlan& ForRank(int rank) const;
   const RankPlan& ForGroup(int ep_group) const;
@@ -141,9 +149,11 @@ class RoutePlan {
 
  private:
   Placement placement_;
-  RoutingTable routing_;
   std::vector<RankPlan> per_group_;
   int max_replicas_ = 0;
+  // Pairs routed to each expert by the current routing (sized num_experts;
+  // reused across Rebuilds): what each slice is reserved to.
+  std::vector<int64_t> expert_pairs_;
   // Per-expert scratch for the replica split (sized num_experts; reused
   // across Rebuilds): pair ordinal counter, and the replica (group, slice)
   // of each replicated expert (-1 when not replicated).

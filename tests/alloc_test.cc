@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "hw/gpu_spec.h"
+#include "moe/route_plan.h"
+#include "moe/router.h"
 #include "serve/cluster.h"
 #include "serve/loadgen.h"
 #include "serve/request.h"
@@ -165,6 +167,49 @@ TEST(InlineVec, SpillsBeyondNAndStaysCorrect) {
   EXPECT_EQ(copy, v);
   v.clear();
   EXPECT_TRUE(v.empty());
+}
+
+// ---- RoutePlan --------------------------------------------------------------
+
+// A reserved plan rebuilt for new routings of the same shape places its rows
+// into retained capacity: the per-expert pair counts live in a member scratch,
+// not a per-call vector. Covers the plain and the replica-split paths.
+TEST(RoutePlanAlloc, WarmRebuildIsAllocationFree) {
+  ModelConfig model;
+  model.name = "plan";
+  model.layers = 1;
+  model.num_experts = 8;
+  model.topk = 2;
+  model.embedding = 16;
+  model.ffn_hidden = 32;
+  constexpr int64_t kTokens = 64;
+  const Placement placement(model, ParallelConfig{1, 4}, kTokens);
+  SyntheticRouter router(std::vector<double>(8, 1.0), 11);
+  const RoutingTable a = router.Route(kTokens, model.topk);
+  const RoutingTable b = router.Route(kTokens, model.topk);
+  // Expert 0 (home group 0) on group 1's slot 0, expert 5 (home group 2) on
+  // group 0's slot 1.
+  const std::vector<ReplicaAssignment> replicas = {{0, 1, 0}, {5, 0, 1}};
+
+  RoutePlan plain;
+  plain.Reserve(placement, kTokens);
+  plain.Rebuild(placement, a);
+  RoutePlan split;
+  split.Reserve(placement, kTokens, /*max_replicas=*/2);
+  split.Rebuild(placement, a, replicas);
+
+  AllocStats stats;
+  {
+    AllocWindow w;
+    for (int i = 0; i < 4; ++i) {
+      const RoutingTable& routing = i % 2 == 0 ? b : a;
+      plain.Rebuild(placement, routing);
+      split.Rebuild(placement, routing, replicas);
+    }
+    stats = w.Snapshot();
+  }
+  EXPECT_EQ(stats.allocs, 0u);
+  EXPECT_GT(split.ReplicaRows(), 0);
 }
 
 // ---- the serving scenario (mirrors serve_test's helpers) -------------------

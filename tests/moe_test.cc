@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "moe/activation.h"
@@ -426,6 +427,57 @@ TEST_F(RoutePlanTest, GemmProblemShapes) {
   EXPECT_EQ(p1[0].n, 16);    // N
   EXPECT_EQ(p1[0].k, 16);    // K/TP
   EXPECT_EQ(p0[0].m, p1[0].m);
+}
+
+// Every row of `a` equals the row of `b` at the same position.
+void ExpectSameRows(const RoutePlan& a, const RoutePlan& b) {
+  for (int g = 0; g < a.placement().parallel().ep; ++g) {
+    const RankPlan& pa = a.ForGroup(g);
+    const RankPlan& pb = b.ForGroup(g);
+    ASSERT_EQ(pa.experts.size(), pb.experts.size());
+    for (size_t le = 0; le < pa.experts.size(); ++le) {
+      const std::vector<ExpertRow>& ra = pa.experts[le].rows;
+      const std::vector<ExpertRow>& rb = pb.experts[le].rows;
+      EXPECT_EQ(pa.experts[le].expert, pb.experts[le].expert);
+      ASSERT_EQ(ra.size(), rb.size()) << "group " << g << " slice " << le;
+      for (size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].token, rb[i].token);
+        EXPECT_EQ(ra[i].slot, rb[i].slot);
+        EXPECT_EQ(ra[i].source_group, rb[i].source_group);
+        EXPECT_EQ(std::bit_cast<uint32_t>(ra[i].weight),
+                  std::bit_cast<uint32_t>(rb[i].weight));
+      }
+    }
+  }
+}
+
+TEST_F(RoutePlanTest, KeepsNothingOfTheTableItWasBuiltFrom) {
+  MoeWorkload w = Make(1, 4, 64);
+  const RoutingTable original = w.routing;
+  const RoutePlan from_copy(w.placement, original);
+
+  // A plan built from a table that is overwritten and then destroyed.
+  RoutePlan from_temporary;
+  {
+    RoutingTable temporary = original;
+    from_temporary = RoutePlan(w.placement, temporary);
+    for (TokenRoute& route : temporary.tokens) {
+      route.experts.clear();
+      route.weights.clear();
+    }
+  }
+  ExpectSameRows(from_temporary, from_copy);
+
+  // Overwriting the workload's own table in place (every pair moved to the
+  // next expert) leaves its plan as it was.
+  for (TokenRoute& route : w.routing.tokens) {
+    for (int64_t& e : route.experts) {
+      e = (e + 1) % w.model().num_experts;
+    }
+  }
+  ExpectSameRows(w.plan, from_copy);
+  const MoeWorkload moved = std::move(w);
+  ExpectSameRows(moved.plan, from_copy);
 }
 
 // ---- group gemm -----------------------------------------------------------------
