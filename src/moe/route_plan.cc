@@ -153,7 +153,7 @@ void RoutePlan::Rebuild(const Placement& placement,
       per_group_[static_cast<size_t>(g)]
           .experts[static_cast<size_t>(local)]
           .rows.push_back(
-              ExpertRow{t, home, static_cast<int64_t>(k), route.weights[k]});
+              ExpertRow{t, static_cast<int64_t>(k), home, route.weights[k]});
     }
   }
 }

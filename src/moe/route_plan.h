@@ -43,11 +43,13 @@ struct ReplicaAssignment {
 
 // One row of a rank's layer0 shared tensor.
 struct ExpertRow {
-  int64_t token = 0;    // global token id
+  int64_t token = 0;     // global token id
+  int64_t slot = 0;      // which of the token's topk slots this pair is
   int source_group = 0;  // home EP group of the token
-  int64_t slot = 0;     // which of the token's topk slots this pair is
-  float weight = 0.0f;  // combine weight of this (token, expert) pair
+  float weight = 0.0f;   // combine weight of this (token, expert) pair
 };
+// A plan holds M * topk rows: the two 4-byte fields share one 8-byte word.
+static_assert(sizeof(ExpertRow) == 24, "ExpertRow must pack to 24 bytes");
 
 // All rows consumed by one local expert on one rank, canonical order.
 struct ExpertSlice {
