@@ -73,7 +73,7 @@ void Timeline::Merge(const Timeline& other, double offset_us) {
     iv.start_us += offset_us;
     iv.end_us += offset_us;
     COMET_CHECK_LE(iv.start_us, iv.end_us)
-        << "interval '" << iv.label << "' ends before it starts";
+        << "interval '" << iv.label() << "' ends before it starts";
     intervals_.push_back(iv);
   }
 }

@@ -35,15 +35,32 @@ bool IsCompCategory(OpCategory category);
 // run time: Timeline::Add stores its label by pointer.
 const char* InternLabel(std::string_view label);
 
-struct TimeInterval {
-  std::string_view label;  // a string literal or an InternLabel copy
-  OpCategory category = OpCategory::kOther;
-  int lane = 0;  // visual/logical lane, e.g. stream id or block-group id
-  double start_us = 0.0;
-  double end_us = 0.0;
+// One labelled interval. The label is held as the pointer Timeline::Add
+// was given (a string literal or an InternLabel copy) and read as text
+// through label(), so comparing labels compares characters, never pointers.
+class TimeInterval {
+ public:
+  TimeInterval(const char* label, OpCategory category, int lane,
+               double start_us, double end_us)
+      : category(category),
+        lane(lane),
+        start_us(start_us),
+        end_us(end_us),
+        label_(label) {}
 
+  std::string_view label() const { return label_; }
   double Duration() const { return end_us - start_us; }
+
+  OpCategory category;
+  int lane;  // visual/logical lane, e.g. stream id or block-group id
+  double start_us;
+  double end_us;
+
+ private:
+  const char* label_;
 };
+// At 32 bytes the tile-8 layer0 timeline stays under glibc's 32 MiB mmap cap.
+static_assert(sizeof(TimeInterval) <= 32, "TimeInterval must fit 32 bytes");
 
 class Timeline {
  public:

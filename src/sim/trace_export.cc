@@ -21,7 +21,7 @@ std::string ToChromeTraceJson(const Timeline& timeline,
   for (const TimeInterval& iv : timeline.intervals()) {
     // Lane -1 (host) maps to tid 1; device lane L maps to tid L + 2.
     const int tid = iv.lane + 2;
-    os << ",{\"name\":\"" << JsonEscape(iv.label) << "\",\"cat\":\""
+    os << ",{\"name\":\"" << JsonEscape(iv.label()) << "\",\"cat\":\""
        << JsonEscape(OpCategoryName(iv.category)) << "\",\"ph\":\"X\""
        << ",\"ts\":" << iv.start_us << ",\"dur\":" << iv.Duration()
        << ",\"pid\":1,\"tid\":" << tid << "}";

@@ -154,9 +154,9 @@ TEST_F(CometBackwardTimingTest, TimelineHasBackwardPhases) {
                                  ExecMode::kTimedOnly);
   bool has_wgrad0 = false, has_wgrad1 = false, has_ag = false;
   for (const auto& interval : run.timeline.intervals()) {
-    has_wgrad0 |= interval.label == "wgrad0";
-    has_wgrad1 |= interval.label == "wgrad1";
-    has_ag |= interval.label == "dout-allgather";
+    has_wgrad0 |= interval.label() == "wgrad0";
+    has_wgrad1 |= interval.label() == "wgrad1";
+    has_ag |= interval.label() == "dout-allgather";
   }
   EXPECT_TRUE(has_wgrad0);
   EXPECT_TRUE(has_wgrad1);
@@ -168,8 +168,8 @@ TEST_F(CometBackwardTimingTest, PureTpHasNoAllToAllGradDispatch) {
   const auto run = SequentialBackward(w, H800Cluster(8), no_dout_,
                                       ExecMode::kTimedOnly);
   for (const auto& interval : run.timeline.intervals()) {
-    EXPECT_NE(interval.label, "grad-a2a");
-    EXPECT_NE(interval.label, "grad-return-a2a");
+    EXPECT_NE(interval.label(), "grad-a2a");
+    EXPECT_NE(interval.label(), "grad-return-a2a");
   }
 }
 

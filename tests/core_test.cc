@@ -382,7 +382,7 @@ TEST(FusedKernelSteps, PricesOnOnePrepareMatchFreshSimulations) {
             const auto& want = fresh.timeline.intervals();
             ASSERT_EQ(got.size(), want.size()) << "nc " << nc;
             for (size_t i = 0; i < got.size(); ++i) {
-              EXPECT_EQ(got[i].label, want[i].label);
+              EXPECT_EQ(got[i].label(), want[i].label());
               EXPECT_EQ(got[i].category, want[i].category);
               EXPECT_EQ(got[i].lane, want[i].lane);
               ExpectSameBits(got[i].start_us, want[i].start_us, "start_us");

@@ -185,7 +185,7 @@ void ExpectSameExecution(const LayerExecution& got,
   const auto& wi = want.timeline.intervals();
   ASSERT_EQ(ti.size(), wi.size());
   for (size_t i = 0; i < ti.size(); ++i) {
-    EXPECT_EQ(ti[i].label, wi[i].label) << "interval " << i;
+    EXPECT_EQ(ti[i].label(), wi[i].label()) << "interval " << i;
     EXPECT_EQ(ti[i].category, wi[i].category) << "interval " << i;
     EXPECT_EQ(ti[i].lane, wi[i].lane) << "interval " << i;
     EXPECT_EQ(ti[i].start_us, wi[i].start_us) << "interval " << i;

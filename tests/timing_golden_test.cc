@@ -67,7 +67,7 @@ uint64_t DigestTimeline(const Timeline& timeline) {
   Fnv f;
   f.U64(timeline.intervals().size());
   for (const TimeInterval& iv : timeline.intervals()) {
-    f.Bytes(iv.label.data(), iv.label.size());
+    f.Bytes(iv.label().data(), iv.label().size());
     f.U64(static_cast<uint64_t>(iv.category));
     f.U64(static_cast<uint64_t>(static_cast<int64_t>(iv.lane)));
     f.Double(iv.start_us);
