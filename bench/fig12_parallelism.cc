@@ -35,6 +35,8 @@ REGISTER_BENCH(fig12_parallelism, "Figure 12: MoE layer duration across hybrid p
       const LayerExecution run =
           exec->Run(workload, cluster, ExecMode::kTimedOnly);
       row.push_back(FormatUsAsMs(run.duration_us));
+      reporter.Report(parallel.ToString() + "/" + exec->name() + "_ms",
+                      run.duration_us / 1000.0, "ms");
     }
     table.AddRow(std::move(row));
   }

@@ -29,12 +29,16 @@ REGISTER_BENCH(fig13_experts_topk, "Figure 13: MoE layer duration vs experts and
       const MoeWorkload workload = TimedWorkload(model, parallel, m_tokens);
       SystemSet systems;
       std::vector<std::string> row = {std::to_string(topk)};
+      const std::string prefix = "E=" + std::to_string(experts) +
+                                 ",topk=" + std::to_string(topk) + "/";
       double comet_us = 0.0;
       std::vector<double> baselines;
       for (MoeLayerExecutor* exec : systems.All()) {
         const LayerExecution run =
             exec->Run(workload, cluster, ExecMode::kTimedOnly);
         row.push_back(FormatUsAsMs(run.duration_us));
+        reporter.Report(prefix + exec->name() + "_ms", run.duration_us / 1000.0,
+                        "ms");
         if (exec == &systems.comet) {
           comet_us = run.duration_us;
         } else {
@@ -48,12 +52,14 @@ REGISTER_BENCH(fig13_experts_topk, "Figure 13: MoE layer duration vs experts and
     }
     std::cout << table.Render() << "\n";
   }
-  std::cout << "speedup vs baselines: min "
-            << FormatSpeedup(*std::min_element(speedups.begin(), speedups.end()))
-            << ", mean " << FormatSpeedup(GeometricMean(speedups)) << ", max "
-            << FormatSpeedup(*std::max_element(speedups.begin(),
-                                               speedups.end()))
-            << "\n\n";
+  const double min = *std::min_element(speedups.begin(), speedups.end());
+  const double mean = GeometricMean(speedups);
+  const double max = *std::max_element(speedups.begin(), speedups.end());
+  std::cout << "speedup vs baselines: min " << FormatSpeedup(min) << ", mean "
+            << FormatSpeedup(mean) << ", max " << FormatSpeedup(max) << "\n\n";
+  reporter.Report("speedup_min", min, "x");
+  reporter.Report("speedup_mean", mean, "x");
+  reporter.Report("speedup_max", max, "x");
   PrintPaperNote("Comet yields 1.16x to 1.83x speedup across E and topk; "
                  "duration increases with topk.");
   return 0;
