@@ -29,12 +29,14 @@
 //     retry due time, warm-up end, breaker probe time, hedge deadline) --
 //     or terminates when none remain.
 //
-// Health-aware placement: a per-replica failure EWMA feeds a circuit
-// breaker (serve/health.h). A dead/wedged/corrupted replica force-opens its
-// breaker; a flapping one opens on the EWMA threshold. Every placement
-// policy consults the breaker through the accepting set it is handed, and
-// an open breaker re-admits traffic through bounded half-open probes with
-// deterministic exponential backoff.
+// Health-aware placement: every replica has a circuit breaker
+// (serve/health.h). A dead/wedged/corrupted replica force-opens its
+// breaker, and that is the only way a breaker opens here: the cluster
+// reports deaths and completions to it, never a single request's failure,
+// so the breaker's failure-EWMA threshold is not reached in a cluster run.
+// Every placement policy consults the breaker through the accepting set it
+// is handed, and an open breaker re-admits traffic through bounded
+// half-open probes with deterministic exponential backoff.
 //
 // Determinism: the loop is single-threaded and every step is a pure
 // function of (arrivals, options) -- replica numerics are bit-identical at
