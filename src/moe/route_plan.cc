@@ -108,28 +108,21 @@ void RoutePlan::Rebuild(const Placement& placement,
         << "replica assignments require Reserve with max_replicas > 0";
   }
 
-  // Count the pairs per expert and reserve every slice once to its exact
-  // row count (a replicated expert's home slice keeps the even ordinals,
-  // its replica slice the odd ones).
+  // Count the pairs per expert and reserve each home slice once to that
+  // count, so no slice grows by doubling. (Replica slices exist only after
+  // Reserve, which already sized them.)
   expert_pairs_.assign(e_total, 0);
   for (const TokenRoute& route : routing.tokens) {
     for (const int64_t e : route.experts) {
       ++expert_pairs_[static_cast<size_t>(e)];
     }
   }
-  for (size_t e = 0; e < e_total; ++e) {
-    const int64_t pairs = expert_pairs_[e];
-    const int64_t g = static_cast<int64_t>(e) / epg;
-    int64_t home_rows = pairs;
-    if (split_active && replica_slice_of_expert_[e] >= 0) {
-      home_rows = pairs - pairs / 2;
-      per_group_[static_cast<size_t>(replica_group_of_expert_[e])]
-          .experts[static_cast<size_t>(replica_slice_of_expert_[e])]
-          .rows.reserve(static_cast<size_t>(pairs / 2));
-    }
+  for (int64_t e = 0; e < static_cast<int64_t>(e_total); ++e) {
+    const int64_t g = e / epg;
+    const int64_t pairs = expert_pairs_[static_cast<size_t>(e)];
     per_group_[static_cast<size_t>(g)]
-        .experts[static_cast<size_t>(static_cast<int64_t>(e) - g * epg)]
-        .rows.reserve(static_cast<size_t>(home_rows));
+        .experts[static_cast<size_t>(e - g * epg)]
+        .rows.reserve(static_cast<size_t>(pairs));
   }
 
   // Walk tokens in global order; rows land per-expert in token order, which

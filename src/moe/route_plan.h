@@ -103,10 +103,10 @@ class RoutePlan {
                int max_replicas = 0);
 
   // Rebuilds the plan in place for a new routing (and possibly a new token
-  // count), retaining all per-expert row capacity. Each slice is reserved
-  // once to its exact row count before rows are placed. Allocation-free once
-  // capacities are warm (Reserve, or a previous Rebuild that placed at least
-  // as many rows on every slice).
+  // count), retaining all per-expert row capacity. Each home slice is
+  // reserved once to its expert's pair count before rows are placed.
+  // Allocation-free once capacities are warm (Reserve, or a previous Rebuild
+  // that placed at least as many rows on every slice).
   void Rebuild(const Placement& placement, const RoutingTable& routing);
 
   // Replica-aware Rebuild: `replicas` holds at most one ACTIVE assignment
@@ -154,7 +154,7 @@ class RoutePlan {
   std::vector<RankPlan> per_group_;
   int max_replicas_ = 0;
   // Pairs routed to each expert by the current routing (sized num_experts;
-  // reused across Rebuilds): what each slice is reserved to.
+  // reused across Rebuilds): what each home slice is reserved to.
   std::vector<int64_t> expert_pairs_;
   // Per-expert scratch for the replica split (sized num_experts; reused
   // across Rebuilds): pair ordinal counter, and the replica (group, slice)
