@@ -1,7 +1,6 @@
 #include "moe/activation.h"
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "util/check.h"
@@ -171,42 +170,24 @@ float TanhScalar(float x) { return Tanh(x); }
 
 float GeluScalar(float x) { return Gelu(x); }
 
-float SiluScalar(float x) { return x / (1.0f + std::exp(-x)); }
-
-void ApplyActivationTile(Tensor& t, ActivationKind kind, int64_t row_begin,
-                         int64_t row_end, int64_t col_begin, int64_t col_end) {
+void ApplyActivationTile(Tensor& t, ActivationKind /*kind*/,
+                         int64_t row_begin, int64_t row_end, int64_t col_begin,
+                         int64_t col_end) {
   COMET_CHECK_EQ(t.shape().rank(), 2u);
   COMET_CHECK_GE(row_begin, 0);
   COMET_CHECK_LE(row_end, t.rows());
   COMET_CHECK_GE(col_begin, 0);
   COMET_CHECK_LE(col_end, t.cols());
-  if (kind == ActivationKind::kIdentity) {
-    // Nothing computed, nothing to round: the input already satisfies the
-    // tensor's representability invariant.
-    return;
-  }
-  // Each row is one straight element loop per kind (the GELU loop
-  // vectorizes), then at 2-byte dtypes a separate round-on-store pass (RNE)
-  // -- same contract as the GEMM epilogue. Both passes are per-element pure,
-  // so tiling/threading never changes results.
+  // Each row is one straight GELU loop (it vectorizes), then at 2-byte
+  // dtypes a separate round-on-store pass (RNE) -- same contract as the GEMM
+  // epilogue. Both passes are per-element pure, so tiling/threading never
+  // changes results.
   const DType dtype = t.dtype();
   for (int64_t r = row_begin; r < row_end; ++r) {
     const std::span<float> cols =
         t.row(r).subspan(static_cast<size_t>(col_begin),
                          static_cast<size_t>(col_end - col_begin));
-    switch (kind) {
-      case ActivationKind::kGelu:
-        for (float& x : cols) x = Gelu(x);
-        break;
-      case ActivationKind::kSilu:
-        for (float& x : cols) x = SiluScalar(x);
-        break;
-      case ActivationKind::kRelu:
-        for (float& x : cols) x = x > 0.0f ? x : 0.0f;
-        break;
-      case ActivationKind::kIdentity:
-        break;
-    }
+    for (float& x : cols) x = Gelu(x);
     QuantizeSpan(cols, dtype);
   }
 }
@@ -219,29 +200,15 @@ void ApplyActivation(Tensor& t, ActivationKind kind) {
   });
 }
 
-float ActivationGradScalar(ActivationKind kind, float x) {
-  switch (kind) {
-    case ActivationKind::kGelu: {
-      // d/dx of the tanh approximation used by GeluScalar.
-      constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-      const float x3 = x * x * x;
-      const float inner = kC * (x + 0.044715f * x3);
-      const float t = Tanh(inner);
-      const float sech2 = 1.0f - t * t;
-      const float dinner = kC * (1.0f + 3.0f * 0.044715f * x * x);
-      return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
-    }
-    case ActivationKind::kSilu: {
-      const float s = 1.0f / (1.0f + std::exp(-x));
-      return s * (1.0f + x * (1.0f - s));
-    }
-    case ActivationKind::kRelu:
-      return x > 0.0f ? 1.0f : 0.0f;
-    case ActivationKind::kIdentity:
-      return 1.0f;
-  }
-  COMET_CHECK(false) << "unknown activation kind";
-  return 0.0f;
+float ActivationGradScalar(ActivationKind /*kind*/, float x) {
+  // d/dx of the tanh approximation used by GeluScalar.
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  const float x3 = x * x * x;
+  const float inner = kC * (x + 0.044715f * x3);
+  const float t = Tanh(inner);
+  const float sech2 = 1.0f - t * t;
+  const float dinner = kC * (1.0f + 3.0f * 0.044715f * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
 }
 
 void ApplyActivationGradTile(Tensor& grad, const Tensor& pre,
@@ -255,9 +222,6 @@ void ApplyActivationGradTile(Tensor& grad, const Tensor& pre,
   COMET_CHECK_LE(row_end, grad.rows());
   COMET_CHECK_GE(col_begin, 0);
   COMET_CHECK_LE(col_end, grad.cols());
-  if (kind == ActivationKind::kIdentity) {
-    return;
-  }
   // f32 multiply, round on store at 2-byte dtypes (per-element pure; see
   // ApplyActivationTile).
   const DType dtype = grad.dtype();

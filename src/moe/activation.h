@@ -5,13 +5,11 @@
 
 namespace comet {
 
+// The one activation of COMET's expert FFN (the tanh approximation of GELU
+// that the evaluated models use, with tanh defined as fdlibm's tanhf; see
+// TanhScalar). The kind stays an argument so call sites name what they run.
 enum class ActivationKind {
-  // tanh approximation (the variant used by the evaluated models), with
-  // tanh defined as fdlibm's tanhf (see TanhScalar).
   kGelu,
-  kSilu,
-  kRelu,
-  kIdentity,
 };
 
 // Applies the activation in place over the whole tensor.
@@ -33,7 +31,6 @@ void ApplyActivationTile(Tensor& t, ActivationKind kind, int64_t row_begin,
 // Exactness needs -ffp-contract=off, which the build sets globally.
 float TanhScalar(float x);
 float GeluScalar(float x);
-float SiluScalar(float x);
 
 // Derivative of the activation at pre-activation value `x`.
 float ActivationGradScalar(ActivationKind kind, float x);
