@@ -31,9 +31,7 @@
 //
 // Health-aware placement: every replica has a circuit breaker
 // (serve/health.h). A dead/wedged/corrupted replica force-opens its
-// breaker, and that is the only way a breaker opens here: the cluster
-// reports deaths and completions to it, never a single request's failure,
-// so the breaker's failure-EWMA threshold is not reached in a cluster run.
+// breaker; the cluster reports deaths and completions to it, nothing else.
 // Every placement policy consults the breaker through the accepting set it
 // is handed, and an open breaker re-admits traffic through bounded
 // half-open probes with deterministic exponential backoff.
@@ -180,7 +178,6 @@ class MoeCluster {
   ClusterReport Run(const std::vector<RequestSpec>& arrivals);
   ClusterReport Run(LoadGenerator& loadgen);
 
-  const ClusterOptions& options() const { return options_; }
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   const MoeServer& replica(int r) const { return *replicas_.at(r); }
 

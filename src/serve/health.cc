@@ -22,7 +22,8 @@ size_t ReplicaHealth::Check(int r) const {
   return static_cast<size_t>(r);
 }
 
-void ReplicaHealth::Open(Rep& rep, double now_us) {
+void ReplicaHealth::ForceOpen(int r, double now_us) {
+  Rep& rep = reps_[Check(r)];
   double backoff = options_.probe_backoff_us;
   for (int i = 0; i < rep.streak && backoff < kMaxBackoffUs; ++i) {
     backoff *= kBackoffMultiplier;
@@ -37,7 +38,6 @@ void ReplicaHealth::Open(Rep& rep, double now_us) {
 
 void ReplicaHealth::ObserveSuccess(int r, double now_us) {
   Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma;
   if (rep.open && HalfOpen(rep, now_us)) {
     // Probe success: close and forgive the streak.
     rep.open = false;
@@ -45,21 +45,6 @@ void ReplicaHealth::ObserveSuccess(int r, double now_us) {
     rep.streak = 0;
     rep.probes_in_flight = 0;
   }
-}
-
-void ReplicaHealth::ObserveFailure(int r, double now_us) {
-  Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma + kEwmaAlpha;
-  const bool half_open = rep.open && HalfOpen(rep, now_us);
-  if (half_open || (!rep.open && rep.ewma >= kOpenThreshold)) {
-    Open(rep, now_us);
-  }
-}
-
-void ReplicaHealth::ForceOpen(int r, double now_us) {
-  Rep& rep = reps_[Check(r)];
-  rep.ewma = (1.0 - kEwmaAlpha) * rep.ewma + kEwmaAlpha;
-  Open(rep, now_us);
 }
 
 bool ReplicaHealth::AllowDispatch(int r, double now_us) const {

@@ -1,23 +1,21 @@
-// Per-replica health tracking: failure EWMA feeding a circuit breaker.
+// Per-replica health tracking: a circuit breaker that a death opens.
 //
-// The cluster observes one signal per replica per scheduling decision --
-// success (a request completed there) or failure (the replica died, wedged,
-// or served a corrupted payload) -- and folds it into an exponentially
-// weighted moving average. When the failure EWMA crosses a threshold the
-// breaker OPENS: the dispatcher stops sending the replica traffic even if it
-// is nominally accepting. After a deterministic backoff (doubling on each
-// consecutive re-open, capped) the breaker goes HALF-OPEN and admits a
+// When a replica dies (fail, wedge or corrupt fault) the cluster force-opens
+// its breaker: the dispatcher stops sending the replica traffic even if it
+// is nominally accepting again. After a deterministic backoff (doubling on
+// each consecutive open, capped) the breaker goes HALF-OPEN and admits a
 // bounded number of probe requests; a probe success closes the breaker and
-// resets the backoff, a probe failure re-opens it with a longer wait.
+// resets the backoff, and a death while half-open re-opens it with a longer
+// wait. A completed request is the only other signal the breaker sees.
 //
-//        success               ewma >= kOpenThreshold
+//        success                    death (ForceOpen)
 //   +--> kClosed ------------------------------------+
 //   |                                                v
 //   |    probe success                       kOpen (no dispatch,
 //   +--- kHalfOpen <------------------------  backoff doubling)
 //          |      now >= open_until                  ^
 //          +-----------------------------------------+
-//                       probe failure
+//                       death (ForceOpen)
 //
 // Everything runs on the SIMULATED clock and is pure state-machine -- no
 // RNG, no wall time -- so the breaker's trajectory is bit-identical across
@@ -41,12 +39,6 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 class ReplicaHealth {
  public:
-  // EWMA smoothing: ewma <- (1 - alpha) * ewma + alpha * outcome, where
-  // outcome is 1.0 for a failure, 0.0 for a success.
-  static constexpr double kEwmaAlpha = 0.3;
-  // Failure EWMA at or above this opens the breaker: with alpha 0.3, about
-  // 2 consecutive failures from healthy.
-  static constexpr double kOpenThreshold = 0.5;
   static constexpr double kBackoffMultiplier = 2.0;
   static constexpr double kMaxBackoffUs = 1e8;
   // Probes allowed in flight while half-open.
@@ -54,15 +46,12 @@ class ReplicaHealth {
 
   ReplicaHealth(int num_replicas, HealthOptions options);
 
-  // A request completed on `r`. Closes a half-open breaker (probe success),
-  // resets the backoff streak, decays the failure EWMA.
+  // A request completed on `r`. Closes a half-open breaker (probe success)
+  // and resets the backoff streak.
   void ObserveSuccess(int r, double now_us);
-  // Replica `r` failed a request (or a probe). Bumps the EWMA; opens the
-  // breaker if the threshold is crossed or if `r` was half-open.
-  void ObserveFailure(int r, double now_us);
-  // Replica `r` died outright (fail/wedge/corrupt fault). Records a failure
-  // AND forces the breaker open regardless of the EWMA, so a recovered
-  // replica re-enters through the half-open probe path.
+  // Replica `r` died outright (fail/wedge/corrupt fault). Opens the breaker
+  // in any state, with the streak's backoff, so a recovered replica
+  // re-enters through the half-open probe path.
   void ForceOpen(int r, double now_us);
 
   // True when the dispatcher may send `r` a request at `now_us`: closed, or
@@ -75,17 +64,13 @@ class ReplicaHealth {
   // Observable state at `now_us` (an open breaker whose backoff elapsed
   // reports half-open).
   BreakerState state(int r, double now_us) const;
-  double failure_ewma(int r) const { return reps_[Check(r)].ewma; }
   double open_until(int r) const { return reps_[Check(r)].open_until; }
   int consecutive_opens(int r) const { return reps_[Check(r)].streak; }
   int64_t total_opens() const { return total_opens_; }
   int64_t total_probes() const { return total_probes_; }
 
-  const HealthOptions& options() const { return options_; }
-
  private:
   struct Rep {
-    double ewma = 0.0;
     bool open = false;          // open OR half-open (split by open_until)
     double open_until = 0.0;    // when open -> half-open
     int streak = 0;             // consecutive opens without a probe success
@@ -96,7 +81,6 @@ class ReplicaHealth {
   bool HalfOpen(const Rep& rep, double now_us) const {
     return rep.open && now_us >= rep.open_until;
   }
-  void Open(Rep& rep, double now_us);
 
   HealthOptions options_;
   std::vector<Rep> reps_;

@@ -460,18 +460,17 @@ TEST(Hedging, HedgeCopyRescuesRequestsFromDyingPrimary) {
 
 // ---- circuit breaker -------------------------------------------------------
 
-// Scripted walk through the state machine: failures open it, the backoff
-// gates re-entry, a probe failure re-opens with a longer wait, a probe
-// success closes it and resets the streak.
+// Scripted walk through the state machine as the cluster drives it: a
+// death force-opens it, the backoff gates re-entry, a death while half-open
+// re-opens with a doubled wait, a probe success closes it and resets the
+// streak.
 TEST(CircuitBreaker, ScriptedTransitions) {
-  HealthOptions options;  // alpha 0.3, threshold 0.5, backoff 2000, x2
+  HealthOptions options;  // backoff 2000, x2
   ReplicaHealth health(1, options);
   EXPECT_EQ(health.state(0, 0.0), BreakerState::kClosed);
   EXPECT_TRUE(health.AllowDispatch(0, 0.0));
 
-  health.ObserveFailure(0, 0.0);  // ewma 0.3: still closed
-  EXPECT_EQ(health.state(0, 0.0), BreakerState::kClosed);
-  health.ObserveFailure(0, 0.0);  // ewma 0.51 >= 0.5: opens
+  health.ForceOpen(0, 0.0);
   EXPECT_EQ(health.state(0, 0.0), BreakerState::kOpen);
   EXPECT_FALSE(health.AllowDispatch(0, 0.0));
   EXPECT_EQ(health.consecutive_opens(0), 1);
@@ -485,9 +484,10 @@ TEST(CircuitBreaker, ScriptedTransitions) {
       << "half_open_probes = 1: the second probe must wait";
   EXPECT_EQ(health.total_probes(), 1);
 
-  // Probe fails: re-open with doubled backoff.
-  health.ObserveFailure(0, 2100.0);
+  // The half-open replica dies again: re-open with doubled backoff.
+  health.ForceOpen(0, 2100.0);
   EXPECT_EQ(health.state(0, 2100.0), BreakerState::kOpen);
+  EXPECT_FALSE(health.AllowDispatch(0, 2100.0));
   EXPECT_EQ(health.consecutive_opens(0), 2);
   EXPECT_DOUBLE_EQ(health.open_until(0), 2100.0 + 4000.0);
 
@@ -499,12 +499,15 @@ TEST(CircuitBreaker, ScriptedTransitions) {
   EXPECT_EQ(health.consecutive_opens(0), 0);
   EXPECT_TRUE(health.AllowDispatch(0, 6200.0));
   EXPECT_EQ(health.total_opens(), 2);
+
+  // A reset streak: the next death waits the base backoff again.
+  health.ForceOpen(0, 7000.0);
+  EXPECT_DOUBLE_EQ(health.open_until(0), 7000.0 + 2000.0);
 }
 
 TEST(CircuitBreaker, ForceOpenOverridesEwma) {
   ReplicaHealth health(2, HealthOptions{});
-  // One failure is below the EWMA threshold, but ForceOpen is a death: the
-  // breaker opens regardless, and only replica 0's.
+  // One death opens a closed breaker at once, and only replica 0's.
   health.ForceOpen(0, 100.0);
   EXPECT_EQ(health.state(0, 100.0), BreakerState::kOpen);
   EXPECT_FALSE(health.AllowDispatch(0, 100.0));
@@ -513,8 +516,8 @@ TEST(CircuitBreaker, ForceOpenOverridesEwma) {
 }
 
 // Randomized property trials: whatever the op sequence, the breaker's
-// observable contract holds -- open refuses, closed admits, EWMA stays in
-// [0,1], backoff is bounded by ReplicaHealth::kMaxBackoffUs, a half-open
+// observable contract holds -- open refuses, closed admits, backoff is
+// bounded by ReplicaHealth::kMaxBackoffUs, a half-open
 // probe success always closes and resets the streak.
 TEST(CircuitBreaker, RandomizedContractTrials) {
   for (int trial = 0; trial < 200; ++trial) {
@@ -530,9 +533,7 @@ TEST(CircuitBreaker, RandomizedContractTrials) {
       const int r = static_cast<int>(rng.UniformInt(0, replicas - 1));
       const double u = rng.NextDouble();
       const BreakerState before = health.state(r, now);
-      if (u < 0.35) {
-        health.ObserveFailure(r, now);
-      } else if (u < 0.7) {
+      if (u < 0.5) {
         if (before == BreakerState::kHalfOpen && health.AllowDispatch(r, now)) {
           health.OnProbeDispatched(r, now);
         }
@@ -548,9 +549,6 @@ TEST(CircuitBreaker, RandomizedContractTrials) {
       }
       for (int q = 0; q < replicas; ++q) {
         const BreakerState s = health.state(q, now);
-        const double ewma = health.failure_ewma(q);
-        EXPECT_GE(ewma, 0.0);
-        EXPECT_LE(ewma, 1.0);
         if (s == BreakerState::kOpen) {
           EXPECT_FALSE(health.AllowDispatch(q, now));
           EXPECT_LE(health.open_until(q),
