@@ -25,8 +25,8 @@ double ChunkedLayerUs(const MoeWorkload& w, const OpCostModel& costs,
                       int degree) {
   const BaselineQuantities q = ComputeQuantities(w, costs, collectives, rank);
   StreamSim sim(costs.LaunchUs());
-  const int comp = sim.AddStream("compute");
-  const int comm = sim.AddStream("comm");
+  const int comp = sim.AddStream();
+  const int comm = sim.AddStream();
   sim.Launch(comp, "gate", OpCategory::kGating, q.gate_us);
   sim.HostWork("routing-bookkeeping", kAuxRoutingKernels * costs.LaunchUs());
 

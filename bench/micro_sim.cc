@@ -96,7 +96,7 @@ REGISTER_BENCH(micro_sim, "Micro: timing-plane simulator throughput") {
   for (int kernels : {256, 2048}) {
     record("stream_sim_launches", "n=" + std::to_string(kernels), TimeIt([&] {
              StreamSim sim(/*launch_overhead_us=*/2.5);
-             const int stream = sim.AddStream("compute");
+             const int stream = sim.AddStream();
              for (int i = 0; i < kernels; ++i) {
                sim.Launch(stream, "k", OpCategory::kLayer0Comp, 10.0);
              }

@@ -34,8 +34,8 @@ LayerExecution FasterMoeExecutor::Run(const MoeWorkload& workload,
         static_cast<double>(workload.placement.ExpertsPerGroup());
 
     StreamSim sim(costs.LaunchUs());
-    const int comp = sim.AddStream("compute");
-    const int comm = sim.AddStream("comm");
+    const int comp = sim.AddStream();
+    const int comm = sim.AddStream();
 
     sim.Launch(comp, "gate", OpCategory::kGating, q.gate_us);
     sim.HostWork("routing-bookkeeping",

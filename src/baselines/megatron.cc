@@ -32,7 +32,7 @@ LayerExecution MegatronExecutor::Run(const MoeWorkload& workload,
                                                    r, flavor_.gemm_efficiency);
 
     StreamSim sim(costs.LaunchUs());
-    const int stream = sim.AddStream("compute");
+    const int stream = sim.AddStream();
     auto launch = [&](const char* label, OpCategory cat, double dur) {
       if (flavor_.host_api_overhead_us > 0.0) {
         sim.HostWork(InternLabel(std::string("api:") + label),

@@ -24,8 +24,8 @@ double TutelExecutor::SimulateRank(const MoeWorkload& workload,
       static_cast<double>(workload.model().topk);
 
   StreamSim sim(costs.LaunchUs());
-  const int comp = sim.AddStream("compute");
-  const int comm = sim.AddStream("comm");
+  const int comp = sim.AddStream();
+  const int comm = sim.AddStream();
 
   sim.Launch(comp, "gate", OpCategory::kGating, q.gate_us);
   sim.HostWork("routing-bookkeeping", kAuxRoutingKernels * costs.LaunchUs());
@@ -101,7 +101,6 @@ LayerExecution TutelExecutor::Run(const MoeWorkload& workload,
     }
   }
   const int best_degree = kDegrees[best_index];
-  last_degree_ = best_degree;
 
   const int world = workload.world();
   std::vector<double> per_rank(static_cast<size_t>(world), 0.0);

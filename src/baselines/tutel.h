@@ -22,9 +22,6 @@ class TutelExecutor : public MoeLayerExecutor {
   LayerExecution Run(const MoeWorkload& workload, const ClusterSpec& cluster,
                      ExecMode mode) override;
 
-  // Pipeline degree the heuristic search picked in the last Run.
-  int last_pipeline_degree() const { return last_degree_; }
-
  private:
   // `collectives` are priced for a chunk of 1 / `degree`.
   double SimulateRank(const MoeWorkload& workload, const OpCostModel& costs,
@@ -39,8 +36,6 @@ class TutelExecutor : public MoeLayerExecutor {
   static constexpr double kEncodeFactor = 1.25;
   // Host scheduling cost per (expert, topk) pair per chunk, us.
   static constexpr double kPerExpertTopkHostUs = 0.05;
-
-  int last_degree_ = 0;
 };
 
 }  // namespace comet

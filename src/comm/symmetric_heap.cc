@@ -489,8 +489,4 @@ double SymmetricHeap::AllocatedBytesPerRank() const {
   return total;
 }
 
-const std::string& SymmetricHeap::BufferName(SymmetricBufferId buf) const {
-  return Get(buf).name;
-}
-
 }  // namespace comet

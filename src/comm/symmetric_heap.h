@@ -93,8 +93,6 @@ class SymmetricHeap {
  public:
   explicit SymmetricHeap(int world_size, HeapIntegrityOptions integrity = {});
 
-  int world_size() const { return world_size_; }
-  const HeapIntegrityOptions& integrity() const { return integrity_; }
   // Lifetime counters: rows the injector corrupted / reads that verified a
   // checksum (relaxed atomics; exact totals, arbitrary order).
   int64_t rows_corrupted() const {
@@ -215,7 +213,6 @@ class SymmetricHeap {
   double AllocatedBytesPerRank() const;
 
   size_t num_buffers() const { return buffers_.size(); }
-  const std::string& BufferName(SymmetricBufferId buf) const;
 
  private:
   struct Allocation {

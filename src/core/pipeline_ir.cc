@@ -29,20 +29,6 @@ const TensorUse& FindRead(const PipelineOp& op, const std::string& tensor) {
 
 }  // namespace
 
-std::string AxisRoleName(AxisRole role) {
-  switch (role) {
-    case AxisRole::kParallel:
-      return "parallel";
-    case AxisRole::kReduce:
-      return "reduce";
-    case AxisRole::kGather:
-      return "gather";
-    case AxisRole::kBroadcast:
-      return "broadcast";
-  }
-  return "?";
-}
-
 std::string DecomposeDimName(DecomposeDim dim) {
   return dim == DecomposeDim::kM ? "M" : "N";
 }

@@ -41,8 +41,6 @@ enum class AxisRole {
   kBroadcast,  // every output element reads the whole axis
 };
 
-std::string AxisRoleName(AxisRole role);
-
 // Whether an op is compute (GEMM, activation, reduce) or communication
 // (dispatch, all-to-all, reduce-scatter). Overlappable pipelines are the
 // edges where this domain changes.

@@ -47,7 +47,6 @@ class ShardedExpertWeights {
  public:
   ShardedExpertWeights(const ExpertWeights& full, int tp);
 
-  int tp() const { return tp_; }
   // W0 shard of `expert` on TP rank `tp_rank`: (N, K/TP).
   const Tensor& W0Shard(int64_t expert, int tp_rank) const;
   // W1 shard of `expert` on TP rank `tp_rank`: (K/TP, N).

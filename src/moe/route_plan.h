@@ -121,7 +121,6 @@ class RoutePlan {
 
   // Rows currently landing on replica slices (across all groups).
   int64_t ReplicaRows() const;
-  int max_replicas() const { return max_replicas_; }
 
   const Placement& placement() const { return placement_; }
 

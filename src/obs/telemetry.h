@@ -89,7 +89,6 @@ class Telemetry {
   explicit Telemetry(const TelemetryOptions& options);
 
   bool enabled() const { return options_.enabled; }
-  const TelemetryOptions& options() const { return options_; }
 
   // Resets metric values and clears + reserves the span ring. Allocates
   // (ring reservation); call outside counting windows, before the loop.

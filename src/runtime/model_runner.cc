@@ -88,18 +88,4 @@ TrainStepResult RunTrainingStep(MoeLayerExecutor& executor,
   return result;
 }
 
-double MoeCommFraction(const LayerExecution& layer) {
-  const double comm = layer.timeline.CategoryBusy(OpCategory::kLayer0Comm) +
-                      layer.timeline.CategoryBusy(OpCategory::kLayer1Comm);
-  const double comp = layer.timeline.CategoryBusy(OpCategory::kLayer0Comp) +
-                      layer.timeline.CategoryBusy(OpCategory::kLayer1Comp) +
-                      layer.timeline.CategoryBusy(OpCategory::kGating) +
-                      layer.timeline.CategoryBusy(OpCategory::kActivation);
-  const double total = comm + comp;
-  if (total <= 0.0) {
-    return 0.0;
-  }
-  return comm / total;
-}
-
 }  // namespace comet

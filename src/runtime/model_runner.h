@@ -64,8 +64,4 @@ TrainStepResult RunTrainingStep(MoeLayerExecutor& executor,
                                 const ModelRunConfig& config,
                                 const ClusterSpec& cluster);
 
-// Communication fraction of a single MoE layer execution (Figure 1(a)):
-// comm busy time / total busy time of the layer, from the timeline.
-double MoeCommFraction(const LayerExecution& layer);
-
 }  // namespace comet

@@ -33,7 +33,6 @@ class MoeModel {
            int64_t total_tokens, const MoeModelOptions& options = {});
 
   const ModelConfig& model() const { return model_; }
-  int64_t num_layers() const { return model_.layers; }
   const CommBufferPlan& comm_plan() const { return comm_plan_; }
 
   // Random iid N(0,1) inputs, one (M/EP, N) tensor per EP group.

@@ -70,7 +70,6 @@ class RankGroup {
   // allocation-free no-op.
   void Configure(int num_ranks, int num_threads);
 
-  int num_ranks() const { return num_ranks_; }
   // True when Run executes ranks on dedicated concurrent threads.
   bool concurrent() const { return concurrent_; }
 

@@ -69,8 +69,6 @@ class ContinuousBatcher {
  public:
   explicit ContinuousBatcher(BatcherOptions options);
 
-  const BatcherOptions& options() const { return options_; }
-
   // Pre-sizes the slot table (and the live list) for up to
   // `expected_requests` admissions, so Admit within that bound never
   // reallocates. Slot numbering is untouched -- this is pure capacity.

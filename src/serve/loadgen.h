@@ -97,8 +97,6 @@ class LoadGenerator {
   // Drains the whole stream (convenience for benches/tests).
   std::vector<RequestSpec> GenerateAll();
 
-  const LoadGenOptions& options() const { return options_; }
-
  private:
   LoadGenOptions options_;
   Rng rng_;

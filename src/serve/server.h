@@ -334,14 +334,13 @@ class MoeServer {
   // run's end time on the simulated clock.
   ServeReport BuildReport(double sim_duration_us) const;
 
-  const ServeOptions& options() const { return options_; }
   const ClusterSpec& cluster() const { return cluster_; }
   // Executor diagnostics (e.g. profile_memo_misses after a run).
   const CometExecutor& executor() const { return executor_; }
 
   // ---- telemetry plane (obs/) ----------------------------------------------
   // The per-replica telemetry bundle: registry + span ring, reset by
-  // BeginRun. Recording only happens when options().telemetry.enabled.
+  // BeginRun. Recording only happens when ServeOptions::telemetry.enabled.
   obs::Telemetry& telemetry() { return telemetry_; }
   const obs::Telemetry& telemetry() const { return telemetry_; }
   // View over this server's telemetry for the exporters (one replica

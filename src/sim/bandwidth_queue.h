@@ -39,9 +39,6 @@ class BandwidthQueue {
   double Makespan(const std::vector<TransferJob>& jobs,
                   double start_time_us = 0.0) const;
 
-  double bandwidth() const { return bandwidth_bytes_per_us_; }
-  double latency() const { return latency_us_; }
-
  private:
   double bandwidth_bytes_per_us_;
   double latency_us_;

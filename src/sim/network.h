@@ -43,8 +43,6 @@ class FluidNetwork {
   // the ports it saturates; a step has at most 2 * ports rounds.
   std::vector<FlowCompletion> Run(const std::vector<Flow>& flows) const;
 
-  int num_ports() const { return num_ports_; }
-
  private:
   int num_ports_;
   double egress_;

@@ -11,9 +11,8 @@ StreamSim::StreamSim(double launch_overhead_us, double start_us)
   COMET_CHECK_GE(launch_overhead_us_, 0.0);
 }
 
-int StreamSim::AddStream(const std::string& name) {
+int StreamSim::AddStream() {
   stream_free_us_.push_back(host_time_us_);
-  stream_names_.push_back(name);
   return static_cast<int>(stream_free_us_.size()) - 1;
 }
 

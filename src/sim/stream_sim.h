@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/timeline.h"
@@ -26,7 +25,7 @@ class StreamSim {
   explicit StreamSim(double launch_overhead_us, double start_us = 0.0);
 
   // Creates a stream lane; returns its id (also the Timeline lane).
-  int AddStream(const std::string& name);
+  int AddStream();
 
   // Enqueues a kernel on `stream`. The kernel starts when (a) the host has
   // issued it, (b) the stream is free, and (c) all `deps` have completed.
@@ -50,7 +49,6 @@ class StreamSim {
   double launch_overhead_us_;
   double host_time_us_;
   std::vector<double> stream_free_us_;
-  std::vector<std::string> stream_names_;
   std::vector<double> kernel_start_;
   std::vector<double> kernel_end_;
   Timeline timeline_;

@@ -78,26 +78,6 @@ void Timeline::Merge(const Timeline& other, double offset_us) {
   }
 }
 
-double Timeline::SpanStart() const {
-  double t = 0.0;
-  bool first = true;
-  for (const auto& iv : intervals_) {
-    if (first || iv.start_us < t) {
-      t = iv.start_us;
-      first = false;
-    }
-  }
-  return t;
-}
-
-double Timeline::SpanEnd() const {
-  double t = 0.0;
-  for (const auto& iv : intervals_) {
-    t = std::max(t, iv.end_us);
-  }
-  return t;
-}
-
 double Timeline::CategoryBusy(OpCategory category) const {
   double total = 0.0;
   for (const auto& iv : intervals_) {
@@ -221,9 +201,15 @@ std::string Timeline::BreakdownString() const {
       table.AddRow({OpCategoryName(c), FormatUsAsMs(busy)});
     }
   }
+  double start = intervals_.empty() ? 0.0 : intervals_.front().start_us;
+  double end = 0.0;
+  for (const auto& iv : intervals_) {
+    start = std::min(start, iv.start_us);
+    end = std::max(end, iv.end_us);
+  }
   std::ostringstream os;
   os << table.Render();
-  os << "span: " << FormatUsAsMs(Span()) << " ms, hidden comm: "
+  os << "span: " << FormatUsAsMs(end - start) << " ms, hidden comm: "
      << FormatPercent(HiddenCommFraction()) << "\n";
   return os.str();
 }

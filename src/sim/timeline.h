@@ -85,11 +85,6 @@ class Timeline {
   const std::vector<TimeInterval>& intervals() const { return intervals_; }
   bool empty() const { return intervals_.empty(); }
 
-  // Earliest start / latest end over all intervals (0 when empty).
-  double SpanStart() const;
-  double SpanEnd() const;
-  double Span() const { return SpanEnd() - SpanStart(); }
-
   // Sum of durations of intervals in `category` (may double-count parallel
   // lanes; use UnionTime for wall-clock questions).
   double CategoryBusy(OpCategory category) const;
@@ -106,7 +101,8 @@ class Timeline {
   // overlap / union(comm). Returns 0 when there is no communication.
   double HiddenCommFraction() const;
 
-  // Compact textual report of per-category busy times.
+  // Compact textual report of per-category busy times, the span (earliest
+  // start to latest end) and the hidden comm fraction.
   std::string BreakdownString() const;
 
  private:

@@ -46,8 +46,6 @@ class Shape {
   // "[128, 4096]"
   std::string ToString() const;
 
-  const std::vector<int64_t>& dims() const { return dims_; }
-
  private:
   std::vector<int64_t> dims_;
 };

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -54,13 +53,6 @@ void MetadataStore::PutInt(const std::string& key, int64_t value) {
   Put(key, std::to_string(value));
 }
 
-void MetadataStore::PutDouble(const std::string& key, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  Put(key, os.str());
-}
-
 std::optional<std::string> MetadataStore::Get(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -75,18 +67,6 @@ std::optional<int64_t> MetadataStore::GetInt(const std::string& key) const {
     return std::nullopt;
   }
   return std::stoll(*s);
-}
-
-std::optional<double> MetadataStore::GetDouble(const std::string& key) const {
-  auto s = Get(key);
-  if (!s) {
-    return std::nullopt;
-  }
-  return std::stod(*s);
-}
-
-bool MetadataStore::Contains(const std::string& key) const {
-  return entries_.count(key) > 0;
 }
 
 }  // namespace comet

@@ -27,13 +27,10 @@ class MetadataStore {
 
   void Put(const std::string& key, const std::string& value);
   void PutInt(const std::string& key, int64_t value);
-  void PutDouble(const std::string& key, double value);
 
   std::optional<std::string> Get(const std::string& key) const;
   std::optional<int64_t> GetInt(const std::string& key) const;
-  std::optional<double> GetDouble(const std::string& key) const;
 
-  bool Contains(const std::string& key) const;
   size_t size() const { return entries_.size(); }
   const std::map<std::string, std::string>& entries() const { return entries_; }
 

@@ -444,7 +444,7 @@ TEST(Adaptive, SelectionCachedInMetadataStore) {
   const std::string key =
       AdaptiveAssigner::ProfileKey(cluster, w.placement,
                                    MoePipelineStage::kLayer1);
-  ASSERT_TRUE(store.Contains(key));
+  ASSERT_TRUE(store.Get(key).has_value());
   // Poison the cache; selection must honour it (cache hit, no re-profile).
   store.PutInt(key, 77);
   EXPECT_EQ(assigner.SelectCommBlocks(MoePipelineStage::kLayer1, w.plan, 0,

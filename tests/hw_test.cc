@@ -2,7 +2,6 @@
 // model (tile time, wave quantization, K-efficiency, roofline floor).
 #include <gtest/gtest.h>
 
-#include "hw/block_model.h"
 #include "hw/gemm_cost.h"
 #include "hw/gpu_spec.h"
 #include "util/check.h"
@@ -153,65 +152,6 @@ TEST_F(GemmCostTest, SmallTileTimeReflectsEfficiencyNotJustFlops) {
 TEST_F(GemmCostTest, TileShapeEfficiencyRejectsNonPositive) {
   EXPECT_THROW(model_.TileShapeEfficiency(0, 128), CheckError);
   EXPECT_THROW(model_.TileTimeUs(128, 128, -1), CheckError);
-}
-
-// ---- per-block communication model ---------------------------------------------
-
-TEST(CommBlockModel, BandwidthMonotoneInMessageSize) {
-  const CommBlockModel model = CommBlockModelForLink(H800Cluster(8).link,
-                                                     4096 * 2);
-  double prev = 0.0;
-  for (double s : {512.0, 8192.0, 65536.0, 1048576.0, 16.0 * 1048576.0}) {
-    const double bw = model.BandwidthForMessage(s);
-    EXPECT_GT(bw, prev);
-    prev = bw;
-  }
-  EXPECT_LT(prev, model.peak_bytes_per_us);
-}
-
-TEST(CommBlockModel, ReproducesLinkSpecRates) {
-  // The calibration must return exactly the scattered rate at one token and
-  // approach the contiguous rate for megabyte staged copies.
-  const LinkSpec link = H800Cluster(8).link;
-  const int64_t token = 4096 * 2;  // one BF16 Mixtral row
-  const CommBlockModel model = CommBlockModelForLink(link, token);
-  EXPECT_NEAR(model.BandwidthForMessage(static_cast<double>(token)),
-              link.per_block_bandwidth_scattered_bytes_per_us,
-              link.per_block_bandwidth_scattered_bytes_per_us * 1e-9);
-  EXPECT_GT(model.BandwidthForMessage(64.0 * (1 << 20)),
-            0.95 * link.per_block_bandwidth_bytes_per_us);
-}
-
-TEST(CommBlockModel, HalfPeakMessageSize) {
-  const CommBlockModel model = CommBlockModelForLink(H800Cluster(8).link,
-                                                     4096 * 2);
-  const double s_half = model.MessageBytesForFraction(0.5);
-  EXPECT_NEAR(model.BandwidthForMessage(s_half),
-              0.5 * model.peak_bytes_per_us,
-              model.peak_bytes_per_us * 1e-9);
-}
-
-TEST(CommBlockModel, ExplainsWhyEpNeedsMoreBlocks) {
-  // At token granularity a block delivers ~4x less than with staged copies,
-  // so an EP-heavy (scattered) configuration needs ~4x more blocks to fill
-  // the same fabric -- the Figure 8 shift in nc*.
-  const CommBlockModel model = CommBlockModelForLink(H800Cluster(8).link,
-                                                     4096 * 2);
-  const double token_bw = model.BandwidthForMessage(4096.0 * 2.0);
-  const double staged_bw = model.BandwidthForMessage(1 << 20);
-  EXPECT_GT(staged_bw / token_bw, 3.0);
-}
-
-TEST(CommBlockModel, RejectsDegenerateInputs) {
-  const CommBlockModel model = CommBlockModelForLink(H800Cluster(8).link,
-                                                     4096 * 2);
-  EXPECT_THROW(model.BandwidthForMessage(0.0), CheckError);
-  EXPECT_THROW(model.MessageBytesForFraction(1.0), CheckError);
-  EXPECT_THROW(CommBlockModelForLink(H800Cluster(8).link, 0), CheckError);
-  LinkSpec inverted = H800Cluster(8).link;
-  inverted.per_block_bandwidth_bytes_per_us =
-      inverted.per_block_bandwidth_scattered_bytes_per_us / 2.0;
-  EXPECT_THROW(CommBlockModelForLink(inverted, 8192), CheckError);
 }
 
 }  // namespace

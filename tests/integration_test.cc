@@ -61,18 +61,6 @@ TEST(ModelRunner, RejectsUnsupportedExecutor) {
   EXPECT_THROW(RunModel(fastermoe, config, H800Cluster(8)), CheckError);
 }
 
-TEST(ModelRunner, CommFractionIsMeaningful) {
-  ModelRunConfig config;
-  config.model = Qwen2Moe();
-  config.parallel = ParallelConfig{1, 8};
-  config.total_tokens = 8192;
-  MegatronExecutor megatron = MakeMegatronCutlass();
-  const ModelRunResult run = RunModel(megatron, config, H800Cluster(8));
-  const double frac = MoeCommFraction(run.moe_layer);
-  EXPECT_GT(frac, 0.3);
-  EXPECT_LT(frac, 1.0);
-}
-
 // ---- paper-shape claims -----------------------------------------------------------
 
 TEST(PaperShapes, Fig9CometBeatsAllBaselinesEndToEnd) {

@@ -217,10 +217,6 @@ TEST(PipelineIr, DescribeMentionsDecomposition) {
 }
 
 TEST(PipelineIr, NamesAreStable) {
-  EXPECT_EQ(AxisRoleName(AxisRole::kParallel), "parallel");
-  EXPECT_EQ(AxisRoleName(AxisRole::kReduce), "reduce");
-  EXPECT_EQ(AxisRoleName(AxisRole::kGather), "gather");
-  EXPECT_EQ(AxisRoleName(AxisRole::kBroadcast), "broadcast");
   EXPECT_EQ(RescheduleHintName(RescheduleHint::kArrivalOrder),
             "arrival-order");
   EXPECT_EQ(RescheduleHintName(RescheduleHint::kPanelMajor), "panel-major");
