@@ -14,6 +14,7 @@
 #include "baselines/megatron.h"
 #include "baselines/tutel.h"
 #include "core/comet_executor.h"
+#include "obs/exporters.h"
 #include "runtime/model_runner.h"
 #include "sim/trace_export.h"
 #include "util/table.h"
@@ -54,7 +55,8 @@ int main(int argc, char** argv) {
     if (exec == &comet) {
       comet_ms = run.total_ms;
       if (argc > 2) {
-        WriteChromeTrace(run.moe_layer.timeline, argv[2], "comet-moe-layer");
+        obs::WriteTextFile(argv[2], ToChromeTraceJson(run.moe_layer.timeline,
+                                                      "comet-moe-layer"));
         std::cout << "wrote Chrome trace of the COMET MoE layer to "
                   << argv[2] << "\n";
       }

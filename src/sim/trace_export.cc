@@ -1,9 +1,7 @@
 #include "sim/trace_export.h"
 
-#include <fstream>
 #include <sstream>
 
-#include "util/check.h"
 #include "util/json_writer.h"
 
 namespace comet {
@@ -28,14 +26,6 @@ std::string ToChromeTraceJson(const Timeline& timeline,
   }
   os << "]}";
   return os.str();
-}
-
-void WriteChromeTrace(const Timeline& timeline, const std::string& path,
-                      const std::string& process_name) {
-  std::ofstream file(path, std::ios::trunc);
-  COMET_CHECK(file.good()) << "cannot open trace file " << path;
-  file << ToChromeTraceJson(timeline, process_name);
-  COMET_CHECK(file.good()) << "failed writing trace file " << path;
 }
 
 }  // namespace comet

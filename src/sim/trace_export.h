@@ -19,8 +19,4 @@ namespace comet {
 std::string ToChromeTraceJson(const Timeline& timeline,
                               const std::string& process_name = "comet");
 
-// Writes ToChromeTraceJson to `path`. Throws CheckError on I/O failure.
-void WriteChromeTrace(const Timeline& timeline, const std::string& path,
-                      const std::string& process_name = "comet");
-
 }  // namespace comet

@@ -4,6 +4,7 @@
 
 #include "tests/fluid_network_reference.h"
 #include "tests/fused_schedule_reference.h"
+#include "obs/exporters.h"
 #include "sim/bandwidth_queue.h"
 #include "sim/network.h"
 #include "sim/slot_pool.h"
@@ -441,7 +442,7 @@ TEST(TraceExport, WritesFileRoundTrip) {
   Timeline tl;
   tl.Add("op", OpCategory::kLayer1Comm, 2, 0.0, 3.0);
   const std::string path = "trace_export_test.json";
-  WriteChromeTrace(tl, path);
+  obs::WriteTextFile(path, ToChromeTraceJson(tl));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string content((std::istreambuf_iterator<char>(in)),
@@ -451,7 +452,8 @@ TEST(TraceExport, WritesFileRoundTrip) {
 }
 
 TEST(TraceExport, RejectsUnwritablePath) {
-  EXPECT_THROW(WriteChromeTrace(Timeline{}, "/nonexistent-dir/x.json"),
+  EXPECT_THROW(obs::WriteTextFile("/nonexistent-dir/x.json",
+                                  ToChromeTraceJson(Timeline{})),
                CheckError);
 }
 
