@@ -1,10 +1,7 @@
 #include "moe/backward.h"
 
-#include <algorithm>
-
 #include "moe/group_gemm.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace comet {
@@ -263,33 +260,6 @@ MoeGradients ShardedReferenceMoeBackward(const MoeWorkload& w,
                  compute_dtype);
   });
   return grads;
-}
-
-std::vector<Tensor> MakeLossGradient(const MoeWorkload& w, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Tensor> dout;
-  dout.reserve(static_cast<size_t>(w.placement.parallel().ep));
-  for (int g = 0; g < w.placement.parallel().ep; ++g) {
-    dout.push_back(Tensor::Randn(
-        Shape{w.placement.tokens_per_group(), w.model().embedding}, rng, 1.0f,
-        w.dtype()));
-  }
-  return dout;
-}
-
-float MaxGradientDiff(const MoeGradients& a, const MoeGradients& b) {
-  COMET_CHECK_EQ(a.dinput.size(), b.dinput.size());
-  COMET_CHECK_EQ(a.dw0.size(), b.dw0.size());
-  COMET_CHECK_EQ(a.dw1.size(), b.dw1.size());
-  float worst = Tensor::MaxAbsDiff(a.dgate, b.dgate);
-  for (size_t i = 0; i < a.dinput.size(); ++i) {
-    worst = std::max(worst, Tensor::MaxAbsDiff(a.dinput[i], b.dinput[i]));
-  }
-  for (size_t i = 0; i < a.dw0.size(); ++i) {
-    worst = std::max(worst, Tensor::MaxAbsDiff(a.dw0[i], b.dw0[i]));
-    worst = std::max(worst, Tensor::MaxAbsDiff(a.dw1[i], b.dw1[i]));
-  }
-  return worst;
 }
 
 }  // namespace comet

@@ -81,13 +81,4 @@ MoeGradients ShardedReferenceMoeBackward(const MoeWorkload& workload,
                                          const std::vector<Tensor>& dout,
                                          DType compute_dtype);
 
-// Synthesizes a reproducible loss gradient (iid N(0,1)) shaped like the
-// forward output: one (M/EP, N) tensor per EP group, at the workload's
-// storage dtype (quantized like every other low-precision operand).
-std::vector<Tensor> MakeLossGradient(const MoeWorkload& workload,
-                                     uint64_t seed);
-
-// Max |a - b| over every gradient field; shapes must match.
-float MaxGradientDiff(const MoeGradients& a, const MoeGradients& b);
-
 }  // namespace comet

@@ -10,6 +10,7 @@
 #include "moe/group_gemm.h"
 #include "moe/reference_layer.h"
 #include "moe/workload.h"
+#include "tests/gradient_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -6,6 +6,7 @@
 #include "core/comet_backward.h"
 #include "moe/backward.h"
 #include "moe/workload.h"
+#include "tests/gradient_helpers.h"
 #include "util/check.h"
 
 namespace comet {

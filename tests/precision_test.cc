@@ -39,6 +39,7 @@
 #include "moe/group_gemm.h"
 #include "moe/reference_layer.h"
 #include "tensor/dtype.h"
+#include "tests/gradient_helpers.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -27,6 +27,7 @@
 #include "moe/reference_layer.h"
 #include "moe/workload.h"
 #include "runtime/rank_group.h"
+#include "tests/gradient_helpers.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
