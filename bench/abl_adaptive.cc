@@ -43,6 +43,11 @@ REGISTER_BENCH(abl_adaptive, "Ablation: adaptive vs fixed thread-block assignmen
     }
     row.push_back(FormatSpeedup(worst / adaptive_us));
     table.AddRow(std::move(row));
+    const std::string prefix = parallel.ToString() + "/";
+    reporter.Report(prefix + "adaptive_ms", adaptive_us / 1000.0, "ms");
+    reporter.Report(prefix + "nc0", adaptive.last_layer0_comm_blocks());
+    reporter.Report(prefix + "nc1", adaptive.last_layer1_comm_blocks());
+    reporter.Report(prefix + "gain_vs_worst_fixed", worst / adaptive_us, "x");
   }
   std::cout << table.Render() << "\n";
   PrintPaperNote("§3.2.2: no single division point fits all configurations; "

@@ -31,6 +31,10 @@ REGISTER_BENCH(abl_specialization, "Ablation: thread-block specialization vs ver
         vertical.Run(workload, cluster, ExecMode::kTimedOnly).duration_us;
     table.AddRow({std::to_string(m), FormatUsAsMs(spec_us),
                   FormatUsAsMs(vert_us), FormatSpeedup(vert_us / spec_us)});
+    const std::string prefix = "M=" + std::to_string(m) + "/";
+    reporter.Report(prefix + "specialized_ms", spec_us / 1000.0, "ms");
+    reporter.Report(prefix + "vertical_fusion_ms", vert_us / 1000.0, "ms");
+    reporter.Report(prefix + "specialization_gain", vert_us / spec_us, "x");
   }
   std::cout << table.Render() << "\n";
   PrintPaperNote("design-choice ablation (no paper figure): §3.2.1 argues "
