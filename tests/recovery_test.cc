@@ -517,8 +517,8 @@ TEST(CircuitBreaker, ForceOpenOverridesEwma) {
 
 // Randomized property trials: whatever the op sequence, the breaker's
 // observable contract holds -- open refuses, closed admits, backoff is
-// bounded by ReplicaHealth::kMaxBackoffUs, a half-open
-// probe success always closes and resets the streak.
+// bounded by ReplicaHealth::kMaxBackoffUs, a half-open probe success always
+// closes and resets the streak.
 TEST(CircuitBreaker, RandomizedContractTrials) {
   for (int trial = 0; trial < 200; ++trial) {
     SCOPED_TRACE(std::string("trial=") + std::to_string(trial));
