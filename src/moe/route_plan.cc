@@ -1,5 +1,7 @@
 #include "moe/route_plan.h"
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace comet {
@@ -24,6 +26,8 @@ void RoutePlan::Reserve(const Placement& placement,
   const size_t e_total = static_cast<size_t>(placement.model().num_experts);
   expert_pairs_.assign(e_total, 0);
   const int ep = placement.parallel().ep;
+  group_pair_rows_.assign(static_cast<size_t>(ep) * static_cast<size_t>(ep),
+                          0);
   per_group_.resize(static_cast<size_t>(ep));
   for (RankPlan& plan : per_group_) {
     plan.experts.resize(
@@ -128,11 +132,16 @@ void RoutePlan::Rebuild(const Placement& placement,
   // Walk tokens in global order; rows land per-expert in token order, which
   // is source-group order because tokens are block-sharded. A replicated
   // expert's pairs alternate home/replica by ordinal (the deterministic
-  // 50/50 traffic split).
+  // 50/50 traffic split). Each row is counted against its (home, landing)
+  // group pair.
+  group_pair_rows_.assign(static_cast<size_t>(ep) * static_cast<size_t>(ep),
+                          0);
   const int64_t tokens_per_group = placement_.tokens_per_group();
   for (int64_t t = 0; t < placement_.total_tokens(); ++t) {
     const TokenRoute& route = routing.tokens[static_cast<size_t>(t)];
     const int home = static_cast<int>(t / tokens_per_group);
+    int64_t* const home_rows =
+        group_pair_rows_.data() + static_cast<size_t>(home) * ep;
     for (size_t k = 0; k < route.experts.size(); ++k) {
       const int64_t e = route.experts[k];
       int64_t g = e / epg;
@@ -143,6 +152,7 @@ void RoutePlan::Rebuild(const Placement& placement,
         g = replica_group_of_expert_[static_cast<size_t>(e)];
         local = replica_slice_of_expert_[static_cast<size_t>(e)];
       }
+      ++home_rows[g];
       per_group_[static_cast<size_t>(g)]
           .experts[static_cast<size_t>(local)]
           .rows.push_back(
@@ -177,14 +187,12 @@ const RankPlan& RoutePlan::ForRank(int rank) const {
 }
 
 int64_t RoutePlan::RemoteRows(int rank) const {
-  const RankPlan& plan = ForRank(rank);
   const int group = placement_.EpGroupOfRank(rank);
+  const int ep = placement_.parallel().ep;
   int64_t remote = 0;
-  for (const auto& slice : plan.experts) {
-    for (const auto& row : slice.rows) {
-      if (row.source_group != group) {
-        ++remote;
-      }
+  for (int s = 0; s < ep; ++s) {
+    if (s != group) {
+      remote += group_pair_rows_[static_cast<size_t>(s * ep + group)];
     }
   }
   return remote;
@@ -194,54 +202,45 @@ int64_t RoutePlan::LocalRows(int rank) const {
   return ForRank(rank).TotalRows() - RemoteRows(rank);
 }
 
-std::vector<std::vector<double>> RoutePlan::DispatchBytes(
-    double bytes_per_row) const {
+std::vector<std::vector<double>> RoutePlan::PairBytes(double bytes_per_row,
+                                                      bool to_home) const {
+  COMET_CHECK_EQ(bytes_per_row, std::floor(bytes_per_row))
+      << "bytes_per_row must be integral for exact pair counts";
   const int world = placement_.world();
   const int tp = placement_.parallel().tp;
+  const int ep = placement_.parallel().ep;
   std::vector<std::vector<double>> bytes(
       static_cast<size_t>(world),
       std::vector<double>(static_cast<size_t>(world), 0.0));
-  for (int g = 0; g < placement_.parallel().ep; ++g) {
-    for (const auto& slice : per_group_[static_cast<size_t>(g)].experts) {
-      for (const auto& row : slice.rows) {
-        if (row.source_group == g) {
-          continue;
-        }
-        for (int lane = 0; lane < tp; ++lane) {
-          const int src = placement_.RankOf(row.source_group, lane);
-          const int dst = placement_.RankOf(g, lane);
-          bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] +=
-              bytes_per_row;
-        }
+  for (int s = 0; s < ep; ++s) {
+    for (int g = 0; g < ep; ++g) {
+      const int64_t rows = group_pair_rows_[static_cast<size_t>(s * ep + g)];
+      if (s == g || rows == 0) {
+        continue;
+      }
+      const double total = static_cast<double>(rows) * bytes_per_row;
+      COMET_CHECK_LT(std::abs(total), 0x1p53)
+          << rows << " rows of " << bytes_per_row
+          << " bytes leave the exact double range";
+      for (int lane = 0; lane < tp; ++lane) {
+        const int src = placement_.RankOf(s, lane);
+        const int dst = placement_.RankOf(g, lane);
+        bytes[static_cast<size_t>(to_home ? dst : src)]
+             [static_cast<size_t>(to_home ? src : dst)] = total;
       }
     }
   }
   return bytes;
 }
 
+std::vector<std::vector<double>> RoutePlan::DispatchBytes(
+    double bytes_per_row) const {
+  return PairBytes(bytes_per_row, /*to_home=*/false);
+}
+
 std::vector<std::vector<double>> RoutePlan::EpReturnBytes(
     double bytes_per_row) const {
-  const int world = placement_.world();
-  const int tp = placement_.parallel().tp;
-  std::vector<std::vector<double>> bytes(
-      static_cast<size_t>(world),
-      std::vector<double>(static_cast<size_t>(world), 0.0));
-  for (int g = 0; g < placement_.parallel().ep; ++g) {
-    for (const auto& slice : per_group_[static_cast<size_t>(g)].experts) {
-      for (const auto& row : slice.rows) {
-        if (row.source_group == g) {
-          continue;
-        }
-        for (int lane = 0; lane < tp; ++lane) {
-          const int src = placement_.RankOf(g, lane);
-          const int dst = placement_.RankOf(row.source_group, lane);
-          bytes[static_cast<size_t>(src)][static_cast<size_t>(dst)] +=
-              bytes_per_row;
-        }
-      }
-    }
-  }
-  return bytes;
+  return PairBytes(bytes_per_row, /*to_home=*/true);
 }
 
 double RoutePlan::TpReduceScatterBytesPerRank(double bytes_per_row) const {

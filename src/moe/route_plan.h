@@ -20,6 +20,9 @@
 //  * layer1 EP return: the partial output row returns to the home group,
 //  * layer1 TP reduce-scatter: partial sums are reduced across each group's
 //    lanes; bytes per rank = (TP-1)/TP * tokens_per_group * N * elt_size.
+// Rebuild counts the rows per (source group, destination group) as each
+// row lands, replica slices included, so the dispatch and return matrices
+// and RemoteRows read those EP x EP counts instead of walking the rows.
 #pragma once
 
 #include <cstdint>
@@ -133,10 +136,17 @@ class RoutePlan {
 
   // Layer0 dispatch traffic: bytes[i][j] over the fabric from rank i to rank
   // j (lane-matched between groups). Zero diagonal.
+  //
+  // Each entry is count * bytes_per_row for the rows of one (source group,
+  // destination group) pair, which is bit-identical to adding bytes_per_row
+  // once per row as long as every partial sum is an exact double: that
+  // holds when bytes_per_row is integral and count * |bytes_per_row| <
+  // 2^53. Both are checked (CheckError otherwise); every caller passes N
+  // times a whole element size.
   std::vector<std::vector<double>> DispatchBytes(double bytes_per_row) const;
 
   // Layer1 EP-return traffic: partial output rows flowing back to the home
-  // group, lane-matched.
+  // group, lane-matched (the transpose of DispatchBytes; same condition).
   std::vector<std::vector<double>> EpReturnBytes(double bytes_per_row) const;
 
   // Layer1 TP reduce-scatter bytes each rank sends:
@@ -161,6 +171,15 @@ class RoutePlan {
   std::vector<int64_t> split_counter_;
   std::vector<int32_t> replica_group_of_expert_;
   std::vector<int32_t> replica_slice_of_expert_;
+  // Rows per (source group, destination group) of the current plan,
+  // [source * EP + destination], counted where each row lands (sized EP^2;
+  // reused across Rebuilds).
+  std::vector<int64_t> group_pair_rows_;
+
+  // Dispatch matrix of group_pair_rows_: bytes[src][dst] for every lane of
+  // each crossing pair, or its transpose when `to_home`.
+  std::vector<std::vector<double>> PairBytes(double bytes_per_row,
+                                             bool to_home) const;
 };
 
 }  // namespace comet

@@ -409,6 +409,18 @@ TEST_F(RoutePlanTest, EpReturnMirrorsDispatch) {
   }
 }
 
+// The traffic matrices multiply row counts by the row size, which equals
+// the per-row sum only for integral sizes within the exact double range.
+TEST_F(RoutePlanTest, PairBytesRejectInexactRowSizes) {
+  const MoeWorkload w = Make(1, 4, 64);
+  ASSERT_GT(w.plan.RemoteRows(0), 0);
+  EXPECT_THROW(w.plan.DispatchBytes(0.5), CheckError);
+  EXPECT_THROW(w.plan.EpReturnBytes(std::nan("")), CheckError);
+  EXPECT_THROW(w.plan.DispatchBytes(0x1p53), CheckError);
+  EXPECT_THROW(w.plan.EpReturnBytes(-0x1p53), CheckError);
+  EXPECT_NO_THROW(w.plan.DispatchBytes(0x1p40));
+}
+
 TEST_F(RoutePlanTest, TpReduceScatterBytes) {
   const MoeWorkload w2 = Make(2, 2, 32);
   // (TP-1)/TP * tokens_per_group * bytes_per_row = 1/2 * 16 * 4.

@@ -2,6 +2,7 @@
 // asserting the invariants the system's correctness rests on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <tuple>
 
 #include "baselines/fastermoe.h"
@@ -11,6 +12,7 @@
 #include "comm/symmetric_heap.h"
 #include "core/comet_executor.h"
 #include "moe/reference_layer.h"
+#include "tests/route_plan_reference.h"
 #include "sim/slot_pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -212,6 +214,87 @@ TEST_P(RoutePlanProperty, NoEntryAddressesOutOfRangeRankOrExpert) {
     }
     // Routing table invariants hold for every generated table.
     c.workload.routing.Validate(c.model.num_experts, c.model.topk);
+  }
+}
+
+// The traffic RoutePlan reads from its (source group, destination group)
+// row counts equals the per-row walk of route_plan_reference.h bit for bit:
+// random routings (some with capacity drops), TP 1, 2 and 4, replica
+// assignments, integral row sizes, and a plan rebuilt over an earlier one.
+TEST_P(RoutePlanProperty, PairCountsMatchPerRowWalk) {
+  Rng rng(4000 + GetParam());
+  for (int trial = 0; trial < 20; ++trial) {
+    const int tp = 1 << rng.UniformInt(0, 2);  // 1, 2, 4
+    const int ep = 1 << rng.UniformInt(0, 3);  // 1, 2, 4, 8
+    ModelConfig model;
+    model.name = "pair-counts";
+    model.layers = 1;
+    model.num_experts = ep * rng.UniformInt(1, 4);
+    model.topk = rng.UniformInt(1, std::min<int64_t>(model.num_experts, 4));
+    model.embedding = 8;
+    model.ffn_hidden = 8 * tp;
+    const int64_t tokens = ep * rng.UniformInt(1, 40);
+    const Placement placement(model, ParallelConfig{tp, ep}, tokens);
+    SyntheticRouter router(
+        rng.LoadVectorWithStd(static_cast<size_t>(model.num_experts),
+                              rng.Uniform(0.0, 0.1)),
+        static_cast<uint64_t>(rng.UniformInt(1, 1 << 30)));
+    RoutingTable earlier = router.Route(tokens, model.topk);
+    RoutingTable routing = router.Route(tokens, model.topk);
+    if (rng.UniformInt(0, 2) == 0) {
+      ApplyCapacityFactor(routing, model.num_experts, 1.0);
+    }
+
+    // Up to three replica slots, each active with probability 3/4 on a
+    // distinct expert away from its home group.
+    const int max_replicas = ep > 1 ? static_cast<int>(rng.UniformInt(0, 3)) : 0;
+    std::vector<ReplicaAssignment> replicas;
+    std::vector<bool> replicated(static_cast<size_t>(model.num_experts));
+    for (int slot = 0; slot < max_replicas; ++slot) {
+      const int64_t e = rng.UniformInt(0, model.num_experts - 1);
+      if (rng.UniformInt(0, 3) == 0 || replicated[static_cast<size_t>(e)]) {
+        continue;
+      }
+      const int home = placement.EpGroupOfExpert(e);
+      const int group =
+          (home + static_cast<int>(rng.UniformInt(1, ep - 1))) % ep;
+      replicated[static_cast<size_t>(e)] = true;
+      replicas.push_back(ReplicaAssignment{e, group, slot});
+    }
+    RoutePlan plan;
+    plan.Reserve(placement, tokens, max_replicas);
+    plan.Rebuild(placement, earlier);
+    plan.Rebuild(placement, routing, replicas);
+
+    const double row_bytes[] = {
+        1.0, 2.0, 4096.0 * 2.0, 7168.0 * 4.0,
+        static_cast<double>(rng.UniformInt(1, int64_t{1} << 20))};
+    for (const double b : row_bytes) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " tp=" +
+                   std::to_string(tp) + " ep=" + std::to_string(ep) +
+                   " replicas=" + std::to_string(replicas.size()) +
+                   " bytes_per_row=" + std::to_string(b));
+      const auto dispatch = plan.DispatchBytes(b);
+      const auto ret = plan.EpReturnBytes(b);
+      const auto want_dispatch = route_plan_reference::DispatchBytes(plan, b);
+      const auto want_ret = route_plan_reference::EpReturnBytes(plan, b);
+      ASSERT_EQ(dispatch.size(), want_dispatch.size());
+      ASSERT_EQ(ret.size(), want_ret.size());
+      for (size_t i = 0; i < dispatch.size(); ++i) {
+        for (size_t j = 0; j < dispatch.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(dispatch[i][j]),
+                    std::bit_cast<uint64_t>(want_dispatch[i][j]))
+              << i << " -> " << j;
+          ASSERT_EQ(std::bit_cast<uint64_t>(ret[i][j]),
+                    std::bit_cast<uint64_t>(want_ret[i][j]))
+              << i << " -> " << j;
+        }
+      }
+    }
+    for (int r = 0; r < placement.world(); ++r) {
+      EXPECT_EQ(plan.RemoteRows(r), route_plan_reference::RemoteRows(plan, r))
+          << "rank " << r;
+    }
   }
 }
 
