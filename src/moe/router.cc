@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "moe/group_gemm.h"
 #include "util/check.h"
 #include "util/fdlibm.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace comet {
 
@@ -310,6 +312,79 @@ LanePicks PickLanes(double* weights, int64_t e_total, int live, DoubleLanes u,
   return picks;
 }
 
+constexpr uintptr_t kLineBytes = 64;
+constexpr int64_t kLineDoubles = kLineBytes / sizeof(double);
+
+// The first cache-line boundary at or after `p`.
+double* AlignToLine(double* p) {
+  return reinterpret_cast<double*>(
+      (reinterpret_cast<uintptr_t>(p) + kLineBytes - 1) & ~(kLineBytes - 1));
+}
+
+// Blocks a pool run covers at least: a run of 32 blocks (256 tokens at
+// eight lanes) costs several times a region's dispatch.
+constexpr int64_t kMinBlocksPerRun = 32;
+
+// Routes tokens [begin, end) of `table`, kDoubleLanes at a time, from their
+// uniforms at `draws` (token begin's first; 2 * topk per token) through the
+// E x kDoubleLanes lane scratch `weights`. Every block's first pick sees the
+// load itself, whose ordered sum is `load_total`, in every lane.
+void RouteTokens(std::span<const double> load, double load_total,
+                 int64_t begin, int64_t end, int64_t topk, int64_t shift,
+                 const double* draws, double* weights, RoutingTable* table) {
+  const int64_t e_total = static_cast<int64_t>(load.size());
+  const size_t per_token = 2 * static_cast<size_t>(topk);
+  for (int64_t first = begin; first < end; first += kDoubleLanes) {
+    // Tokens [first, first + live) fill the low lanes; the rest are padding
+    // that reads in-domain values and whose picks go unused.
+    const int live =
+        static_cast<int>(std::min<int64_t>(kDoubleLanes, end - first));
+    const double* const block =
+        draws + static_cast<size_t>(first - begin) * per_token;
+    for (int64_t e = 0; e < e_total; ++e) {
+      StoreLanes(weights, e, DoubleLanes{} + load[static_cast<size_t>(e)]);
+    }
+    DoubleLanes total = DoubleLanes{} + load_total;
+    for (int64_t k = 0; k < topk; ++k) {
+      for (int l = 0; l < live; ++l) {
+        COMET_CHECK_GT(total[l], 0.0)
+            << "categorical weights must not all be zero";
+      }
+      DoubleLanes u = {};
+      for (int l = 0; l < kDoubleLanes; ++l) {
+        u[l] = l < live ? block[l * per_token + static_cast<size_t>(k)] : 0.5;
+      }
+      const LanePicks picks =
+          PickLanes(weights, e_total, live, u, total, k + 1 < topk);
+      total = picks.next_total;
+      for (int l = 0; l < live; ++l) {
+        TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
+        if (k == 0) {
+          route.experts.clear();
+        }
+        const int64_t id = picks.expert[l] + shift;
+        route.experts.push_back(id < e_total ? id : id - e_total);
+      }
+    }
+
+    // Random combine weights, renormalized.
+    for (int l = 0; l < live; ++l) {
+      const double* combine = block + l * per_token + topk;
+      TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
+      route.weights.clear();
+      float sum = 0.0f;
+      for (int64_t k = 0; k < topk; ++k) {
+        const float w = static_cast<float>(0.5 + 1.0 * combine[k]);
+        route.weights.push_back(w);
+        sum += w;
+      }
+      for (auto& w : route.weights) {
+        w /= sum;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
@@ -326,8 +401,11 @@ SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
     p /= sum;
     COMET_CHECK_GE(p, 0.0);
   }
-  lane_weights_.resize(load_.size() * fdlibm::kDoubleLanes);
-  draws_.resize(2 * load_.size() * fdlibm::kDoubleLanes);
+  // A round holds at least one block at topk = E.
+  draw_capacity_ = std::max<int64_t>(
+      kRoundDraws, 2 * num_experts() * fdlibm::kDoubleLanes);
+  draws_ = std::make_unique_for_overwrite<double[]>(
+      static_cast<size_t>(draw_capacity_));
 }
 
 RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
@@ -347,60 +425,46 @@ void SyntheticRouter::RouteInto(int64_t num_tokens, int64_t topk,
   // (e + shift) % E is unchanged, and e + shift < 2E cannot overflow.
   shift %= e_total;
   table->tokens.resize(static_cast<size_t>(num_tokens));
-  double* const weights = lane_weights_.data();
-  const size_t per_token = 2 * static_cast<size_t>(topk);
-  // Every block's first pick sees the load itself in every lane.
+  if (num_tokens == 0) {
+    return;
+  }
+  const int64_t per_token = 2 * topk;
+  // Each run's scratch starts on a cache line and fills whole ones, so no
+  // two runs store to one line.
+  const int64_t run_stride =
+      (e_total * kDoubleLanes + kLineDoubles - 1) / kLineDoubles *
+      kLineDoubles;
+  const int64_t max_runs = GlobalThreadCount();
+  const size_t scratch = static_cast<size_t>(max_runs * run_stride +
+                                             kLineDoubles - 1);
+  if (lane_weights_.size() < scratch) {
+    lane_weights_.resize(scratch);
+  }
+  double* const lanes = AlignToLine(lane_weights_.data());
   double load_total = 0.0;
   for (double p : load_) {
     load_total += p;
   }
-  for (int64_t first = 0; first < num_tokens; first += kDoubleLanes) {
-    // Tokens [first, first + live) fill the low lanes; the rest are padding
-    // that reads in-domain values and whose picks go unused.
-    const int live =
-        static_cast<int>(std::min<int64_t>(kDoubleLanes, num_tokens - first));
-    rng_.FillUniform(std::span(draws_.data(), live * per_token));
-    for (int64_t e = 0; e < e_total; ++e) {
-      StoreLanes(weights, e, DoubleLanes{} + load_[static_cast<size_t>(e)]);
-    }
-    DoubleLanes total = DoubleLanes{} + load_total;
-    for (int64_t k = 0; k < topk; ++k) {
-      for (int l = 0; l < live; ++l) {
-        COMET_CHECK_GT(total[l], 0.0)
-            << "categorical weights must not all be zero";
+  // A round is whole blocks, so a run ends mid-block only at the call's end.
+  const int64_t round_tokens =
+      draw_capacity_ / per_token / kDoubleLanes * kDoubleLanes;
+  for (int64_t first = 0; first < num_tokens; first += round_tokens) {
+    const int64_t end = std::min(num_tokens, first + round_tokens);
+    rng_.FillUniform(std::span(draws_.get(),
+                               static_cast<size_t>((end - first) * per_token)));
+    const int64_t blocks = (end - first + kDoubleLanes - 1) / kDoubleLanes;
+    const int64_t runs = std::clamp<int64_t>(blocks / kMinBlocksPerRun, 1,
+                                             max_runs);
+    ParallelForChunks(0, runs, 1, [&](int64_t run_begin, int64_t run_end) {
+      for (int64_t c = run_begin; c < run_end; ++c) {
+        const int64_t begin = first + blocks * c / runs * kDoubleLanes;
+        const int64_t stop =
+            std::min(end, first + blocks * (c + 1) / runs * kDoubleLanes);
+        RouteTokens(load_, load_total, begin, stop, topk, shift,
+                    draws_.get() + (begin - first) * per_token,
+                    lanes + c * run_stride, table);
       }
-      DoubleLanes u = {};
-      for (int l = 0; l < kDoubleLanes; ++l) {
-        u[l] = l < live ? draws_[l * per_token + static_cast<size_t>(k)] : 0.5;
-      }
-      const LanePicks picks =
-          PickLanes(weights, e_total, live, u, total, k + 1 < topk);
-      total = picks.next_total;
-      for (int l = 0; l < live; ++l) {
-        TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
-        if (k == 0) {
-          route.experts.clear();
-        }
-        const int64_t id = picks.expert[l] + shift;
-        route.experts.push_back(id < e_total ? id : id - e_total);
-      }
-    }
-
-    // Random combine weights, renormalized.
-    for (int l = 0; l < live; ++l) {
-      const double* combine = draws_.data() + l * per_token + topk;
-      TokenRoute& route = table->tokens[static_cast<size_t>(first + l)];
-      route.weights.clear();
-      float sum = 0.0f;
-      for (int64_t k = 0; k < topk; ++k) {
-        const float w = static_cast<float>(0.5 + 1.0 * combine[k]);
-        route.weights.push_back(w);
-        sum += w;
-      }
-      for (auto& w : route.weights) {
-        w /= sum;
-      }
-    }
+    });
   }
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -128,12 +129,25 @@ class GateNetwork {
 // pick is the first e with r < 0, or if there is none (r landed on total)
 // the last e whose weight is still positive. Combine weight k is
 // static_cast<float>(0.5 + 1.0 * u), and the topk of them are divided by
-// their float sum. RouteInto evaluates fdlibm::kDoubleLanes tokens at
-// once, each lane performing exactly these double operations in this order,
-// so the tables and the generator state are the same at every vector width
-// (tests/synthetic_router_reference.h holds the one-token-at-a-time loop).
+// their float sum (tests/synthetic_router_reference.h holds the
+// one-token-at-a-time loop).
+//
+// How RouteInto evaluates it. The uniforms of up to kRoundDraws of them
+// (whole tokens; one round covers a whole call at M = 16384, topk 2) are
+// drawn serially into a buffer, in the order above. The round's picks and
+// combine weights then run on the global thread pool: its tokens are split
+// into contiguous runs of whole fdlibm::kDoubleLanes-token blocks (a static
+// partition of at most GlobalThreadCount() runs), each run with its own
+// lane scratch, and every lane performs exactly the double operations above
+// for its token, in that order. A token's picks read only its own uniforms
+// and the load, so the tables and the generator state are the same at every
+// vector width and every pool size; a call issued from inside a pool worker
+// runs its runs inline, in order.
 class SyntheticRouter {
  public:
+  // Uniforms drawn per round (at least one block's, whatever topk).
+  static constexpr int64_t kRoundDraws = int64_t{1} << 16;
+
   // `load` is a probability vector over experts (see Rng::LoadVectorWithStd).
   // It is normalized to sum 1; throws CheckError if the sum is not positive
   // or any normalized entry is not >= 0 (a negative, NaN or inf entry).
@@ -151,9 +165,10 @@ class SyntheticRouter {
   // with the hot spot walking across experts as simulated time advances.
   // The rng consumption does not depend on shift; shift == 0 gives Route's
   // table. Requires num_tokens >= 0 and shift >= 0 (any size: it is reduced
-  // mod E first). Allocation-free once `table` is warm and topk fits
-  // TokenRoute's inline storage. After a CheckError the table and the
-  // generator are left unspecified.
+  // mod E first). Allocation-free once `table` is warm, a call has run at
+  // the current global pool size, and topk fits TokenRoute's inline
+  // storage. After a CheckError the table and the generator are left
+  // unspecified.
   void RouteInto(int64_t num_tokens, int64_t topk, int64_t shift,
                  RoutingTable* table);
 
@@ -161,12 +176,15 @@ class SyntheticRouter {
 
  private:
   std::vector<double> load_;
-  // Pick weights of one block of tokens, expert-major: lane l of expert e
-  // at [e * kDoubleLanes + l]. Sized at construction.
+  // Pick weights of one block of tokens per pool run, expert-major: run c's
+  // lane l of expert e at [(c * E + e) * kDoubleLanes + l]. Grown when a
+  // call finds more pool threads than runs it holds.
   std::vector<double> lane_weights_;
-  // One block's uniforms, token-major: topk pick draws then topk combine
-  // draws per token. Sized at construction for topk up to E.
-  std::vector<double> draws_;
+  // One round's uniforms, token-major: topk pick draws then topk combine
+  // draws per token. Allocated at construction, left uninitialized (a call
+  // touches only the pages its round fills).
+  std::unique_ptr<double[]> draws_;
+  int64_t draw_capacity_ = 0;
   Rng rng_;
 };
 

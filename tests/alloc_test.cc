@@ -38,6 +38,7 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/inline_vec.h"
+#include "util/thread_pool.h"
 
 namespace comet {
 namespace {
@@ -212,6 +213,31 @@ TEST(RoutePlanAlloc, WarmRebuildIsAllocationFree) {
   EXPECT_GT(split.ReplicaRows(), 0);
 }
 
+// A warm SyntheticRouter::RouteInto allocates nothing at pool sizes 1 and
+// 4: the draw buffer is sized at construction, and the per-run lane scratch
+// and the table are sized by the first call at that pool size. The calls
+// cover several pool runs (M = 16384) and several draw rounds (topk 8).
+TEST(SyntheticRouterAlloc, WarmRouteIntoIsAllocationFree) {
+  const int previous_threads = GlobalThreadCount();
+  for (const int pool : {1, 4}) {
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    SetGlobalThreadCount(pool);
+    SyntheticRouter router(std::vector<double>(16, 1.0), 11);
+    RoutingTable table;
+    router.RouteInto(16384, 8, 0, &table);
+    AllocStats stats;
+    {
+      AllocWindow w;
+      router.RouteInto(16384, 2, 3, &table);
+      router.RouteInto(10003, 8, 5, &table);
+      router.RouteInto(37, 4, 0, &table);
+      stats = w.Snapshot();
+    }
+    EXPECT_EQ(stats.allocs, 0u);
+  }
+  SetGlobalThreadCount(previous_threads);
+}
+
 // ---- the serving scenario (mirrors serve_test's helpers) -------------------
 
 ModelConfig ServeModel() {
@@ -254,11 +280,13 @@ LoadGenOptions BaseLoadOptions(int64_t n = 24) {
 // a trickle each iteration so the queue never drains, warm up past every
 // capacity high-water mark (pool buffers, nc memo for the saturated batch
 // shape, executor output slabs), then count a mid-run window.
-void ExpectZeroAllocSteadyState(int num_threads, int ep, DType dtype,
-                                bool telemetry = false) {
-  SCOPED_TRACE(testing::Message() << "threads=" << num_threads << " ep=" << ep
-                                  << " dtype=" << DTypeName(dtype)
-                                  << " telemetry=" << telemetry);
+void ExpectZeroAllocSteadyState(
+    int num_threads, int ep, DType dtype, bool telemetry = false,
+    ServeRoutingMode routing = ServeRoutingMode::kGate) {
+  SCOPED_TRACE(testing::Message()
+               << "threads=" << num_threads << " ep=" << ep
+               << " dtype=" << DTypeName(dtype) << " telemetry=" << telemetry
+               << " synthetic=" << (routing == ServeRoutingMode::kSynthetic));
   constexpr int64_t kRequests = 220;
   constexpr int kWarmupIters = 12;
   constexpr int kWindowIters = 24;
@@ -281,6 +309,10 @@ void ExpectZeroAllocSteadyState(int num_threads, int ep, DType dtype,
 
   ServeOptions options = BaseServeOptions(ep, dtype, num_threads);
   options.telemetry.enabled = telemetry;
+  options.routing = routing;
+  if (routing == ServeRoutingMode::kSynthetic) {
+    options.synthetic_load_std = 0.032;
+  }
   MoeServer server(options, H800Cluster(ep));
   MoeServer::RunBounds bounds;
   bounds.expected_requests = kRequests;
@@ -353,6 +385,18 @@ TEST(ZeroAllocServing, SteadyStateWithTelemetryOn) {
     for (int ep : {1, 4}) {
       ExpectZeroAllocSteadyState(num_threads, ep, DType::kF32,
                                  /*telemetry=*/true);
+    }
+  }
+}
+
+// Serving's synthetic routing mode draws each batch's routing from a
+// SyntheticRouter instead of the gate: the same window, the same contract.
+TEST(ZeroAllocServing, SteadyStateWithSyntheticRouting) {
+  for (int num_threads : {1, 8}) {
+    for (int ep : {1, 4}) {
+      ExpectZeroAllocSteadyState(num_threads, ep, DType::kF32,
+                                 /*telemetry=*/false,
+                                 ServeRoutingMode::kSynthetic);
     }
   }
 }

@@ -126,14 +126,42 @@ TEST(SyntheticRouter, SkewedLoadTracksTarget) {
   EXPECT_GT(table.LoadStd(8), 0.015);
 }
 
-// The lane-wise RouteInto against the one-token-at-a-time reference
-// (synthetic_router_reference.h). Two calls in a row per case: equal tables
-// on the second call prove the first consumed the generator identically.
-// M covers a lone padded block (1, lanes - 1), an exact one (lanes), a
-// ragged tail (lanes + 1, 37) and many blocks (4096); loads with zero
-// entries leave fewer than topk positive weights for the larger topk,
-// where both must throw.
-TEST(SyntheticRouter, MatchesReferenceBitForBit) {
+// Asserts two tables are equal bit for bit.
+void ExpectSameTable(const RoutingTable& got, const RoutingTable& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (int64_t t = 0; t < got.size(); ++t) {
+    const TokenRoute& g = got.tokens[static_cast<size_t>(t)];
+    const TokenRoute& w = want.tokens[static_cast<size_t>(t)];
+    ASSERT_EQ(g.experts, w.experts) << "token " << t;
+    ASSERT_EQ(g.weights.size(), w.weights.size());
+    for (size_t k = 0; k < g.weights.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(g.weights[k]),
+                std::bit_cast<uint32_t>(w.weights[k]))
+          << "token " << t << " pick " << k;
+    }
+  }
+}
+
+// Global pool sizes the pool-parallel RouteInto is checked at.
+constexpr int kPoolSizes[] = {1, 3, 8};
+
+// Sets the global pool size for a scope and restores the previous one.
+class ScopedGlobalThreads {
+ public:
+  explicit ScopedGlobalThreads(int n) : previous_(GlobalThreadCount()) {
+    SetGlobalThreadCount(n);
+  }
+  ~ScopedGlobalThreads() { SetGlobalThreadCount(previous_); }
+  ScopedGlobalThreads(const ScopedGlobalThreads&) = delete;
+  ScopedGlobalThreads& operator=(const ScopedGlobalThreads&) = delete;
+
+ private:
+  int previous_;
+};
+
+// One sweep of SyntheticRouter.MatchesReferenceBitForBit at the current
+// pool size; returns {cases, throwing cases}.
+std::pair<int, int> SweepAgainstReference() {
   constexpr int64_t kLanes = fdlibm::kDoubleLanes;
   int cases = 0;
   int throwing_cases = 0;
@@ -183,21 +211,13 @@ TEST(SyntheticRouter, MatchesReferenceBitForBit) {
             }
             RoutingTable got, want;
             for (int call = 0; call < 2; ++call) {
+              SCOPED_TRACE("call " + std::to_string(call));
               router.RouteInto(m, topk, shift, &got);
               reference.RouteInto(m, topk, shift, &want);
-              ASSERT_EQ(got.size(), m);
-              ASSERT_EQ(want.size(), m);
-              for (int64_t t = 0; t < m; ++t) {
-                const TokenRoute& g = got.tokens[static_cast<size_t>(t)];
-                const TokenRoute& w = want.tokens[static_cast<size_t>(t)];
-                ASSERT_EQ(g.experts, w.experts) << "call " << call << " token "
-                                                << t;
-                ASSERT_EQ(g.weights.size(), w.weights.size());
-                for (size_t k = 0; k < g.weights.size(); ++k) {
-                  ASSERT_EQ(std::bit_cast<uint32_t>(g.weights[k]),
-                            std::bit_cast<uint32_t>(w.weights[k]))
-                      << "call " << call << " token " << t << " pick " << k;
-                }
+              EXPECT_EQ(got.size(), m);
+              ExpectSameTable(got, want);
+              if (::testing::Test::HasFailure()) {
+                return {cases, throwing_cases};
               }
             }
           }
@@ -205,8 +225,72 @@ TEST(SyntheticRouter, MatchesReferenceBitForBit) {
       }
     }
   }
-  EXPECT_GE(cases, 2000);
-  EXPECT_GT(throwing_cases, 0);
+  return {cases, throwing_cases};
+}
+
+// The lane-wise, pool-parallel RouteInto against the one-token-at-a-time
+// reference (synthetic_router_reference.h), at global pool sizes 1, 3 and
+// 8. Two calls in a row per case: equal tables on the second call prove the
+// first consumed the generator identically. M covers a lone padded block
+// (1, lanes - 1), an exact one (lanes), a ragged tail (lanes + 1, 37) and
+// many blocks split into pool runs (4096); loads with zero entries leave
+// fewer than topk positive weights for the larger topk, where both must
+// throw.
+TEST(SyntheticRouter, MatchesReferenceBitForBit) {
+  for (const int pool : kPoolSizes) {
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    const ScopedGlobalThreads threads(pool);
+    const auto [cases, throwing_cases] = SweepAgainstReference();
+    ASSERT_FALSE(HasFailure());
+    EXPECT_GE(cases, 2000);
+    EXPECT_GT(throwing_cases, 0);
+  }
+}
+
+// Calls longer than one round of SyntheticRouter::kRoundDraws uniforms
+// draw round after round: at topk 8 a round is 4096 tokens, so M = 10003
+// takes three, the last ragged, each split into pool runs.
+TEST(SyntheticRouter, MultiRoundCallsMatchReference) {
+  const std::vector<double> load = Rng(5).LoadVectorWithStd(16, 0.032);
+  for (const int pool : kPoolSizes) {
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    const ScopedGlobalThreads threads(pool);
+    SyntheticRouter router(load, 31);
+    synthetic_router_reference::SyntheticRouter reference(load, 31);
+    RoutingTable got, want;
+    for (const int64_t m : {int64_t{10003}, int64_t{4096}, int64_t{8193}}) {
+      SCOPED_TRACE("M=" + std::to_string(m));
+      router.RouteInto(m, 8, 3, &got);
+      reference.RouteInto(m, 8, 3, &want);
+      ExpectSameTable(got, want);
+    }
+  }
+}
+
+// A RouteInto issued from inside a pool worker runs its runs inline: four
+// routers route at once, one per pool chunk, and each matches its
+// reference.
+TEST(SyntheticRouter, NestedCallsMatchReference) {
+  const std::vector<double> load = Rng(6).LoadVectorWithStd(8, 0.05);
+  for (const int pool : kPoolSizes) {
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    const ScopedGlobalThreads threads(pool);
+    std::vector<SyntheticRouter> routers;
+    std::vector<RoutingTable> got(4), want(4);
+    for (uint64_t i = 0; i < 4; ++i) {
+      routers.emplace_back(load, 40 + i);
+      synthetic_router_reference::SyntheticRouter reference(load, 40 + i);
+      reference.RouteInto(4099, 2, 1, &want[i]);
+    }
+    ParallelFor(0, 4, 1, [&](int64_t i) {
+      routers[static_cast<size_t>(i)].RouteInto(4099, 2, 1,
+                                                &got[static_cast<size_t>(i)]);
+    });
+    for (size_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE("router " + std::to_string(i));
+      ExpectSameTable(got[i], want[i]);
+    }
+  }
 }
 
 // A pick whose r never goes negative takes the last expert that still has
