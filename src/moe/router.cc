@@ -321,6 +321,22 @@ double* AlignToLine(double* p) {
       (reinterpret_cast<uintptr_t>(p) + kLineBytes - 1) & ~(kLineBytes - 1));
 }
 
+// Uniforms a round draws at most, unless one block at topk needs more.
+constexpr int64_t kRoundDraws = int64_t{1} << 16;
+
+// Tokens per round at `topk`: whole blocks, at least one.
+int64_t RoundTokens(int64_t topk) {
+  return std::max<int64_t>(1, kRoundDraws / (2 * topk) / kDoubleLanes) *
+         kDoubleLanes;
+}
+
+// Doubles of lane scratch per pool run: E lines of kDoubleLanes, rounded up
+// to whole cache lines, so no two runs store to one line.
+int64_t RunStride(int64_t e_total) {
+  return (e_total * kDoubleLanes + kLineDoubles - 1) / kLineDoubles *
+         kLineDoubles;
+}
+
 // Blocks a pool run covers at least: a run of 32 blocks (256 tokens at
 // eight lanes) costs several times a region's dispatch.
 constexpr int64_t kMinBlocksPerRun = 32;
@@ -401,11 +417,25 @@ SyntheticRouter::SyntheticRouter(std::vector<double> load, uint64_t seed)
     p /= sum;
     COMET_CHECK_GE(p, 0.0);
   }
-  // A round holds at least one block at topk = E.
-  draw_capacity_ = std::max<int64_t>(
-      kRoundDraws, 2 * num_experts() * fdlibm::kDoubleLanes);
-  draws_ = std::make_unique_for_overwrite<double[]>(
-      static_cast<size_t>(draw_capacity_));
+}
+
+void SyntheticRouter::Reserve(int64_t max_tokens, int64_t topk) {
+  COMET_CHECK_GE(max_tokens, 0);
+  COMET_CHECK_GT(topk, 0);
+  COMET_CHECK_LE(topk, num_experts());
+  const int64_t blocks = (max_tokens + kDoubleLanes - 1) / kDoubleLanes;
+  const int64_t draws =
+      std::min(RoundTokens(topk), blocks * kDoubleLanes) * 2 * topk;
+  if (draw_capacity_ < draws) {
+    draws_ = std::make_unique_for_overwrite<double[]>(
+        static_cast<size_t>(draws));
+    draw_capacity_ = draws;
+  }
+  const size_t scratch = static_cast<size_t>(
+      GlobalThreadCount() * RunStride(num_experts()) + kLineDoubles - 1);
+  if (lane_weights_.size() < scratch) {
+    lane_weights_.resize(scratch);
+  }
 }
 
 RoutingTable SyntheticRouter::Route(int64_t num_tokens, int64_t topk) {
@@ -428,26 +458,17 @@ void SyntheticRouter::RouteInto(int64_t num_tokens, int64_t topk,
   if (num_tokens == 0) {
     return;
   }
+  Reserve(num_tokens, topk);
   const int64_t per_token = 2 * topk;
-  // Each run's scratch starts on a cache line and fills whole ones, so no
-  // two runs store to one line.
-  const int64_t run_stride =
-      (e_total * kDoubleLanes + kLineDoubles - 1) / kLineDoubles *
-      kLineDoubles;
+  const int64_t run_stride = RunStride(e_total);
   const int64_t max_runs = GlobalThreadCount();
-  const size_t scratch = static_cast<size_t>(max_runs * run_stride +
-                                             kLineDoubles - 1);
-  if (lane_weights_.size() < scratch) {
-    lane_weights_.resize(scratch);
-  }
   double* const lanes = AlignToLine(lane_weights_.data());
   double load_total = 0.0;
   for (double p : load_) {
     load_total += p;
   }
   // A round is whole blocks, so a run ends mid-block only at the call's end.
-  const int64_t round_tokens =
-      draw_capacity_ / per_token / kDoubleLanes * kDoubleLanes;
+  const int64_t round_tokens = RoundTokens(topk);
   for (int64_t first = 0; first < num_tokens; first += round_tokens) {
     const int64_t end = std::min(num_tokens, first + round_tokens);
     rng_.FillUniform(std::span(draws_.get(),

@@ -132,8 +132,8 @@ class GateNetwork {
 // their float sum (tests/synthetic_router_reference.h holds the
 // one-token-at-a-time loop).
 //
-// How RouteInto evaluates it. The uniforms of up to kRoundDraws of them
-// (whole tokens; one round covers a whole call at M = 16384, topk 2) are
+// How RouteInto evaluates it. The uniforms of a round of tokens (up to
+// 2^16 uniforms, so one round covers a whole call at M = 16384, topk 2) are
 // drawn serially into a buffer, in the order above. The round's picks and
 // combine weights then run on the global thread pool: its tokens are split
 // into contiguous runs of whole fdlibm::kDoubleLanes-token blocks (a static
@@ -145,9 +145,6 @@ class GateNetwork {
 // runs its runs inline, in order.
 class SyntheticRouter {
  public:
-  // Uniforms drawn per round (at least one block's, whatever topk).
-  static constexpr int64_t kRoundDraws = int64_t{1} << 16;
-
   // `load` is a probability vector over experts (see Rng::LoadVectorWithStd).
   // It is normalized to sum 1; throws CheckError if the sum is not positive
   // or any normalized entry is not >= 0 (a negative, NaN or inf entry).
@@ -165,24 +162,27 @@ class SyntheticRouter {
   // with the hot spot walking across experts as simulated time advances.
   // The rng consumption does not depend on shift; shift == 0 gives Route's
   // table. Requires num_tokens >= 0 and shift >= 0 (any size: it is reduced
-  // mod E first). Allocation-free once `table` is warm, a call has run at
-  // the current global pool size, and topk fits TokenRoute's inline
-  // storage. After a CheckError the table and the generator are left
-  // unspecified.
+  // mod E first). Allocation-free once `table` is warm, Reserve (or an
+  // earlier call) covered num_tokens at this topk and the current global
+  // pool size, and topk fits TokenRoute's inline storage. After a
+  // CheckError the table and the generator are left unspecified.
   void RouteInto(int64_t num_tokens, int64_t topk, int64_t shift,
                  RoutingTable* table);
+
+  // Sizes the draw buffer and the lane scratch for calls of up to
+  // `max_tokens` tokens at `topk` on the current global pool. Draws nothing.
+  void Reserve(int64_t max_tokens, int64_t topk);
 
   int64_t num_experts() const { return static_cast<int64_t>(load_.size()); }
 
  private:
   std::vector<double> load_;
-  // Pick weights of one block of tokens per pool run, expert-major: run c's
-  // lane l of expert e at [(c * E + e) * kDoubleLanes + l]. Grown when a
-  // call finds more pool threads than runs it holds.
+  // Pick weights of one block of tokens per pool run, expert-major, each
+  // run's on cache lines of its own (see RouteInto). Grow-only.
   std::vector<double> lane_weights_;
   // One round's uniforms, token-major: topk pick draws then topk combine
-  // draws per token. Allocated at construction, left uninitialized (a call
-  // touches only the pages its round fills).
+  // draws per token. Grow-only, and left uninitialized: a round writes
+  // every uniform it reads.
   std::unique_ptr<double[]> draws_;
   int64_t draw_capacity_ = 0;
   Rng rng_;

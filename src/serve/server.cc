@@ -195,6 +195,7 @@ struct MoeServer::RunState {
               static_cast<size_t>(options.model.num_experts),
               options.synthetic_load_std),
           options.seed ^ kSyntheticStream);
+      synth->Reserve(padded_max, options.model.topk);
     }
 
     completed.reserve(static_cast<size_t>(bounds.expected_requests));

@@ -214,23 +214,29 @@ TEST(RoutePlanAlloc, WarmRebuildIsAllocationFree) {
 }
 
 // A warm SyntheticRouter::RouteInto allocates nothing at pool sizes 1 and
-// 4: the draw buffer is sized at construction, and the per-run lane scratch
-// and the table are sized by the first call at that pool size. The calls
-// cover several pool runs (M = 16384) and several draw rounds (topk 8).
+// 4, whether an earlier call or Reserve sized its draw buffer and per-run
+// lane scratch. The calls cover several pool runs (M = 16384) and several
+// draw rounds (topk 8).
 TEST(SyntheticRouterAlloc, WarmRouteIntoIsAllocationFree) {
   const int previous_threads = GlobalThreadCount();
   for (const int pool : {1, 4}) {
     SCOPED_TRACE("pool " + std::to_string(pool));
     SetGlobalThreadCount(pool);
-    SyntheticRouter router(std::vector<double>(16, 1.0), 11);
-    RoutingTable table;
-    router.RouteInto(16384, 8, 0, &table);
+    SyntheticRouter called(std::vector<double>(16, 1.0), 11);
+    SyntheticRouter reserved(std::vector<double>(16, 1.0), 12);
+    RoutingTable a, b;
+    called.RouteInto(16384, 8, 0, &a);
+    reserved.Reserve(16384, 8);
+    b.tokens.resize(16384);
     AllocStats stats;
     {
       AllocWindow w;
-      router.RouteInto(16384, 2, 3, &table);
-      router.RouteInto(10003, 8, 5, &table);
-      router.RouteInto(37, 4, 0, &table);
+      for (SyntheticRouter* router : {&called, &reserved}) {
+        RoutingTable& table = router == &called ? a : b;
+        router->RouteInto(16384, 2, 3, &table);
+        router->RouteInto(10003, 8, 5, &table);
+        router->RouteInto(37, 4, 0, &table);
+      }
       stats = w.Snapshot();
     }
     EXPECT_EQ(stats.allocs, 0u);

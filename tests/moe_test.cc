@@ -160,8 +160,9 @@ class ScopedGlobalThreads {
 };
 
 // One sweep of SyntheticRouter.MatchesReferenceBitForBit at the current
-// pool size; returns {cases, throwing cases}.
-std::pair<int, int> SweepAgainstReference() {
+// pool size, with `long_m` tokens in its long calls; returns {cases,
+// throwing cases}.
+std::pair<int, int> SweepAgainstReference(int64_t long_m) {
   constexpr int64_t kLanes = fdlibm::kDoubleLanes;
   int cases = 0;
   int throwing_cases = 0;
@@ -183,12 +184,12 @@ std::pair<int, int> SweepAgainstReference() {
       }
       for (int64_t topk = 1; topk <= std::min<int64_t>(e_total, 8); ++topk) {
         for (int64_t m : {int64_t{0}, int64_t{1}, kLanes - 1, kLanes,
-                          kLanes + 1, int64_t{37}, int64_t{4096}}) {
+                          kLanes + 1, int64_t{37}, long_m}) {
           const int64_t shifts[] = {0, 1, e_total - 1, 5 * e_total + 3};
           for (int s = 0; s < 4; ++s) {
-            // The shift only rotates stored ids, so the long M = 4096 runs
-            // take one shift each, rotating through the four.
-            if (m == 4096 && s != (topk + load_kind) % 4) {
+            // The shift only rotates stored ids, so the long calls take one
+            // shift each, rotating through the four.
+            if (m == long_m && s != (topk + load_kind) % 4) {
               continue;
             }
             const int64_t shift = shifts[s];
@@ -233,23 +234,25 @@ std::pair<int, int> SweepAgainstReference() {
 // 8. Two calls in a row per case: equal tables on the second call prove the
 // first consumed the generator identically. M covers a lone padded block
 // (1, lanes - 1), an exact one (lanes), a ragged tail (lanes + 1, 37) and
-// many blocks split into pool runs (4096); loads with zero entries leave
-// fewer than topk positive weights for the larger topk, where both must
-// throw.
+// many blocks: 4096 tokens at pool size 1, and at the larger pools 1029
+// (a ragged tail too), which a call splits into 3 or 4 pool runs at eight
+// lanes. Loads with zero entries leave fewer than topk positive weights for
+// the larger topk, where both must throw.
 TEST(SyntheticRouter, MatchesReferenceBitForBit) {
   for (const int pool : kPoolSizes) {
     SCOPED_TRACE("pool " + std::to_string(pool));
     const ScopedGlobalThreads threads(pool);
-    const auto [cases, throwing_cases] = SweepAgainstReference();
+    const auto [cases, throwing_cases] =
+        SweepAgainstReference(pool == 1 ? 4096 : 1029);
     ASSERT_FALSE(HasFailure());
     EXPECT_GE(cases, 2000);
     EXPECT_GT(throwing_cases, 0);
   }
 }
 
-// Calls longer than one round of SyntheticRouter::kRoundDraws uniforms
-// draw round after round: at topk 8 a round is 4096 tokens, so M = 10003
-// takes three, the last ragged, each split into pool runs.
+// Calls longer than one round of 2^16 uniforms draw round after round: at
+// topk 8 a round is 4096 tokens, so M = 10003 takes three, the last
+// ragged, each split into pool runs.
 TEST(SyntheticRouter, MultiRoundCallsMatchReference) {
   const std::vector<double> load = Rng(5).LoadVectorWithStd(16, 0.032);
   for (const int pool : kPoolSizes) {
