@@ -28,13 +28,17 @@ REGISTER_BENCH(fig14_imbalance, "Figure 14 (left): MoE layer duration under imba
     const MoeWorkload workload =
         TimedWorkload(model, parallel, m_tokens, target_std, /*seed=*/3);
     SystemSet systems;
-    std::vector<std::string> row = {
-        FormatDouble(target_std, 3),
-        FormatDouble(workload.routing.LoadStd(model.num_experts), 3)};
+    const double achieved = workload.routing.LoadStd(model.num_experts);
+    const std::string prefix = "std=" + FormatDouble(target_std, 3) + "/";
+    reporter.Report(prefix + "achieved_std", achieved);
+    std::vector<std::string> row = {FormatDouble(target_std, 3),
+                                    FormatDouble(achieved, 3)};
     for (MoeLayerExecutor* exec : systems.All()) {
       const LayerExecution run =
           exec->Run(workload, cluster, ExecMode::kTimedOnly);
       row.push_back(FormatUsAsMs(run.duration_us));
+      reporter.Report(prefix + exec->name() + "_ms", run.duration_us / 1000.0,
+                      "ms");
     }
     table.AddRow(std::move(row));
   }

@@ -131,7 +131,7 @@ TEST_P(ActivationGradTest, MatchesFiniteDifference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, ActivationGradTest,
+INSTANTIATE_TEST_SUITE_P(Gelu, ActivationGradTest,
                          ::testing::Values(ActivationKind::kGelu));
 
 TEST(ActivationGrad, TileMatchesWhole) {

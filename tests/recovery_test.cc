@@ -505,7 +505,7 @@ TEST(CircuitBreaker, ScriptedTransitions) {
   EXPECT_DOUBLE_EQ(health.open_until(0), 7000.0 + 2000.0);
 }
 
-TEST(CircuitBreaker, ForceOpenOverridesEwma) {
+TEST(CircuitBreaker, OneDeathOpensOnlyThatReplica) {
   ReplicaHealth health(2, HealthOptions{});
   // One death opens a closed breaker at once, and only replica 0's.
   health.ForceOpen(0, 100.0);
