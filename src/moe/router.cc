@@ -423,9 +423,7 @@ void SyntheticRouter::Reserve(int64_t max_tokens, int64_t topk) {
   COMET_CHECK_GE(max_tokens, 0);
   COMET_CHECK_GT(topk, 0);
   COMET_CHECK_LE(topk, num_experts());
-  const int64_t blocks = (max_tokens + kDoubleLanes - 1) / kDoubleLanes;
-  const int64_t draws =
-      std::min(RoundTokens(topk), blocks * kDoubleLanes) * 2 * topk;
+  const int64_t draws = std::min(RoundTokens(topk), max_tokens) * 2 * topk;
   if (draw_capacity_ < draws) {
     draws_ = std::make_unique_for_overwrite<double[]>(
         static_cast<size_t>(draws));
