@@ -6,9 +6,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "util/check.h"
+#include "util/json_writer.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -21,43 +21,6 @@ struct RunRecord {
   int repeat = 0;
   BenchMetric metric;
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string FormatJsonDouble(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  const std::string s = os.str();
-  // JSON has no inf/nan literals.
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
 
 // Collapses per-repeat records into one median record per (bench, metric),
 // keeping first-appearance order. Median = exact nearest-rank p50
@@ -93,6 +56,11 @@ bool WriteJson(const std::string& path, const std::vector<RunRecord>& records,
     std::cerr << "comet_bench: cannot open --json path " << path << "\n";
     return false;
   }
+  const auto number = [](double v) {
+    std::string s;
+    AppendJsonNumber(s, v);
+    return s;
+  };
   out << "{\n  \"schema\": \"comet_bench/v1\",\n  \"repeat\": " << repeat
       << ",\n  \"aggregate\": \"" << (median ? "median" : "none")
       << "\",\n  \"threads\": " << GlobalThreadCount() << ",\n  \"records\": [\n";
@@ -101,7 +69,7 @@ bool WriteJson(const std::string& path, const std::vector<RunRecord>& records,
     out << "    {\"bench\": \"" << JsonEscape(r.bench)
         << "\", \"repeat\": " << r.repeat << ", \"metric\": \""
         << JsonEscape(r.metric.metric)
-        << "\", \"value\": " << FormatJsonDouble(r.metric.value)
+        << "\", \"value\": " << number(r.metric.value)
         << ", \"unit\": \"" << JsonEscape(r.metric.unit) << "\"}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }

@@ -38,6 +38,16 @@ REGISTER_BENCH(ext_capacity, "Extension: capacity-factor token dropping under im
           megatron.Run(w, cluster, ExecMode::kTimedOnly).duration_us;
       const double ours =
           comet.Run(w, cluster, ExecMode::kTimedOnly).duration_us;
+      const std::string prefix = "std=" + FormatDouble(load_std, 3) +
+                                 "/cf=" +
+                                 (cf > 100 ? "inf" : FormatDouble(cf, 2)) + "/";
+      reporter.Report(prefix + "dropped_pairs",
+                      static_cast<double>(stats.dropped_pairs), "pairs");
+      reporter.Report(prefix + "drop_pct", stats.DropFraction(pairs) * 100.0,
+                      "%");
+      reporter.Report(prefix + "megatron_ms", base / 1000.0, "ms");
+      reporter.Report(prefix + "comet_ms", ours / 1000.0, "ms");
+      reporter.Report(prefix + "speedup", base / ours, "x");
       table.AddRow({cf > 100 ? "inf (no drop)" : FormatDouble(cf, 2),
                     std::to_string(stats.dropped_pairs),
                     FormatPercent(stats.DropFraction(pairs)),

@@ -27,11 +27,13 @@ REGISTER_BENCH(ext_decode, "Extension: inference decode (tiny M) latency") {
     SystemSet systems;
     double best_baseline = 1e300;
     std::vector<std::string> row{std::to_string(m), std::to_string(m / 8)};
+    const std::string prefix = "M=" + std::to_string(m) + "/";
     double comet_us = 0.0;
     for (MoeLayerExecutor* exec : systems.All()) {
       const double us =
           exec->Run(w, cluster, ExecMode::kTimedOnly).duration_us;
       row.push_back(FormatDouble(us, 1));
+      reporter.Report(prefix + exec->name() + "_us", us, "us");
       if (exec == &systems.comet) {
         comet_us = us;
       } else {
@@ -39,6 +41,8 @@ REGISTER_BENCH(ext_decode, "Extension: inference decode (tiny M) latency") {
       }
     }
     row.push_back(FormatSpeedup(best_baseline / comet_us));
+    reporter.Report(prefix + "speedup_vs_best_baseline",
+                    best_baseline / comet_us, "x");
     table.AddRow(std::move(row));
   }
   std::cout << table.Render() << "\n";

@@ -46,6 +46,13 @@ REGISTER_BENCH(ext_training_step, "Extension: full training step (forward + back
               .duration_us;
       const double step_base = fwd_base + bwd_base;
       const double step_comet = fwd_comet + bwd_comet;
+      const std::string prefix = parallel.ToString() + "/M=" +
+                                 std::to_string(m) + "/";
+      reporter.Report(prefix + "fwd_megatron_ms", fwd_base / 1000.0, "ms");
+      reporter.Report(prefix + "fwd_comet_ms", fwd_comet / 1000.0, "ms");
+      reporter.Report(prefix + "bwd_megatron_ms", bwd_base / 1000.0, "ms");
+      reporter.Report(prefix + "bwd_comet_ms", bwd_comet / 1000.0, "ms");
+      reporter.Report(prefix + "step_speedup", step_base / step_comet, "x");
       table.AddRow({std::to_string(m), FormatUsAsMs(fwd_base),
                     FormatUsAsMs(fwd_comet), FormatUsAsMs(bwd_base),
                     FormatUsAsMs(bwd_comet), FormatUsAsMs(step_base),
@@ -73,6 +80,13 @@ REGISTER_BENCH(ext_training_step, "Extension: full training step (forward + back
         megatron, MoeBackwardKind::kSequential, config, cluster);
     const TrainStepResult ours = RunTrainingStep(
         comet_exec, MoeBackwardKind::kComet, config, cluster);
+    const std::string prefix = "e2e/" + m.name + "/";
+    reporter.Report(prefix + base.name + "_moe_ms", base.moe_only_ms, "ms");
+    reporter.Report(prefix + base.name + "_step_ms", base.total_ms, "ms");
+    reporter.Report(prefix + ours.name + "_moe_ms", ours.moe_only_ms, "ms");
+    reporter.Report(prefix + ours.name + "_step_ms", ours.total_ms, "ms");
+    reporter.Report(prefix + "step_speedup", base.total_ms / ours.total_ms,
+                    "x");
     e2e.AddRow({m.name, base.name, FormatDouble(base.moe_only_ms, 1),
                 FormatDouble(base.total_ms, 1), "1.00x"});
     e2e.AddRow({m.name, ours.name, FormatDouble(ours.moe_only_ms, 1),

@@ -75,6 +75,7 @@ REGISTER_BENCH(fig01b_coarse_pipeline, "Figure 1(b): coarse-grained overlap by c
   for (const int64_t m : {4096, 8192, 16384}) {
     const MoeWorkload w = TimedWorkload(model, ParallelConfig{1, 8}, m);
     std::vector<std::string> row{std::to_string(m)};
+    const std::string prefix = "M=" + std::to_string(m) + "/";
     double best_chunked = 1e300;
     for (const int degree : {1, 2, 4, 8}) {
       const BaselineCollectives collectives =
@@ -85,6 +86,8 @@ REGISTER_BENCH(fig01b_coarse_pipeline, "Figure 1(b): coarse-grained overlap by c
                          ChunkedLayerUs(w, costs, collectives, r, degree));
       }
       row.push_back(FormatUsAsMs(worst));
+      reporter.Report(prefix + "C=" + std::to_string(degree) + "_ms",
+                      worst / 1000.0, "ms");
       if (degree > 1) {
         best_chunked = std::min(best_chunked, worst);
       }
@@ -92,6 +95,10 @@ REGISTER_BENCH(fig01b_coarse_pipeline, "Figure 1(b): coarse-grained overlap by c
     CometExecutor comet;
     const double ours =
         comet.Run(w, cluster, ExecMode::kTimedOnly).duration_us;
+    reporter.Report(prefix + "best_chunked_ms", best_chunked / 1000.0, "ms");
+    reporter.Report(prefix + "comet_ms", ours / 1000.0, "ms");
+    reporter.Report(prefix + "speedup_vs_best_chunked", best_chunked / ours,
+                    "x");
     row.push_back(FormatUsAsMs(best_chunked));
     row.push_back(FormatUsAsMs(ours));
     row.push_back(FormatSpeedup(best_chunked / ours));

@@ -25,11 +25,12 @@ REGISTER_BENCH(fig08_division_point, "Figure 8: fused kernel duration vs communi
 
   const std::vector<ParallelConfig> parallels = {
       {8, 1}, {4, 2}, {2, 4}, {1, 8}};
+  const std::vector<int64_t> lengths = {4096, 8192, 16384};
   for (const ParallelConfig& parallel : parallels) {
     std::cout << "--- " << parallel.ToString() << " ---\n";
     AsciiTable table({"nc", "M=4096", "M=8192", "M=16384"});
     std::vector<std::vector<DivisionPointSample>> sweeps;
-    for (int64_t m : {4096, 8192, 16384}) {
+    for (int64_t m : lengths) {
       const MoeWorkload w = TimedWorkload(model, parallel, m);
       FusedKernelConfig base;
       base.total_blocks = cluster.gpu.num_sms;
@@ -46,14 +47,20 @@ REGISTER_BENCH(fig08_division_point, "Figure 8: fused kernel duration vs communi
     std::cout << "optimal nc:";
     const char* labels[3] = {" M=4096 ->", "  M=8192 ->", "  M=16384 ->"};
     for (size_t s = 0; s < sweeps.size(); ++s) {
+      const std::string prefix = parallel.ToString() + "/M=" +
+                                 std::to_string(lengths[s]) + "/";
       int best_nc = 0;
       double best = 1e300;
       for (const auto& sample : sweeps[s]) {
+        reporter.Report(prefix + "nc" + std::to_string(sample.comm_blocks) +
+                            "_ms",
+                        sample.duration_us / 1000.0, "ms");
         if (sample.duration_us < best) {
           best = sample.duration_us;
           best_nc = sample.comm_blocks;
         }
       }
+      reporter.Report(prefix + "optimal_nc", best_nc, "blocks");
       std::cout << labels[s] << " " << best_nc;
     }
     std::cout << "\n\n";

@@ -22,6 +22,7 @@ int main() {
 
   AsciiTable table({"target std", "achieved std", "min load", "max load",
                     "Comet (ms)", "hidden comm"});
+  std::vector<int64_t> loads;
   for (double std_target : {0.0, 0.01, 0.032, 0.05}) {
     WorkloadOptions options;
     options.seed = 7;
@@ -29,7 +30,7 @@ int main() {
     options.materialize = false;
     const MoeWorkload w = MakeWorkload(model, parallel, tokens, options);
 
-    const auto loads = w.routing.ExpertLoads(model.num_experts);
+    w.routing.ExpertLoadsInto(model.num_experts, &loads);
     int64_t lo = loads[0];
     int64_t hi = loads[0];
     for (int64_t l : loads) {

@@ -40,10 +40,12 @@ int main(int argc, char** argv) {
   CometExecutor comet;
   AsciiTable table({"layer", "expert loads (pairs)", "load std"});
   std::vector<Tensor> acts = inputs;
+  std::vector<int64_t> counts;
   for (int64_t l = 0; l < layers; ++l) {
     const MoeWorkload w = stack.LayerWorkload(l, acts);
+    w.routing.ExpertLoadsInto(model.num_experts, &counts);
     std::string loads;
-    for (int64_t c : w.routing.ExpertLoads(model.num_experts)) {
+    for (int64_t c : counts) {
       if (!loads.empty()) {
         loads += ' ';
       }

@@ -19,13 +19,6 @@ uint64_t HashMix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Per-thread wire buffer for read-modify-write row ops; thread-local so
-// concurrent ranks share nothing.
-std::vector<float>& HeapWireScratch() {
-  thread_local std::vector<float> wire;
-  return wire;
-}
-
 }  // namespace
 
 uint64_t RowChecksum(std::span<const float> row) {
@@ -49,14 +42,6 @@ uint64_t RowChecksum(std::span<const float> row) {
     step(w);
   }
   return h;
-}
-
-void WarmHeapWireScratch(int64_t max_cols) {
-  COMET_CHECK_GE(max_cols, 0);
-  std::vector<float>& wire = HeapWireScratch();
-  if (wire.capacity() < static_cast<size_t>(max_cols)) {
-    wire.reserve(static_cast<size_t>(max_cols));
-  }
 }
 
 SymmetricHeap::SymmetricHeap(int world_size, HeapIntegrityOptions integrity)
@@ -258,22 +243,6 @@ void SymmetricHeap::PutRow(SymmetricBufferId buf, int src_rank, int dst_rank,
                      static_cast<double>(DTypeSize(dst.dtype())));
 }
 
-std::vector<float> SymmetricHeap::GetRow(SymmetricBufferId buf, int reader_rank,
-                                         int owner_rank, int64_t row) {
-  const Allocation& alloc = Get(buf);
-  CheckRank(alloc, reader_rank, "GetRow", "reader");
-  const Tensor& src = DataLocal(alloc, owner_rank, "GetRow");
-  CheckRowInRange(alloc.name, src, row, "GetRow");
-  VerifyRow(alloc, owner_rank, row, "GetRow");
-  auto view = src.row(row);
-  AccountTraffic(owner_rank, reader_rank,
-                 static_cast<double>(view.size()) *
-                     static_cast<double>(DTypeSize(src.dtype())));
-  std::vector<float> out(view.size());
-  CopyThroughWire(view, out, src.dtype());
-  return out;
-}
-
 void SymmetricHeap::CopyRow(SymmetricBufferId buf, int reader_rank,
                             int owner_rank, int64_t row, std::span<float> dst) {
   const Allocation& alloc = Get(buf);
@@ -287,34 +256,6 @@ void SymmetricHeap::CopyRow(SymmetricBufferId buf, int reader_rank,
                  static_cast<double>(view.size()) *
                      static_cast<double>(DTypeSize(src.dtype())));
   CopyThroughWire(view, dst, src.dtype());
-}
-
-void SymmetricHeap::AccumulateRow(SymmetricBufferId buf, int src_rank,
-                                  int dst_rank, int64_t dst_row,
-                                  std::span<const float> data, float weight) {
-  const Allocation& alloc = Get(buf);
-  CheckRank(alloc, src_rank, "AccumulateRow", "source");
-  Tensor& dst = DataLocal(alloc, dst_rank, "AccumulateRow");
-  CheckRowInRange(alloc.name, dst, dst_row, "AccumulateRow");
-  // Read-modify-write: verify the current contents before folding into them,
-  // re-checksum after (the injector does not target accumulates -- it models
-  // link corruption on puts; an accumulate still DETECTS a previously
-  // corrupted destination row).
-  VerifyRow(alloc, dst_rank, dst_row, "AccumulateRow");
-  // The payload crosses the wire at the buffer dtype like every other row
-  // op (an unrepresentable f32 payload must not leak extra bits into the
-  // destination); then f32 accumulate and round the updated row back on
-  // store -- the same contract as the GEMM epilogue (NVSHMEM atomics on a
-  // 2-byte buffer cannot hold wider partials either).
-  std::vector<float>& wire = HeapWireScratch();
-  wire.resize(data.size());
-  CopyThroughWire(data, wire, dst.dtype());
-  dst.AccumulateRow(dst_row, wire, weight);
-  dst.QuantizeRow(dst_row);
-  RecordRow(alloc, dst_rank, dst_row);
-  AccountTraffic(src_rank, dst_rank,
-                 static_cast<double>(data.size()) *
-                     static_cast<double>(DTypeSize(dst.dtype())));
 }
 
 SymmetricBufferId SymmetricHeap::AllocateSignals(const std::string& name,

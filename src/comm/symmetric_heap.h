@@ -8,8 +8,9 @@
 // library").
 //
 // This emulation keeps one real buffer per rank per allocation and exposes
-// row-granular (token-granular) put/get. Every remote access is accounted in
-// a per-(src,dst) traffic matrix, which the tests use to verify that COMET's
+// row-granular (token-granular) ops: PutRow and PutRowWithSignal write one
+// row, CopyRow reads one, WaitUntilSignalGe/WaitSignalGe wait on a signal
+// word. Every remote access is accounted in a per-(src,dst) traffic matrix, which the tests use to verify that COMET's
 // rescheduled execution moves exactly the same bytes as the reference, and
 // the timing plane uses to price communication.
 //
@@ -49,12 +50,6 @@ namespace comet {
 
 using SymmetricBufferId = int64_t;
 
-// Pre-sizes the CALLING thread's transport wire scratch (the read-modify-
-// write buffer AccumulateRow moves payloads through) for rows of up to
-// `max_cols` elements. Thread-local; the serving plane warms every worker
-// during PrepareServing so steady-state row ops never allocate.
-void WarmHeapWireScratch(int64_t max_cols);
-
 // The heap's row checksum: a 64-bit hash of the row's f32 bit patterns,
 // folded one 8-byte word (two elements) at a time, an odd trailing element
 // as a 4-byte word. Every fold h' = G(h ^ w), with G a bijection of the
@@ -68,9 +63,9 @@ uint64_t RowChecksum(std::span<const float> row);
 // Transport-integrity options, off by default (training and bench paths
 // trust the in-process heap; the serving plane turns verification on).
 //
-// With checksum_rows, every put/accumulate records a RowChecksum of the row
-// it stored (post-wire-quantization bits), and every get/copy/accumulate
-// re-hashes the stored row and compares before handing the data out. A
+// With checksum_rows, every put records a RowChecksum of the row it stored
+// (post-wire-quantization bits), and every CopyRow re-hashes the stored row
+// and compares before handing the data out. A
 // mismatch throws CheckError naming the buffer, rank and row -- a corrupted
 // payload is always detected at its first consumer, never silently served.
 // Rows that were never put (bulk Local() initialization) carry no checksum
@@ -118,22 +113,14 @@ class SymmetricHeap {
   void PutRow(SymmetricBufferId buf, int src_rank, int dst_rank,
               int64_t dst_row, std::span<const float> data);
 
-  // Fine-grained get: rank `reader_rank` reads row `row` of `owner_rank`'s
-  // copy. Remote reads are accounted as owner->reader traffic.
-  std::vector<float> GetRow(SymmetricBufferId buf, int reader_rank,
-                            int owner_rank, int64_t row);
-
-  // Allocation-free GetRow: copies the row into `dst` (sizes must match).
-  // The row-gather hot paths use this from pool workers; traffic accounting
-  // is internally synchronized, and concurrent accesses to DISTINCT rows are
-  // safe (the tile/row partitions of the executors guarantee disjointness).
+  // Fine-grained get: rank `reader_rank` copies row `row` of `owner_rank`'s
+  // copy of `buf` into `dst` (sizes must match); remote reads are accounted
+  // as owner->reader traffic. Allocation-free, and concurrent reads of
+  // DISTINCT rows are safe (the executors' row partitions guarantee
+  // disjointness), so the row-gather hot paths call it from pool workers.
+  // Fails like PutRow, naming the buffer.
   void CopyRow(SymmetricBufferId buf, int reader_rank, int owner_rank,
                int64_t row, std::span<float> dst);
-
-  // Atomic-add style accumulation into a remote row (used by combine paths).
-  void AccumulateRow(SymmetricBufferId buf, int src_rank, int dst_rank,
-                     int64_t dst_row, std::span<const float> data,
-                     float weight);
 
   // ---- signaling (NVSHMEM put-with-signal / wait-until) ---------------------
   //

@@ -72,7 +72,6 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
   const RoutePlan& plan = w.plan;
   const ModelConfig& model = placement.model();
   const int world = placement.world();
-  const int tp = placement.parallel().tp;
   const int ep = placement.parallel().ep;
   const int64_t n_embed = model.embedding;
   const int64_t hidden = placement.HiddenPerTpRank();
@@ -150,29 +149,29 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
     // permuted forward inputs A (stashed by the forward on this rank).
     std::vector<Tensor> dy(num_local), a_in(num_local);
     for (size_t le = 0; le < num_local; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule_a.row_order[le];
-      const int64_t rows = static_cast<int64_t>(slice.rows.size());
+      const int64_t rows =
+          static_cast<int64_t>(rank_plan.experts[le].rows.size());
       dy[le] = Tensor(Shape{rows, n_embed}, dtype);
       a_in[le] = Tensor(Shape{rows, n_embed}, dtype);
-      // Each pos owns its dy/a_in destination row: fan the gather out.
+    }
+    GatherRowsFromHome(heap, dout_buf, plan, r, schedule_a.row_order, dy);
+    GatherRowsFromHome(heap, in_buf, plan, r, schedule_a.row_order, a_in);
+    // dY = weight * dout, rounded on store (it feeds the 2-byte dgrad
+    // pipeline) -- the same per-element point WeightedDout rounds at.
+    for (size_t le = 0; le < num_local; ++le) {
+      const auto& slice = rank_plan.experts[le];
+      const auto& order = schedule_a.row_order[le];
       ParallelFor(
           0, static_cast<int64_t>(order.size()), 8,
           [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int src = placement.RankOf(row.source_group, lane);
-            const int64_t src_local =
-                row.token - placement.FirstTokenOfGroup(row.source_group);
+            const float weight =
+                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])]
+                    .weight;
             auto dst = dy[le].row(pos);
-            heap.CopyRow(dout_buf, r, src, src_local, dst);
-            for (size_t c = 0; c < dst.size(); ++c) {
-              dst[c] = row.weight * dst[c];
+            for (float& v : dst) {
+              v = weight * v;
             }
-            // dY rounds on store (it feeds the 2-byte dgrad pipeline) --
-            // the same per-element point WeightedDout rounds at.
             QuantizeSpan(dst, dtype);
-            heap.CopyRow(in_buf, r, src, src_local, a_in[le].row(pos));
           });
     }
 
@@ -192,6 +191,7 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
 
     // dgate: local dots accumulated lane-ascending (rank order guarantees
     // it) -- the canonical all-reduce order of the sharded reference.
+    std::vector<float> gr(static_cast<size_t>(n_embed));
     for (size_t le = 0; le < num_local; ++le) {
       const auto& slice = rank_plan.experts[le];
       const auto& order = schedule_a.row_order[le];
@@ -200,7 +200,7 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
         const int src = placement.RankOf(row.source_group, lane);
         const int64_t src_local =
             row.token - placement.FirstTokenOfGroup(row.source_group);
-        const auto gr = heap.GetRow(dout_buf, r, src, src_local);
+        heap.CopyRow(dout_buf, r, src, src_local, gr);
         const auto yr = y[le].row(static_cast<int64_t>(pos));
         float acc = 0.0f;
         for (size_t c = 0; c < yr.size(); ++c) {
@@ -288,70 +288,20 @@ MoeGradients FunctionalBackward(const MoeWorkload& w,
                      tile.row_begin, tile.row_end, tile.col_begin,
                      tile.col_end);
         });
-    for (size_t le = 0; le < num_local; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule_a.row_order[le];
-      // Disjoint destination rows + signal words per (token, slot).
-      ParallelFor(
-          0, static_cast<int64_t>(order.size()), 8,
-          [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int dst = placement.RankOf(row.source_group, lane);
-            const int64_t dst_row =
-                (row.token - placement.FirstTokenOfGroup(row.source_group)) *
-                    topk +
-                row.slot;
-            heap.PutRowWithSignal(dcontrib_buf, r, dst, dst_row,
-                                  da[le].row(pos), dcontrib_sig, dst_row);
-          });
-    }
+    PutRowsHome(heap, dcontrib_buf, dcontrib_sig, plan, r,
+                schedule_a.row_order, da);
   };
 
-  // Undispatch reduction in canonical order: slot-major, TP-lane inner.
-  // The consume stage of each group's lane-0 rank: block on every expected
-  // dA contribution's arrival signal (live producers in concurrent mode),
-  // then reduce -- tokens into disjoint dinput rows, within-token order
-  // canonical, so the result is bit-identical at any concurrency.
+  // Undispatch reduction at each group's lane-0 rank: the unweighted
+  // canonical combine into dinput, blocking on every expected dA
+  // contribution (live producers in concurrent mode).
   const auto consume = [&](int r) {
-    if (placement.TpLaneOfRank(r) != 0) {
-      return;
+    if (placement.TpLaneOfRank(r) == 0) {
+      CombineRowsAtHome(
+          heap, dcontrib_buf, dcontrib_sig, placement, w.routing, r,
+          /*weighted=*/false, dtype, options.signal_wait_timeout_ms,
+          grads.dinput[static_cast<size_t>(placement.EpGroupOfRank(r))]);
     }
-    const int g = placement.EpGroupOfRank(r);
-    const int reader = r;
-    const int64_t first = placement.FirstTokenOfGroup(g);
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const int64_t slots = static_cast<int64_t>(
-          w.routing.tokens[static_cast<size_t>(first + t)].experts.size());
-      for (int64_t k = 0; k < slots; ++k) {
-        for (int l = 0; l < tp; ++l) {
-          heap.WaitUntilSignalGe(dcontrib_sig, placement.RankOf(g, l),
-                                 t * topk + k, 1,
-                                 options.signal_wait_timeout_ms);
-        }
-      }
-    }
-    Tensor& dinput = grads.dinput[static_cast<size_t>(g)];
-    ParallelFor(
-        0, group_tokens, 4,
-        [&](int64_t t) {
-          thread_local std::vector<float> row_buf;
-          row_buf.resize(static_cast<size_t>(n_embed));
-          const int64_t slots = static_cast<int64_t>(
-              w.routing.tokens[static_cast<size_t>(first + t)].experts.size());
-          for (int64_t k = 0; k < slots; ++k) {
-            for (int l = 0; l < tp; ++l) {
-              heap.WaitSignalGe(dcontrib_sig, placement.RankOf(g, l),
-                                t * topk + k, 1);
-              heap.CopyRow(dcontrib_buf, reader, placement.RankOf(g, l),
-                           t * topk + k, row_buf);
-              dinput.AccumulateRow(t, row_buf, 1.0f);
-            }
-          }
-          // One rounding per dinput row after the canonical reduction --
-          // the same point the sharded reference rounds at.
-          QuantizeSpan(dinput.row(t), dtype);
-        });
   };
 
   RankGroup group;

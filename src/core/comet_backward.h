@@ -20,6 +20,9 @@
 // with SimulateLayer1Fused (the dims coincide by the mirror argument above);
 // the functional plane executes the real math tile-by-tile in the
 // rescheduled order and must match ShardedReferenceMoeBackward bit-exactly.
+// Its grad dispatch, dA undispatch and dinput reduction are the forward's
+// heap row-exchange steps (core/comet_executor.h); the reduction is
+// unweighted, because the gathered dY rows already carry the route weights.
 // Weight-gradient reductions run over the CANONICAL (token-ascending) row
 // order regardless of how rows were permuted for overlap, so the FP
 // reduction tree never depends on the schedule.

@@ -40,6 +40,32 @@ std::vector<float>& CombineRowBuf() {
   return buf;
 }
 
+// Calls fn(le, pos, row, home, home_token) for the pos-th row of every
+// slice `le` of rank `rank` in schedule order: `home` is the rank holding
+// the row's token (the same TP lane of its home group) and `home_token` the
+// token's index there. Each row owns its destination, so the rows of a
+// slice fan out across the pool.
+template <typename Fn>
+void ForEachScheduledRow(const RoutePlan& plan, int rank,
+                         const std::vector<std::vector<int64_t>>& row_order,
+                         const Fn& fn) {
+  const Placement& placement = plan.placement();
+  const int lane = placement.TpLaneOfRank(rank);
+  const RankPlan& rank_plan = plan.ForRank(rank);
+  for (size_t le = 0; le < rank_plan.experts.size(); ++le) {
+    const ExpertSlice& slice = rank_plan.experts[le];
+    const std::vector<int64_t>& order = row_order[le];
+    ParallelFor(
+        0, static_cast<int64_t>(order.size()), 8,
+        [&](int64_t pos) {
+          const ExpertRow& row =
+              slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
+          fn(le, pos, row, placement.RankOf(row.source_group, lane),
+             row.token - placement.FirstTokenOfGroup(row.source_group));
+        });
+  }
+}
+
 }  // namespace
 
 // Everything the executor reuses across Run and RunBatchInto calls. Every
@@ -137,6 +163,87 @@ DivisionPoints PickDivisionPoints(const CometOptions& options,
   };
   return DivisionPoints{pick(MoePipelineStage::kLayer0),
                         pick(MoePipelineStage::kLayer1)};
+}
+
+void GatherRowsFromHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                        const RoutePlan& plan, int rank,
+                        const std::vector<std::vector<int64_t>>& row_order,
+                        std::vector<Tensor>& rows) {
+  ForEachScheduledRow(plan, rank, row_order,
+                      [&](size_t le, int64_t pos, const ExpertRow&, int home,
+                          int64_t home_token) {
+                        heap.CopyRow(buf, rank, home, home_token,
+                                     rows[le].row(pos));
+                      });
+}
+
+void PutRowsHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                 SymmetricBufferId sig, const RoutePlan& plan, int rank,
+                 const std::vector<std::vector<int64_t>>& row_order,
+                 const std::vector<Tensor>& rows) {
+  const int64_t topk = plan.placement().model().topk;
+  ForEachScheduledRow(plan, rank, row_order,
+                      [&](size_t le, int64_t pos, const ExpertRow& row,
+                          int home, int64_t home_token) {
+                        const int64_t dst_row = home_token * topk + row.slot;
+                        heap.PutRowWithSignal(buf, rank, home, dst_row,
+                                              rows[le].row(pos), sig, dst_row);
+                      });
+}
+
+void CombineRowsAtHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                       SymmetricBufferId sig, const Placement& placement,
+                       const RoutingTable& routing, int rank, bool weighted,
+                       DType dtype, int64_t timeout_ms, Tensor& out) {
+  COMET_CHECK_EQ(placement.TpLaneOfRank(rank), 0);
+  const int g = placement.EpGroupOfRank(rank);
+  const int tp = placement.parallel().tp;
+  const int64_t topk = placement.model().topk;
+  const int64_t group_tokens = placement.tokens_per_group();
+  const int64_t first = placement.FirstTokenOfGroup(g);
+  COMET_CHECK_EQ(out.rows(), group_tokens);
+  COMET_CHECK_EQ(out.cols(), placement.model().embedding);
+  // Routes may carry fewer than topk entries (capacity-dropped pairs); only
+  // written slots are consumed.
+  const auto slots_of = [&](int64_t t) {
+    return static_cast<int64_t>(
+        routing.tokens[static_cast<size_t>(first + t)].experts.size());
+  };
+  // The NVSHMEM wait_until loop of the real combine kernel. Blocking waits
+  // stay on this rank's dedicated thread -- they must never ride pool
+  // workers, or spinning consumers could starve the producers' tile chunks
+  // out of the pool.
+  for (int64_t t = 0; t < group_tokens; ++t) {
+    for (int64_t k = 0; k < slots_of(t); ++k) {
+      for (int l = 0; l < tp; ++l) {
+        heap.WaitUntilSignalGe(sig, placement.RankOf(g, l), t * topk + k, 1,
+                               timeout_ms);
+      }
+    }
+  }
+  // Tokens reduce independently (one output row each); the slot-major,
+  // TP-lane-inner order within a token is kept inside the body.
+  ParallelFor(
+      0, group_tokens, 4,
+      [&](int64_t t) {
+        std::vector<float>& row_buf = CombineRowBuf();
+        row_buf.resize(static_cast<size_t>(out.cols()));
+        out.FillZeroRows(t, t + 1);
+        const TokenRoute& route = routing.tokens[static_cast<size_t>(first + t)];
+        for (int64_t k = 0; k < slots_of(t); ++k) {
+          const float weight =
+              weighted ? route.weights[static_cast<size_t>(k)] : 1.0f;
+          for (int l = 0; l < tp; ++l) {
+            heap.WaitSignalGe(sig, placement.RankOf(g, l), t * topk + k, 1);
+            heap.CopyRow(buf, rank, placement.RankOf(g, l), t * topk + k,
+                         row_buf);
+            out.AccumulateRow(t, row_buf, weight);
+          }
+        }
+        // f32 accumulation above, one rounding on store -- the point the
+        // sharded references round each output row at.
+        QuantizeSpan(out.row(t), dtype);
+      });
 }
 
 CometExecutor::CometExecutor(CometOptions options)
@@ -277,15 +384,11 @@ void CometExecutor::PrepareServing(const Placement& max_placement,
   EnsureFunctionalCapacity(max_placement);
 
   // ---- warm thread-local scratch on every thread that can touch it ----------
-  // Pool workers run GEMM tiles and row gathers; rank threads additionally
-  // run them inline (nested regions execute on the caller) and stage combine
-  // rows. Warm all three TLS buffers everywhere.
-  const int64_t max_gemm_k = std::max(n_embed, hidden);
+  // Pool workers run GEMM tiles and stage combine rows; rank threads run
+  // both inline (nested regions execute on the caller). Warm both TLS
+  // buffers everywhere.
   const auto warm = [&](int) {
-    WarmGemmScratch(max_gemm_k);
-    // Wire scratch covers undispatch rows (n_embed) and replica-slab weight
-    // rows (up to hidden), so warm at the wider bound.
-    WarmHeapWireScratch(max_gemm_k);
+    WarmGemmScratch(std::max(n_embed, hidden));
     CombineRowBuf().reserve(static_cast<size_t>(n_embed));
   };
   GlobalThreadPool().ForEachWorker(warm);
@@ -461,7 +564,6 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
   const RoutePlan& plan = workload.plan;
   const ModelConfig& model = placement.model();
   const int world = placement.world();
-  const int tp = placement.parallel().tp;
   const int ep = placement.parallel().ep;
   const int64_t n_embed = model.embedding;
   const int64_t hidden = placement.HiddenPerTpRank();
@@ -492,12 +594,8 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
   heap.ResizeRows(ws.contrib_buf, group_tokens * topk);
   heap.ResetSignals(ws.contrib_sig);
   heap.ResetTraffic();
-  const SymmetricBufferId in_buf = ws.in_buf;
-  const SymmetricBufferId contrib_buf = ws.contrib_buf;
-  const SymmetricBufferId contrib_sig = ws.contrib_sig;
-
   for (int r = 0; r < world; ++r) {
-    heap.Local(in_buf, r) =
+    heap.Local(ws.in_buf, r) =
         workload.inputs[static_cast<size_t>(placement.EpGroupOfRank(r))];
   }
 
@@ -549,8 +647,7 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
     const Layer1Schedule& schedule1 = rs.sim.layer1;
 
     // Materialize the layer0 shared tensor per expert with rows in the
-    // permuted layout; remote rows travel through the symmetric heap. Rows
-    // land in disjoint destination slots, so the gather fans out per row.
+    // permuted layout; remote rows travel through the symmetric heap.
     // Workspace tensors are re-formatted in place; every row of every
     // intermediate is fully written below (gather -> GEMM tiles ->
     // activation), so stale contents never survive into a result.
@@ -559,25 +656,14 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
     rs.h_mid.resize(n_experts);
     rs.y_out.resize(n_experts);
     for (size_t le = 0; le < n_experts; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule0.row_order[le];
-      const int64_t rows = static_cast<int64_t>(slice.rows.size());
-      Tensor& a = rs.a_in[le];
-      a.ResetFormat2D(rows, n_embed, dtype);
-      ParallelFor(
-          0, static_cast<int64_t>(order.size()), 8,
-          [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int64_t src_local =
-                row.token - placement.FirstTokenOfGroup(row.source_group);
-            heap.CopyRow(in_buf, r,
-                         placement.RankOf(row.source_group, lane), src_local,
-                         a.row(pos));
-          });
+      const int64_t rows =
+          static_cast<int64_t>(rank_plan.experts[le].rows.size());
+      rs.a_in[le].ResetFormat2D(rows, n_embed, dtype);
       rs.h_mid[le].ResetFormat2D(rows, hidden, dtype);
       rs.y_out[le].ResetFormat2D(rows, n_embed, dtype);
     }
+    GatherRowsFromHome(heap, ws.in_buf, plan, r, schedule0.row_order,
+                       rs.a_in);
 
     GroupGemmProblem& problem0 = rs.problem0;
     problem0.a.clear();
@@ -622,89 +708,25 @@ void CometExecutor::RunFunctionalInto(const MoeWorkload& workload,
 
     // Top-k undispatch: every partial output row returns (lane-matched) to
     // the token's home group, unweighted; weights are applied at the
-    // canonical combine below. Each (token, slot) pair owns its destination
-    // row and signal word, so the scatter parallelizes per row.
-    for (size_t le = 0; le < n_experts; ++le) {
-      const auto& slice = rank_plan.experts[le];
-      const auto& order = schedule0.row_order[le];
-      ParallelFor(
-          0, static_cast<int64_t>(order.size()), 8,
-          [&](int64_t pos) {
-            const ExpertRow& row =
-                slice.rows[static_cast<size_t>(order[static_cast<size_t>(pos)])];
-            const int dst = placement.RankOf(row.source_group, lane);
-            const int64_t dst_row =
-                (row.token - placement.FirstTokenOfGroup(row.source_group)) *
-                    topk +
-                row.slot;
-            heap.PutRowWithSignal(contrib_buf, r, dst, dst_row,
-                                  rs.y_out[le].row(pos), contrib_sig, dst_row);
-          });
-    }
+    // canonical combine below.
+    PutRowsHome(heap, ws.contrib_buf, ws.contrib_sig, plan, r,
+                schedule0.row_order, rs.y_out);
   };
 
-  // --- combine: canonical reduction (slot-major, TP-lane inner) on lane 0 ---
-  //
-  // The consume stage of each group's lane-0 rank. It first blocks on the
-  // arrival signal of every expected contribution (the NVSHMEM wait_until
-  // loop of the real combine kernel -- in concurrent mode producers on peer
-  // threads are still streaming rows in), then reduces. The reduction order
-  // is a pure function of (token, slot, lane), never of arrival order, so
-  // serial, concurrent and any-thread-count runs are bit-identical.
+  // The consume stage of each group's lane-0 rank: the weighted canonical
+  // combine, waiting on the arrival signal of every contribution (in
+  // concurrent mode producers on peer threads are still streaming rows in).
   out.outputs.resize(static_cast<size_t>(ep));
   const auto consume = [&](int r) {
     if (placement.TpLaneOfRank(r) != 0) {
       return;
     }
-    const int g = placement.EpGroupOfRank(r);
-    const int reader = r;
-    const int64_t first = placement.FirstTokenOfGroup(g);
-    // Wait for delivery. Blocking waits stay on this rank's dedicated
-    // thread -- they must never ride pool workers, or spinning consumers
-    // could starve the producers' tile chunks out of the pool.
-    for (int64_t t = 0; t < group_tokens; ++t) {
-      const TokenRoute& route =
-          workload.routing.tokens[static_cast<size_t>(first + t)];
-      const int64_t slots = static_cast<int64_t>(route.experts.size());
-      for (int64_t k = 0; k < slots; ++k) {
-        for (int l = 0; l < tp; ++l) {
-          heap.WaitUntilSignalGe(contrib_sig, placement.RankOf(g, l),
-                                 t * topk + k, 1,
-                                 options_.signal_wait_timeout_ms);
-        }
-      }
-    }
-    Tensor& result = out.outputs[static_cast<size_t>(g)];
+    Tensor& result =
+        out.outputs[static_cast<size_t>(placement.EpGroupOfRank(r))];
     result.ResetFormat2D(group_tokens, n_embed, dtype);
-    // Tokens reduce independently (one output row each); the slot-major,
-    // TP-lane-inner order within a token is preserved inside the body.
-    ParallelFor(
-        0, group_tokens, 4,
-        [&](int64_t t) {
-          std::vector<float>& row_buf = CombineRowBuf();
-          row_buf.resize(static_cast<size_t>(n_embed));
-          // Accumulation starts from an explicitly zeroed row (the workspace
-          // tensor carries the previous batch's bits).
-          result.FillZeroRows(t, t + 1);
-          const TokenRoute& route =
-              workload.routing.tokens[static_cast<size_t>(first + t)];
-          // Routes may carry fewer than topk entries (capacity-dropped
-          // pairs); only written slots are consumed.
-          const int64_t slots = static_cast<int64_t>(route.experts.size());
-          for (int64_t k = 0; k < slots; ++k) {
-            for (int l = 0; l < tp; ++l) {
-              heap.WaitSignalGe(contrib_sig, placement.RankOf(g, l),
-                                t * topk + k, 1);
-              heap.CopyRow(contrib_buf, reader, placement.RankOf(g, l),
-                           t * topk + k, row_buf);
-              result.AccumulateRow(t, row_buf,
-                                   route.weights[static_cast<size_t>(k)]);
-            }
-          }
-          // f32 accumulation above, one rounding on store -- mirrors the
-          // sharded reference's per-row output rounding exactly.
-          result.QuantizeRow(t);
-        });
+    CombineRowsAtHome(heap, ws.contrib_buf, ws.contrib_sig, placement,
+                      workload.routing, r, /*weighted=*/true, dtype,
+                      options_.signal_wait_timeout_ms, result);
   };
 
   // Configure resolves concurrency against the ambient thread limit; with an

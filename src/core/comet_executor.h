@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "comm/symmetric_heap.h"
 #include "core/adaptive.h"
 #include "exec/execution.h"
 #include "tensor/dtype.h"
@@ -102,6 +103,37 @@ DivisionPoints PickDivisionPoints(const CometOptions& options,
                                   const RoutePlan& plan,
                                   const OpCostModel& costs,
                                   const AdaptiveAssigner& assigner);
+
+// The heap row exchange, shared by the forward (dispatch, undispatch,
+// combine) and CometBackward (grad dispatch, dA undispatch, dinput reduce).
+// Rank `rank` walks its plan slices with each slice's rows in a schedule's
+// order (`row_order[le]` lists slice le's row indices); a row's token lives
+// on the same TP lane of the token's home group.
+
+// Step 1: copies the pos-th scheduled row of slice le from `buf` on its
+// home rank into rows[le].row(pos); rows[le] must hold the slice's rows.
+void GatherRowsFromHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                        const RoutePlan& plan, int rank,
+                        const std::vector<std::vector<int64_t>>& row_order,
+                        std::vector<Tensor>& rows);
+
+// Step 2: puts rows[le].row(pos) home into row t * topk + slot of `buf`
+// (t the token's index in its home group) and bumps `sig` at that index.
+void PutRowsHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                 SymmetricBufferId sig, const RoutePlan& plan, int rank,
+                 const std::vector<std::vector<int64_t>>& row_order,
+                 const std::vector<Tensor>& rows);
+
+// Step 3, on lane-0 rank `rank` of a group: waits (up to `timeout_ms` per
+// signal) for every step-2 put to the group, then overwrites `out` (group
+// tokens x embedding) token by token: from zero, slot-major with the TP lane
+// inner, times the route weight when `weighted`, rounded once at `dtype`.
+// The order depends only on (token, slot, lane), so concurrency never
+// changes a bit.
+void CombineRowsAtHome(SymmetricHeap& heap, SymmetricBufferId buf,
+                       SymmetricBufferId sig, const Placement& placement,
+                       const RoutingTable& routing, int rank, bool weighted,
+                       DType dtype, int64_t timeout_ms, Tensor& out);
 
 class CometExecutor : public MoeLayerExecutor {
  public:

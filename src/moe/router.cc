@@ -14,12 +14,6 @@
 
 namespace comet {
 
-std::vector<int64_t> RoutingTable::ExpertLoads(int64_t num_experts) const {
-  std::vector<int64_t> loads;
-  ExpertLoadsInto(num_experts, &loads);
-  return loads;
-}
-
 void RoutingTable::ExpertLoadsInto(int64_t num_experts,
                                    std::vector<int64_t>* loads) const {
   COMET_CHECK(loads != nullptr);
@@ -58,7 +52,8 @@ double LoadStdFromCounts(std::span<const int64_t> loads) {
 }
 
 double RoutingTable::LoadStd(int64_t num_experts) const {
-  const auto loads = ExpertLoads(num_experts);
+  std::vector<int64_t> loads;
+  ExpertLoadsInto(num_experts, &loads);
   return LoadStdFromCounts(loads);
 }
 

@@ -40,12 +40,10 @@ struct RoutingTable {
 
   int64_t size() const { return static_cast<int64_t>(tokens.size()); }
 
-  // Tokens assigned to each expert (counting (token, expert) pairs).
-  std::vector<int64_t> ExpertLoads(int64_t num_experts) const;
-  // In-place ExpertLoads: writes the counts into `*loads`, reusing its
-  // capacity. Allocation-free once `loads` has held `num_experts` entries --
-  // the serving loop's per-iteration EWMA update runs inside the
-  // zero-allocation steady-state envelope.
+  // Tokens assigned to each expert (counting (token, expert) pairs), written
+  // into `*loads` reusing its capacity. Allocation-free once `loads` has held
+  // `num_experts` entries -- the serving loop's per-iteration EWMA update
+  // runs inside the zero-allocation steady-state envelope.
   void ExpertLoadsInto(int64_t num_experts, std::vector<int64_t>* loads) const;
   // Population std of the per-expert token *fraction* (Figure 14's x-axis).
   double LoadStd(int64_t num_experts) const;

@@ -118,24 +118,6 @@ TEST(RoutingValidate, GenuinelyBrokenWeightsFailAtEveryDtype) {
   EXPECT_THROW(t.Validate(8, 2, DType::kF16), CheckError);
 }
 
-// ---- in-place loads and the counts-based load std --------------------------
-
-TEST(ExpertLoads, IntoVariantMatchesAllocatingVariant) {
-  SyntheticRouter router(Rng(9).LoadVectorWithStd(8, 0.05), 42);
-  RoutingTable t = router.Route(64, 2);
-  const std::vector<int64_t> loads = t.ExpertLoads(8);
-  std::vector<int64_t> into;
-  t.ExpertLoadsInto(8, &into);
-  EXPECT_EQ(into, loads);
-  // Reuse with stale contents: Into must fully overwrite.
-  std::vector<int64_t> dirty(8, 999);
-  t.ExpertLoadsInto(8, &dirty);
-  EXPECT_EQ(dirty, loads);
-
-  EXPECT_EQ(LoadStdFromCounts(loads), t.LoadStd(8))
-      << "the counts-based std must be bit-identical to the table's";
-}
-
 // ---- HotExpertTracker policy properties ------------------------------------
 
 AdaptationOptions TrackerOptions() {

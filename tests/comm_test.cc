@@ -42,31 +42,25 @@ TEST(SymmetricHeap, LocalAccessIsFree) {
   const auto buf = heap.Allocate("x", Shape{1, 4});
   const std::vector<float> row = {1, 2, 3, 4};
   heap.PutRow(buf, 0, 0, 0, row);
-  auto got = heap.GetRow(buf, 0, 0, 0);
+  std::vector<float> got(4);
+  heap.CopyRow(buf, 0, 0, 0, got);
   EXPECT_EQ(got[3], 4.0f);
   EXPECT_DOUBLE_EQ(heap.TotalTraffic(), 0.0);
 }
 
-TEST(SymmetricHeap, GetRowCountsOwnerToReader) {
+TEST(SymmetricHeap, CopyRowCountsOwnerToReader) {
   SymmetricHeap heap(3);
   const auto buf = heap.Allocate("x", Shape{1, 8});
-  heap.GetRow(buf, /*reader=*/2, /*owner=*/0, 0);
+  std::vector<float> dst(8);
+  heap.CopyRow(buf, /*reader=*/2, /*owner=*/0, 0, dst);
   EXPECT_DOUBLE_EQ(heap.Traffic(0, 2), 32.0);
-}
-
-TEST(SymmetricHeap, AccumulateRowAddsWeighted) {
-  SymmetricHeap heap(2);
-  const auto buf = heap.Allocate("x", Shape{1, 2});
-  const std::vector<float> row = {2.0f, 4.0f};
-  heap.AccumulateRow(buf, 0, 1, 0, row, 0.5f);
-  heap.AccumulateRow(buf, 0, 1, 0, row, 1.0f);
-  EXPECT_EQ(heap.Local(buf, 1).at({0, 0}), 3.0f);
 }
 
 TEST(SymmetricHeap, ResetTraffic) {
   SymmetricHeap heap(2);
   const auto buf = heap.Allocate("x", Shape{1, 4});
-  heap.GetRow(buf, 1, 0, 0);
+  std::vector<float> dst(4);
+  heap.CopyRow(buf, 1, 0, 0, dst);
   EXPECT_GT(heap.TotalTraffic(), 0.0);
   heap.ResetTraffic();
   EXPECT_DOUBLE_EQ(heap.TotalTraffic(), 0.0);
@@ -104,23 +98,14 @@ TEST(SymmetricHeapDtype, ReadsGoThroughTheWireToo) {
   // Local() is raw master access (bulk init); a raw write of an
   // unrepresentable value cannot escape through row reads unrounded.
   heap.Local(buf, 0).at({0, 0}) = 1.0f + 0.0001f;
-  const auto got = heap.GetRow(buf, 1, 0, 0);
+  std::vector<float> got(2, 0.0f);
+  heap.CopyRow(buf, 1, 0, 0, got);
   EXPECT_EQ(got[0], QuantizeScalar(1.0f + 0.0001f, DType::kF16));
-  std::vector<float> dst(2, 0.0f);
-  heap.CopyRow(buf, 1, 0, 0, dst);
-  EXPECT_EQ(dst[0], got[0]);
+  // A second read leaves the master untouched and rounds the same way.
+  std::vector<float> again(2, 0.0f);
+  heap.CopyRow(buf, 1, 0, 0, again);
+  EXPECT_EQ(again[0], got[0]);
   EXPECT_DOUBLE_EQ(heap.Traffic(0, 1), 2.0 * 2.0 * 2.0);  // two 2x2B reads
-}
-
-TEST(SymmetricHeapDtype, AccumulateRowRoundsOnStore) {
-  SymmetricHeap heap(2);
-  const auto buf = heap.Allocate("x", Shape{1, 1}, DType::kBF16);
-  const std::vector<float> row = {1.0f};
-  heap.AccumulateRow(buf, 0, 1, 0, row, 1.0f);
-  // 1.0 + 2^-8 is half a bf16 ulp: it ties back to even 1.0 on store -- the
-  // 2-byte buffer cannot hold the f32 partial.
-  heap.AccumulateRow(buf, 0, 1, 0, row, 0.00390625f);
-  EXPECT_EQ(heap.Local(buf, 1).at({0, 0}), 1.0f);
 }
 
 TEST(SymmetricHeapDtype, SignalledPutsNarrowLikePlainPuts) {
@@ -174,33 +159,18 @@ TEST(SymmetricHeapBounds, PutRowRejectsOutOfRangeRanks) {
                            "source rank -1");
 }
 
-TEST(SymmetricHeapBounds, GetRowRejectsOutOfRange) {
-  SymmetricHeap heap(2);
-  const auto buf = heap.Allocate("contrib", Shape{3, 2});
-  ExpectCheckFailureNaming([&] { heap.GetRow(buf, 0, 1, 3); }, "contrib");
-  ExpectCheckFailureNaming([&] { heap.GetRow(buf, 0, 5, 0); }, "contrib");
-  ExpectCheckFailureNaming([&] { heap.GetRow(buf, 9, 1, 0); },
-                           "reader rank 9");
-}
-
 TEST(SymmetricHeapBounds, CopyRowRejectsOutOfRange) {
   SymmetricHeap heap(2);
   const auto buf = heap.Allocate("contrib", Shape{3, 2});
   std::vector<float> dst(2);
+  ExpectCheckFailureNaming([&] { heap.CopyRow(buf, 0, 1, 3, dst); },
+                           "contrib");
   ExpectCheckFailureNaming(
       [&] { heap.CopyRow(buf, 0, 1, -2, dst); }, "contrib");
   ExpectCheckFailureNaming(
       [&] { heap.CopyRow(buf, 0, 2, 0, dst); }, "contrib");
-}
-
-TEST(SymmetricHeapBounds, AccumulateRowRejectsOutOfRange) {
-  SymmetricHeap heap(2);
-  const auto buf = heap.Allocate("outputs", Shape{2, 2});
-  const std::vector<float> row = {1, 2};
-  ExpectCheckFailureNaming(
-      [&] { heap.AccumulateRow(buf, 0, 1, 2, row, 1.0f); }, "outputs");
-  ExpectCheckFailureNaming(
-      [&] { heap.AccumulateRow(buf, 3, 1, 0, row, 1.0f); }, "outputs");
+  ExpectCheckFailureNaming([&] { heap.CopyRow(buf, 9, 1, 0, dst); },
+                           "reader rank 9");
 }
 
 TEST(SymmetricHeapBounds, DataOpsOnSignalAllocationFailLoudly) {
@@ -212,7 +182,8 @@ TEST(SymmetricHeapBounds, DataOpsOnSignalAllocationFailLoudly) {
   ExpectCheckFailureNaming([&] { heap.PutRow(sig, 0, 1, 0, row); },
                            "ready-flags");
   ExpectCheckFailureNaming([&] { heap.Local(sig, 0); }, "ready-flags");
-  ExpectCheckFailureNaming([&] { heap.GetRow(sig, 0, 1, 0); },
+  std::vector<float> dst(2);
+  ExpectCheckFailureNaming([&] { heap.CopyRow(sig, 0, 1, 0, dst); },
                            "signal-only");
 }
 
@@ -233,7 +204,9 @@ TEST(SymmetricHeapBounds, InRangeAccessStillWorksAfterChecks) {
   const auto buf = heap.Allocate("x", Shape{2, 2});
   const std::vector<float> row = {5, 6};
   heap.PutRow(buf, 0, 1, 1, row);
-  EXPECT_EQ(heap.GetRow(buf, 0, 1, 1)[1], 6.0f);
+  std::vector<float> got(2);
+  heap.CopyRow(buf, 0, 1, 1, got);
+  EXPECT_EQ(got[1], 6.0f);
 }
 
 // ---- cost models ---------------------------------------------------------------

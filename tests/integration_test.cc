@@ -210,12 +210,13 @@ TEST(TrafficAccounting, CometMovesExactlyThePlannedDispatchBytes) {
   for (int r = 0; r < 4; ++r) {
     heap.Local(buf, r) = w.inputs[static_cast<size_t>(r)];
   }
+  std::vector<float> dst(16);
   for (int r = 0; r < 4; ++r) {
     for (const auto& slice : w.plan.ForRank(r).experts) {
       for (const auto& row : slice.rows) {
         const int64_t local =
             row.token - w.placement.FirstTokenOfGroup(row.source_group);
-        heap.GetRow(buf, r, row.source_group, local);
+        heap.CopyRow(buf, r, row.source_group, local, dst);
       }
     }
   }

@@ -344,8 +344,9 @@ TEST(SyntheticRouter, MatchesReferenceWhenAPickFallsThrough) {
 TEST(SyntheticRouter, CategoricalFollowsWeights) {
   SyntheticRouter router({1.0, 3.0}, 6);
   const RoutingTable table = router.Route(20000, 1);
-  EXPECT_NEAR(static_cast<double>(table.ExpertLoads(2)[1]) / 20000, 0.75,
-              0.02);
+  std::vector<int64_t> loads;
+  table.ExpertLoadsInto(2, &loads);
+  EXPECT_NEAR(static_cast<double>(loads[1]) / 20000, 0.75, 0.02);
 }
 
 TEST(SyntheticRouter, CategoricalRejectsAllZero) {
@@ -404,10 +405,10 @@ TEST(RoutingTable, ExpertLoadsCountPairs) {
   RoutingTable table;
   table.tokens.push_back(TokenRoute{{0, 1}, {0.5f, 0.5f}});
   table.tokens.push_back(TokenRoute{{0, 2}, {0.5f, 0.5f}});
-  const auto loads = table.ExpertLoads(4);
-  EXPECT_EQ(loads[0], 2);
-  EXPECT_EQ(loads[1], 1);
-  EXPECT_EQ(loads[3], 0);
+  // Stale contents of the wrong length are fully overwritten.
+  std::vector<int64_t> loads(7, 999);
+  table.ExpertLoadsInto(4, &loads);
+  EXPECT_EQ(loads, (std::vector<int64_t>{2, 1, 1, 0}));
 }
 
 // ---- route plan -----------------------------------------------------------------
@@ -1011,7 +1012,8 @@ TEST(CapacityFactor, EnforcesPerExpertBudget) {
   const DropStats stats = ApplyCapacityFactor(table, 4, 1.0);
   // capacity = ceil(1.0 * 2000 / 4) = 500 pairs per expert.
   EXPECT_EQ(stats.capacity, 500);
-  const auto loads = table.ExpertLoads(4);
+  std::vector<int64_t> loads;
+  table.ExpertLoadsInto(4, &loads);
   for (int64_t l : loads) {
     EXPECT_LE(l, stats.capacity);
   }

@@ -174,8 +174,8 @@ TEST_P(RoutePlanProperty, RowCountsConservedAcrossPlan) {
                 plan.ForRank(r).TotalRows());
     }
     // Expert loads agree with the routing table's histogram.
-    const auto loads =
-        c.workload.routing.ExpertLoads(c.model.num_experts);
+    std::vector<int64_t> loads;
+    c.workload.routing.ExpertLoadsInto(c.model.num_experts, &loads);
     for (int g = 0; g < c.parallel.ep; ++g) {
       for (const ExpertSlice& slice : plan.ForGroup(g).experts) {
         EXPECT_EQ(static_cast<int64_t>(slice.rows.size()),

@@ -586,9 +586,10 @@ TEST(TransportIntegrity, InjectedCorruptionAlwaysDetected) {
       heap.PutRow(buf, /*src_rank=*/0, /*dst_rank=*/1, i, row);
     }
     int64_t detected = 0;
+    std::vector<float> got(8);
     for (int64_t i = 0; i < 16; ++i) {
       try {
-        heap.GetRow(buf, /*reader_rank=*/0, /*owner_rank=*/1, i);
+        heap.CopyRow(buf, /*reader_rank=*/0, /*owner_rank=*/1, i, got);
       } catch (const CheckError& e) {
         ++detected;
         const std::string what = e.what();
@@ -616,9 +617,11 @@ TEST(TransportIntegrity, CleanRowsVerifyAndPass) {
   SymmetricHeap heap(2, integrity);
   const auto buf = heap.Allocate("payload", Shape{4, 8});
   std::vector<float> row(8, 1.5f);
+  std::vector<float> got(8);
   for (int64_t i = 0; i < 4; ++i) {
     heap.PutRow(buf, 0, 1, i, row);
-    EXPECT_EQ(heap.GetRow(buf, 0, 1, i), row);
+    heap.CopyRow(buf, 0, 1, i, got);
+    EXPECT_EQ(got, row);
   }
   EXPECT_EQ(heap.rows_corrupted(), 0);
   EXPECT_EQ(heap.rows_verified(), 4);
